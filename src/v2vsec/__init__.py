@@ -3,11 +3,11 @@
 Secrecy capacity under speed-dependent geometry, fading, relaying and
 ergodic power allocation, a link-mode decision protocol driven by CSI
 reports, and an optional compressive-sensing cipher gated on secrecy
-capacity. ``KERNEL_BACKEND`` reports whether the compiled allocation
-kernels or the numpy fallback were selected at import.
+capacity. ``KERNEL_BACKEND`` names the numeric backend of the allocation
+kernels; it is always ``"numpy"``, the only one, and is kept so recorded
+benchmark runs can say which backend produced them.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .channel import (
     FadingModel,
     PowerBudget,
@@ -65,4 +65,5 @@ from .secrecy import (
     velocity_secrecy,
 )
 
+KERNEL_BACKEND = "numpy"
 __version__ = "0.1.0"

@@ -1,8 +1,7 @@
-"""Vectorized numpy implementations of the power-allocation kernels.
+"""Vectorized numpy power-allocation kernels: the per-state closed forms.
 
-Used when the compiled extension is unavailable (or forced via
-V2VSEC_FORCE_FALLBACK=1). Must stay numerically interchangeable with
-`_ergodic.pyx`; both evaluate the same closed forms in IEEE double.
+``ergodic`` calls them as ``_kernels.gamma_allocation`` and
+``_kernels.secrecy_rate`` attribute lookups, once per multiplier trial.
 """
 
 import numpy as np

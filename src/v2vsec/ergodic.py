@@ -4,11 +4,9 @@ The estimator samples fading states for the legitimate and eavesdropper
 links, keeps the favorable set (legitimate gain ratio strictly larger),
 and maximizes the average secrecy rate over state-dependent transmit
 powers subject to an average-power budget. The per-state optimum is
-closed-form given the budget multiplier; the multiplier itself is found
-by bisection on the average-power residual.
-
-The per-state closed form is evaluated by the selected kernel backend
-(compiled C loop or numpy fallback, see ``v2vsec._kernels``).
+closed-form given the budget multiplier (``v2vsec._kernels``); the
+multiplier itself is found on a log scale by Illinois false position on
+the relative average-power residual, over the favorable states only.
 """
 
 from __future__ import annotations
@@ -34,14 +32,14 @@ __all__ = [
 
 DEFAULT_SEED = 12345
 
-# Bisection policy for the power-budget multiplier.
-_POWER_RTOL = 1e-3
-_MAX_BISECT = 200
-_MAX_BRACKET_GROWTH = 200
+# Multiplier search policy: relative power tolerance and iteration caps.
+_POWER_RTOL = 1e-9
+_MAX_BRACKET_GROWTH = 12  # steps sum to 4095 > 1455, the span of ln() over positive doubles
+_MAX_ITER = 100
 
 
 class ErgodicConvergenceError(RuntimeError):
-    """The multiplier bisection failed to meet the power-budget tolerance."""
+    """The multiplier search failed to meet the power-budget tolerance."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ def estimate_on_states(a: np.ndarray, b: np.ndarray, p_budget: float) -> Ergodic
     """Optimal-allocation estimate on an explicit sample of gain-ratio states.
 
     Raises :class:`ErgodicConvergenceError` if the budget multiplier cannot
-    be bisected to within the relative power tolerance; never returns a
+    be solved to within the relative power tolerance; never returns a
     silently unconverged answer.
     """
     if not (math.isfinite(p_budget) and p_budget > 0):
@@ -117,48 +115,63 @@ def estimate_on_states(a: np.ndarray, b: np.ndarray, p_budget: float) -> Ergodic
     if np.any(a < 0) or np.any(b < 0):
         raise ValueError("gain ratios must be >= 0")
     n = a.shape[0]
-    n_active = int(np.count_nonzero(a > b))
+    favorable = a > b
+    n_active = int(np.count_nonzero(favorable))
     if n_active == 0:
         return ErgodicResult(0.0, 0.0, 0.0, math.inf, 0)
+    if n_active < n:
+        # Only favorable states can ever get power; the rest add zeros.
+        a, b = a[favorable], b[favorable]
 
-    def avg_power(mu: float) -> float:
-        return float(np.mean(_kernels.gamma_allocation(a, b, mu)))
+    def residual(log_mu: float) -> tuple[float, np.ndarray]:
+        gamma = _kernels.gamma_allocation(a, b, math.exp(log_mu))
+        return float(np.sum(gamma)) / (n * p_budget) - 1.0, gamma
 
-    # Average power is monotone decreasing in mu: grow the upper bracket
-    # until the allocation fits the budget, then bisect.
-    lo = 0.0
-    hi = 1.0
+    # Average power falls monotonically from +inf as mu -> 0 to zero at
+    # mu = max(a - b), where no state gets power: step ln(mu) down from
+    # there, doubling the step, until the allocation exceeds the budget.
+    hi, f_hi = math.log(float(np.max(a - b))), -1.0
+    step = 1.0
     for _ in range(_MAX_BRACKET_GROWTH):
-        if avg_power(hi) <= p_budget:
+        lo = hi - step
+        f_lo, gamma = residual(lo)
+        if f_lo > -_POWER_RTOL:
             break
-        lo = hi
-        hi *= 2.0
+        hi, f_hi = lo, f_lo
+        step *= 2.0
     else:
         raise ErgodicConvergenceError("multiplier bracket did not close")
 
-    mu = hi
-    achieved = avg_power(mu)
-    for _ in range(_MAX_BISECT):
-        if abs(achieved - p_budget) / p_budget < _POWER_RTOL:
+    # Illinois false position on [lo, hi] with f(lo) > 0 > f(hi): an end
+    # kept twice in a row has its residual halved, so both ends converge.
+    log_mu, f, kept = lo, f_lo, 0
+    for _ in range(_MAX_ITER):
+        if abs(f) <= _POWER_RTOL:
             break
-        mid = 0.5 * (lo + hi)
-        mid_power = avg_power(mid)
-        if mid_power > p_budget:
-            lo = mid
+        log_mu = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        f, gamma = residual(log_mu)
+        if f > 0:
+            lo, f_lo = log_mu, f
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
         else:
-            hi = mid
-        mu, achieved = mid, mid_power
-    else:
+            hi, f_hi = log_mu, f
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+    if abs(f) > _POWER_RTOL:
         raise ErgodicConvergenceError(
-            f"power residual {achieved - p_budget!r} not within "
-            f"{_POWER_RTOL} of budget after {_MAX_BISECT} bisections"
+            f"relative power residual {f!r} not within {_POWER_RTOL} of budget "
+            f"after {_MAX_ITER} iterations"
         )
 
-    gamma = _kernels.gamma_allocation(a, b, mu)
     rates = _kernels.secrecy_rate(a, b, gamma)
-    capacity = float(np.mean(rates))
-    ci = 1.96 * float(np.std(rates)) / math.sqrt(n)
-    return ErgodicResult(capacity, float(np.mean(gamma)), ci, mu, n_active)
+    capacity = float(np.sum(rates)) / n
+    # Spread over all n states; the n - n_active unfavorable ones have rate 0.
+    var = (float(np.sum((rates - capacity) ** 2)) + (n - n_active) * capacity**2) / n
+    ci = 1.96 * math.sqrt(var / n)
+    return ErgodicResult(capacity, float(np.sum(gamma)) / n, ci, math.exp(log_mu), n_active)
 
 
 def ergodic_secrecy(spec: ErgodicSpec) -> ErgodicResult:

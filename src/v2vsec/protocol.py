@@ -108,6 +108,18 @@ class CsiMessage:
             raise ValueError("sender_id must be nonempty")
         if self.seq < 0:
             raise ValueError(f"seq must be >= 0, got {self.seq!r}")
+        if self.timestamp_ms < 0:
+            raise ValueError(f"timestamp_ms must be >= 0, got {self.timestamp_ms!r}")
+        if not (
+            math.isfinite(self.tx_power_dbm)
+            and math.isfinite(self.rx_power_dbm)
+            and math.isfinite(self.noise_floor_dbm)
+            and math.isfinite(self.snr_db)
+        ):
+            raise ValueError(
+                f"power fields must be finite, got tx={self.tx_power_dbm!r} "
+                f"rx={self.rx_power_dbm!r} noise={self.noise_floor_dbm!r} snr={self.snr_db!r}"
+            )
         if self.snr_db != self.rx_power_dbm - self.noise_floor_dbm:
             raise ValueError(
                 f"snr_db={self.snr_db!r} must equal rx - noise = "

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from v2vsec.channel import FadingModel, PowerBudget, awgn_capacity
+from v2vsec import _kernels, ergodic
+from v2vsec.channel import FadingModel, PowerBudget, awgn_capacity, db_to_linear
 from v2vsec.ergodic import (
+    DEFAULT_SEED,
+    ErgodicConvergenceError,
     ErgodicSpec,
     constant_power_capacity,
     draw_channel_states,
@@ -13,6 +16,35 @@ from v2vsec.ergodic import (
 )
 
 RAYLEIGH = FadingModel.rayleigh()
+
+
+def _bisection_oracle(a, b, p_budget, rtol=1e-9):
+    """Linear-scale multiplier bisection over all states: the earlier solver.
+
+    Slow but simple; returns (capacity, multiplier).
+    """
+
+    def avg_power(mu):
+        return float(np.mean(_kernels.gamma_allocation(a, b, mu)))
+
+    lo, hi = 0.0, 1.0
+    while avg_power(hi) > p_budget:
+        lo, hi = hi, 2.0 * hi
+    mu, achieved = hi, avg_power(hi)
+    for _ in range(200):
+        if abs(achieved - p_budget) / p_budget < rtol:
+            break
+        mid = 0.5 * (lo + hi)
+        mid_power = avg_power(mid)
+        if mid_power > p_budget:
+            lo = mid
+        else:
+            hi = mid
+        mu, achieved = mid, mid_power
+    else:
+        raise AssertionError("oracle bisection did not converge")
+    gamma = _kernels.gamma_allocation(a, b, mu)
+    return float(np.mean(_kernels.secrecy_rate(a, b, gamma))), mu
 
 
 class TestSpecValidation:
@@ -142,3 +174,40 @@ class TestEstimator:
         slope = a / (1.0 + gamma * a) - b / (1.0 + gamma * b)
         np.testing.assert_allclose(slope[active], res.multiplier, rtol=1e-9)
         assert np.all(slope[~active] <= res.multiplier * (1 + 1e-12))
+
+
+class TestMultiplierSearch:
+    @pytest.mark.parametrize("eaves", [None, RAYLEIGH], ids=["no_eaves", "rayleigh_eaves"])
+    @pytest.mark.parametrize("p_db", [0, 8, 16, 24, 32, 40])
+    def test_matches_bisection_oracle(self, eaves, p_db):
+        spec = ErgodicSpec(
+            legit_fading=RAYLEIGH,
+            p_budget=db_to_linear(p_db),
+            eaves_fading=eaves,
+            n_samples=20_000,
+            seed=100 + p_db,
+        )
+        a, b = draw_channel_states(spec)
+        res = estimate_on_states(a, b, spec.p_budget)
+        capacity, mu = _bisection_oracle(a, b, spec.p_budget)
+        assert res.capacity == pytest.approx(capacity, rel=1e-7)
+        assert res.multiplier == pytest.approx(mu, rel=1e-6)
+
+    @pytest.mark.parametrize("p_db", [36, 40])
+    def test_high_snr_spends_the_whole_budget(self, p_db):
+        # a solver that stops under budget falls below uniform power here
+        spec = ErgodicSpec(
+            legit_fading=RAYLEIGH, p_budget=db_to_linear(p_db), n_samples=100_000, seed=DEFAULT_SEED
+        )
+        a, b = draw_channel_states(spec)
+        res = estimate_on_states(a, b, spec.p_budget)
+        assert res.capacity >= constant_power_capacity(a, b, spec.p_budget)
+        assert abs(res.achieved_avg_power / spec.p_budget - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("cap", ["_MAX_BRACKET_GROWTH", "_MAX_ITER"])
+    def test_iteration_cap_raises(self, monkeypatch, cap):
+        monkeypatch.setattr(ergodic, cap, 1)
+        spec = ErgodicSpec(legit_fading=RAYLEIGH, p_budget=1e4, n_samples=5000, seed=7)
+        a, b = draw_channel_states(spec)
+        with pytest.raises(ErgodicConvergenceError):
+            estimate_on_states(a, b, spec.p_budget)

@@ -88,6 +88,15 @@ class TestCsiCodec:
         with pytest.raises(CsiMalformedFieldError):
             parse_csi("CSI1|B|1|0|23|-60|-90|30|-5")
 
+    def test_non_finite_power_rejected(self):
+        # abs(inf - inf) is NaN, which no tolerance comparison catches
+        with pytest.raises(CsiMalformedFieldError):
+            parse_csi("CSI1|B|1|0|23|inf|-90|inf|22.22")
+
+    def test_negative_timestamp_rejected(self):
+        with pytest.raises(CsiMalformedFieldError):
+            parse_csi("CSI1|B|1|-100|23|-60|-90|30|22.22")
+
     def test_seq_regression_rejected(self):
         with pytest.raises(CsiSeqRegressionError):
             parse_csi("CSI1|B|3|0|23|-60|-90|30|22.22", last_seq=3)
