@@ -5,8 +5,8 @@ links, keeps the favorable set (legitimate gain ratio strictly larger),
 and maximizes the average secrecy rate over state-dependent transmit
 powers subject to an average-power budget. The per-state optimum is
 closed-form given the budget multiplier (``v2vsec._kernels``); the
-multiplier itself is found on a log scale by Illinois false position on
-the relative average-power residual, over the favorable states only.
+multiplier itself is found on a log scale by safeguarded Newton on the
+log of the total allocated power, over the favorable states only.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ __all__ = [
 
 DEFAULT_SEED = 12345
 
-# Multiplier search policy: relative power tolerance and iteration caps.
+# Multiplier search policy: relative power tolerance and kernel-call cap.
 _POWER_RTOL = 1e-9
-_MAX_BRACKET_GROWTH = 12  # steps sum to 4095 > 1455, the span of ln() over positive doubles
 _MAX_ITER = 100
 
 
@@ -78,6 +77,8 @@ class ErgodicResult:
     ci_halfwidth: float
     multiplier: float
     n_active: int
+    iterations: int  # gamma_allocation calls made by the multiplier search
+    power_residual: float  # final relative power residual, achieved/budget - 1
 
 
 def draw_channel_states(spec: ErgodicSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -118,52 +119,53 @@ def estimate_on_states(a: np.ndarray, b: np.ndarray, p_budget: float) -> Ergodic
     favorable = a > b
     n_active = int(np.count_nonzero(favorable))
     if n_active == 0:
-        return ErgodicResult(0.0, 0.0, 0.0, math.inf, 0)
+        return ErgodicResult(0.0, 0.0, 0.0, math.inf, 0, 0, 0.0)
     if n_active < n:
         # Only favorable states can ever get power; the rest add zeros.
         a, b = a[favorable], b[favorable]
 
-    def residual(log_mu: float) -> tuple[float, np.ndarray]:
-        gamma = _kernels.gamma_allocation(a, b, math.exp(log_mu))
-        return float(np.sum(gamma)) / (n * p_budget) - 1.0, gamma
-
-    # Average power falls monotonically from +inf as mu -> 0 to zero at
-    # mu = max(a - b), where no state gets power: step ln(mu) down from
-    # there, doubling the step, until the allocation exceeds the budget.
-    hi, f_hi = math.log(float(np.max(a - b))), -1.0
+    # Newton on F(t) = ln P(e^t) - ln(n p), t = ln(mu), P the total allocated
+    # power. On allocated states the KKT condition x - y = mu, with
+    # x = a/(1+g*a) and y = b/(1+g*b), gives dg/dmu = 1/(y^2 - x^2) =
+    # -1/(mu*(x + y)), so dF/dt = -sum(1/(x + y)) / P from the same gamma.
+    # P falls from +inf as mu -> 0 to zero at mu = max(a - b), so each
+    # residual narrows the bracket (lo, hi); lo = 0 while no lower end is
+    # known. The iterate is mu itself, so the search can reach every double.
+    target = n * p_budget
+    lo, hi = 0.0, float(np.max(a - b))
+    # water-filling start, exact when b = 0 and every favorable state is allocated
+    start = n_active / (target + float(np.sum(1.0 / a)))
+    mu = min(start, hi) if start > 0 else hi
     step = 1.0
-    for _ in range(_MAX_BRACKET_GROWTH):
-        lo = hi - step
-        f_lo, gamma = residual(lo)
-        if f_lo > -_POWER_RTOL:
+    for iterations in range(1, _MAX_ITER + 1):
+        gamma = _kernels.gamma_allocation(a, b, mu)
+        power = float(np.sum(gamma))
+        residual = power / target - 1.0
+        if abs(residual) <= _POWER_RTOL:
             break
-        hi, f_hi = lo, f_lo
-        step *= 2.0
-    else:
-        raise ErgodicConvergenceError("multiplier bracket did not close")
-
-    # Illinois false position on [lo, hi] with f(lo) > 0 > f(hi): an end
-    # kept twice in a row has its residual halved, so both ends converge.
-    log_mu, f, kept = lo, f_lo, 0
-    for _ in range(_MAX_ITER):
-        if abs(f) <= _POWER_RTOL:
-            break
-        log_mu = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        f, gamma = residual(log_mu)
-        if f > 0:
-            lo, f_lo = log_mu, f
-            if kept == 1:
-                f_hi *= 0.5
-            kept = 1
+        if residual > 0:
+            lo = mu
         else:
-            hi, f_hi = log_mu, f
-            if kept == -1:
-                f_lo *= 0.5
-            kept = -1
-    if abs(f) > _POWER_RTOL:
+            hi = mu
+        nxt = math.nan
+        if power > 0:
+            inv = 1.0 / (a / (1.0 + gamma * a) + b / (1.0 + gamma * b))
+            dt = math.log(power / target) * power / float(np.sum(inv, where=gamma > 0))
+            nxt = mu * math.exp(min(dt, 709.0))  # exp() overflows past 709
+        if not lo < nxt < hi:
+            if lo == 0.0:
+                nxt, step = hi * math.exp(-step), 2.0 * step
+            else:
+                nxt = math.sqrt(lo) * math.sqrt(hi)
+                if not lo < nxt < hi:  # a few ulps apart: halve on the linear scale
+                    nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break  # no double lies strictly inside the bracket
+        mu = nxt
+    if abs(residual) > _POWER_RTOL:
         raise ErgodicConvergenceError(
-            f"relative power residual {f!r} not within {_POWER_RTOL} of budget "
-            f"after {_MAX_ITER} iterations"
+            f"relative power residual {residual!r} not within {_POWER_RTOL} after "
+            f"{iterations} iterations (p_budget={p_budget!r}, n_active={n_active})"
         )
 
     rates = _kernels.secrecy_rate(a, b, gamma)
@@ -171,7 +173,7 @@ def estimate_on_states(a: np.ndarray, b: np.ndarray, p_budget: float) -> Ergodic
     # Spread over all n states; the n - n_active unfavorable ones have rate 0.
     var = (float(np.sum((rates - capacity) ** 2)) + (n - n_active) * capacity**2) / n
     ci = 1.96 * math.sqrt(var / n)
-    return ErgodicResult(capacity, float(np.sum(gamma)) / n, ci, math.exp(log_mu), n_active)
+    return ErgodicResult(capacity, power / n, ci, mu, n_active, iterations, residual)
 
 
 def ergodic_secrecy(spec: ErgodicSpec) -> ErgodicResult:

@@ -9,13 +9,17 @@ Wire format (one message per line, UTF-8):
 
     CSI1|sender_id|seq|timestamp_ms|tx_power_dbm|rx_power_dbm|noise_floor_dbm|snr_db|speed_mps
 
-Fields are '|'-separated; numeric fields are decimal with a '.' radix
-point and at most 4 fractional digits. ``CSI1`` is the version tag.
+Fields are '|'-separated; ``CSI1`` is the version tag. ``seq`` and
+``timestamp_ms`` are ASCII digits only; the other numeric fields are an
+optional '-', digits, and optionally a '.' radix point followed by 1-4
+digits. Nothing else is a number on the wire: no exponent, sign '+',
+digit separator, surrounding whitespace, or nan/inf.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +57,11 @@ WIRE_VERSION = "CSI1"
 _WIRE_FIELDS = 9
 # Carried SNR may differ from rx - noise by at most this much (dB).
 SNR_TOLERANCE_DB = 0.01
+# A well-formed line; one that fails to match is classified by parse_csi.
+_DECIMAL = r"(-?[0-9]+(?:\.[0-9]{1,4})?)"
+_WIRE_LINE = re.compile(
+    rf"{WIRE_VERSION}\|([^|]*)\|([0-9]+)\|([0-9]+)" + rf"\|{_DECIMAL}" * 5
+)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 COARSE_GRID_POINTS = 32
@@ -185,23 +194,23 @@ def parse_csi(line: str, last_seq: int | None = None) -> CsiMessage:
     With ``last_seq`` given, a non-increasing sequence number raises
     :class:`CsiSeqRegressionError`.
     """
-    parts = line.rstrip("\r\n").split("|")
-    if len(parts) < _WIRE_FIELDS:
-        raise CsiMissingFieldError(f"expected {_WIRE_FIELDS} fields, got {len(parts)}")
-    if len(parts) > _WIRE_FIELDS:
-        raise CsiMalformedFieldError(f"expected {_WIRE_FIELDS} fields, got {len(parts)}")
-    if parts[0] != WIRE_VERSION:
-        raise CsiVersionError(f"unknown version tag {parts[0]!r}")
-    sender_id = parts[1]
+    line = line.rstrip("\r\n")
+    match = _WIRE_LINE.fullmatch(line)
+    if match is None:
+        parts = line.split("|")
+        if len(parts) < _WIRE_FIELDS:
+            raise CsiMissingFieldError(f"expected {_WIRE_FIELDS} fields, got {len(parts)}")
+        if len(parts) > _WIRE_FIELDS:
+            raise CsiMalformedFieldError(f"expected {_WIRE_FIELDS} fields, got {len(parts)}")
+        if parts[0] != WIRE_VERSION:
+            raise CsiVersionError(f"unknown version tag {parts[0]!r}")
+        raise CsiMalformedFieldError(f"numeric fields break the wire grammar: {parts[2:]!r}")
+    sender_id, seq, timestamp_ms, tx, rx, noise, snr, speed = match.groups()
     try:
-        seq = int(parts[2])
-        timestamp_ms = int(parts[3])
-    except ValueError as exc:
+        seq, timestamp_ms = int(seq), int(timestamp_ms)
+    except ValueError as exc:  # more digits than int() converts from text
         raise CsiMalformedFieldError(f"bad integer field: {exc}") from None
-    try:
-        tx, rx, noise, snr, speed = (float(p) for p in parts[4:9])
-    except ValueError as exc:
-        raise CsiMalformedFieldError(f"bad numeric field: {exc}") from None
+    tx, rx, noise, snr, speed = float(tx), float(rx), float(noise), float(snr), float(speed)
     if abs(snr - (rx - noise)) > SNR_TOLERANCE_DB:
         raise CsiConsistencyError(
             f"carried snr_db={snr!r} disagrees with rx - noise = {rx - noise!r}"
@@ -505,31 +514,31 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
 class ProtocolSession:
     """Per-link session enforcing CSI ordering and freshness around decide().
 
-    Sequence numbers must strictly increase; a message whose timestamp lags
-    the newest one seen by more than the freshness window is rejected.
+    Per sender, sequence numbers must strictly increase, and a message whose
+    timestamp lags the newest one seen from that sender by more than the
+    freshness window is rejected. ``last_seq`` and ``newest_ts`` map each
+    sender_id to the values of its accepted messages.
     """
 
     scenario: LinkScenario
     config: ProtocolConfig
-    last_seq: int | None = field(default=None, init=False)
-    newest_ts: int | None = field(default=None, init=False)
+    last_seq: dict[str, int] = field(default_factory=dict, init=False)
+    newest_ts: dict[str, int] = field(default_factory=dict, init=False)
 
     def process(self, csi: CsiMessage) -> LinkDecision:
-        if self.last_seq is not None and csi.seq <= self.last_seq:
+        sender = csi.sender_id
+        last_seq = self.last_seq.get(sender)
+        if last_seq is not None and csi.seq <= last_seq:
             raise CsiSeqRegressionError(
-                f"seq {csi.seq} does not increase past {self.last_seq}"
+                f"seq {csi.seq} from {sender!r} does not increase past {last_seq}"
             )
-        if (
-            self.newest_ts is not None
-            and csi.timestamp_ms < self.newest_ts - self.config.freshness_ms
-        ):
+        newest_ts = self.newest_ts.get(sender, csi.timestamp_ms)
+        if csi.timestamp_ms < newest_ts - self.config.freshness_ms:
             raise StaleCsiError(
-                f"timestamp {csi.timestamp_ms} ms is older than the freshness window "
-                f"({self.config.freshness_ms} ms behind {self.newest_ts} ms)"
+                f"timestamp {csi.timestamp_ms} ms from {sender!r} is older than the "
+                f"freshness window ({self.config.freshness_ms} ms behind {newest_ts} ms)"
             )
         decision = decide(csi, self.scenario, self.config)
-        self.last_seq = csi.seq
-        self.newest_ts = csi.timestamp_ms if self.newest_ts is None else max(
-            self.newest_ts, csi.timestamp_ms
-        )
+        self.last_seq[sender] = csi.seq
+        self.newest_ts[sender] = max(newest_ts, csi.timestamp_ms)
         return decision

@@ -43,6 +43,7 @@ from .channel import PowerBudget
 from .protocol import (
     CsiMessage,
     CsiParseError,
+    CsiSeqRegressionError,
     LinkDecision,
     LinkScenario,
     ProtocolConfig,
@@ -269,14 +270,19 @@ def load_scenario(path: str | Path) -> Scenario:
     if not parser.has_section("csi"):
         raise ScenarioError("csi: missing section")
     messages = []
-    last_seq = None
+    last_seq: dict[str, int] = {}  # per sender_id
     for i, line in enumerate(_indexed_values(parser["csi"], "csi", "line")):
         try:
-            msg = parse_csi(line, last_seq=last_seq)
+            msg = parse_csi(line)
+            if msg.seq <= last_seq.get(msg.sender_id, -1):
+                raise CsiSeqRegressionError(
+                    f"seq {msg.seq} from {msg.sender_id!r} does not increase past "
+                    f"{last_seq[msg.sender_id]}"
+                )
         except CsiParseError as exc:
             raise ScenarioError(f"csi.line.{i}: {exc}") from None
         messages.append(msg)
-        last_seq = msg.seq
+        last_seq[msg.sender_id] = msg.seq
     if not messages:
         raise ScenarioError("csi: needs at least one line")
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2vsec import _kernels, ergodic
 from v2vsec.channel import FadingModel, PowerBudget, awgn_capacity, db_to_linear
@@ -45,6 +47,44 @@ def _bisection_oracle(a, b, p_budget, rtol=1e-9):
         raise AssertionError("oracle bisection did not converge")
     gamma = _kernels.gamma_allocation(a, b, mu)
     return float(np.mean(_kernels.secrecy_rate(a, b, gamma))), mu
+
+
+def _no_double_meets_budget(a, b, p_budget):
+    """True if no double multiplier puts the power within _POWER_RTOL of budget.
+
+    Positive doubles order like their bit patterns, so bisecting on the
+    patterns ends at two neighbouring doubles that straddle the budget;
+    by monotonicity they are the closest any multiplier can get.
+    """
+
+    def residual(bits):
+        mu = float(np.int64(bits).view(np.float64))
+        with np.errstate(all="ignore"):
+            return float(np.mean(_kernels.gamma_allocation(a, b, mu))) / p_budget - 1.0
+
+    lo, hi = 1, int(np.float64(np.max(a - b)).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if residual(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return min(abs(residual(lo)), abs(residual(hi))) > ergodic._POWER_RTOL
+
+
+@st.composite
+def _state_sets(draw):
+    """1-2000 states, gains log-uniform inside [1e-6, 1e6], some b = 0, some a = b."""
+    n = draw(st.integers(1, 2000))
+    lo_exp = draw(st.floats(-6.0, 6.0))
+    hi_exp = draw(st.floats(lo_exp, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = 10.0 ** rng.uniform(lo_exp, hi_exp, n)
+    b = 10.0 ** rng.uniform(lo_exp, hi_exp, n)
+    b[rng.random(n) < draw(st.floats(0.0, 1.0))] = 0.0
+    tie = rng.random(n) < draw(st.floats(0.0, 0.5))
+    b[tie] = a[tie]
+    return a, b, 10.0 ** draw(st.floats(-3.0, 6.0))
 
 
 class TestSpecValidation:
@@ -95,6 +135,8 @@ class TestEstimator:
         assert res.capacity == 0.0
         assert res.achieved_avg_power == 0.0
         assert res.n_active == 0
+        assert res.iterations == 0
+        assert res.power_residual == 0.0
 
     def test_identical_fading_distributions_still_positive(self):
         spec = ErgodicSpec(
@@ -204,10 +246,108 @@ class TestMultiplierSearch:
         assert res.capacity >= constant_power_capacity(a, b, spec.p_budget)
         assert abs(res.achieved_avg_power / spec.p_budget - 1.0) <= 1e-9
 
-    @pytest.mark.parametrize("cap", ["_MAX_BRACKET_GROWTH", "_MAX_ITER"])
+    @pytest.mark.parametrize("cap", ["_MAX_ITER"])
     def test_iteration_cap_raises(self, monkeypatch, cap):
-        monkeypatch.setattr(ergodic, cap, 1)
-        spec = ErgodicSpec(legit_fading=RAYLEIGH, p_budget=1e4, n_samples=5000, seed=7)
+        spec = ErgodicSpec(
+            legit_fading=RAYLEIGH, p_budget=1e4, eaves_fading=RAYLEIGH, n_samples=5000, seed=7
+        )
         a, b = draw_channel_states(spec)
-        with pytest.raises(ErgodicConvergenceError):
+        needed = estimate_on_states(a, b, spec.p_budget).iterations
+        assert needed > 1
+        monkeypatch.setattr(ergodic, cap, needed - 1)
+        with pytest.raises(ErgodicConvergenceError, match=f"after {needed - 1} iterations"):
             estimate_on_states(a, b, spec.p_budget)
+
+    def test_convergence_error_names_the_point(self, monkeypatch):
+        monkeypatch.setattr(ergodic, "_MAX_ITER", 1)
+        a = np.array([4.0, 2.0, 1.0])
+        b = np.array([1.0, 1.5, 0.0])
+        with pytest.raises(ErgodicConvergenceError) as err:
+            estimate_on_states(a, b, 2.5)
+        msg = str(err.value)
+        assert "relative power residual" in msg
+        assert "after 1 iterations" in msg
+        assert "p_budget=2.5" in msg
+        assert "n_active=3" in msg
+
+    def test_unreachable_tolerance_raises(self):
+        # one weak state and a small budget: P(mu) is so steep near the root
+        # that neighbouring doubles already step the power by ~1e-8 of budget
+        a, b, p = np.array([1e-5]), np.array([0.0]), 1e-3
+        assert _no_double_meets_budget(a, b, p)
+        with pytest.raises(ErgodicConvergenceError, match="n_active=1"):
+            estimate_on_states(a, b, p)
+
+    def test_newton_step_leaving_the_bracket_is_bisected(self, monkeypatch):
+        # with b = 0 only a = 0.03 is allocated at the root, but the
+        # water-filling start counts both states, so it lands left of the
+        # root and the first Newton step overshoots mu = max(a - b) = 0.03
+        a, b, p = np.array([0.01, 0.03]), np.zeros(2), 1.0
+        mus = []
+        gamma_allocation = _kernels.gamma_allocation
+
+        def recording(a_, b_, mu):
+            mus.append(mu)
+            return gamma_allocation(a_, b_, mu)
+
+        monkeypatch.setattr(_kernels, "gamma_allocation", recording)
+        res = estimate_on_states(a, b, p)
+        monkeypatch.undo()
+        assert mus[0] == 2.0 / (2.0 * p + (1.0 / 0.01 + 1.0 / 0.03))
+        assert float(np.sum(gamma_allocation(a, b, mus[0]))) > 2.0 * p
+        assert mus[1] == math.sqrt(mus[0]) * math.sqrt(0.03)
+        assert abs(res.power_residual) <= 1e-9
+        # the root in closed form: one allocated state, 1/mu - 1/0.03 = 2p
+        assert res.multiplier == pytest.approx(1.0 / (2.0 * p + 1.0 / 0.03), rel=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_state_sets())
+    def test_random_state_sets(self, case):
+        a, b, p = case
+        try:
+            res = estimate_on_states(a, b, p)
+        except ErgodicConvergenceError:
+            # allowed only where double precision cannot meet the tolerance
+            assert _no_double_meets_budget(a, b, p)
+            return
+        if res.n_active == 0:
+            assert not np.any(a > b) and res.capacity == 0.0
+            return
+        assert abs(res.achieved_avg_power / p - 1.0) <= 1e-9
+        gamma = _kernels.gamma_allocation(a, b, res.multiplier)
+        assert np.array_equal(gamma > 0, a - b > res.multiplier)
+        # concavity gives C(p (1 - 1e-9)) >= (1 - 1e-9) C(p); secrecy_rate
+        # rounds each per-state log difference by up to ~1e-14 bit (near-ties)
+        atol = 1e-13
+        assert res.capacity >= constant_power_capacity(a, b, p) * (1.0 - 2e-9) - atol
+        capacity, _ = _bisection_oracle(a, b, p)
+        assert res.capacity == pytest.approx(capacity, rel=1e-7, abs=atol)
+
+
+class TestDiagnostics:
+    def test_iterations_count_kernel_calls(self, monkeypatch):
+        calls = []
+        gamma_allocation = _kernels.gamma_allocation
+
+        def counting(a, b, mu):
+            calls.append(mu)
+            return gamma_allocation(a, b, mu)
+
+        monkeypatch.setattr(_kernels, "gamma_allocation", counting)
+        spec = ErgodicSpec(
+            legit_fading=RAYLEIGH, p_budget=100.0, eaves_fading=RAYLEIGH, n_samples=20_000
+        )
+        res = ergodic_secrecy(spec)
+        assert res.iterations == len(calls) > 0
+        assert res.multiplier == calls[-1]
+
+    @pytest.mark.parametrize("eaves", [None, RAYLEIGH], ids=["no_eaves", "rayleigh_eaves"])
+    def test_power_residual_is_final_relative_residual(self, eaves):
+        spec = ErgodicSpec(
+            legit_fading=RAYLEIGH, p_budget=10.0, eaves_fading=eaves, n_samples=20_000
+        )
+        res = ergodic_secrecy(spec)
+        assert abs(res.power_residual) <= ergodic._POWER_RTOL
+        assert res.power_residual == pytest.approx(
+            res.achieved_avg_power / spec.p_budget - 1.0, abs=1e-15
+        )

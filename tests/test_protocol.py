@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2vsec.channel import PowerBudget, db_to_linear
 from v2vsec.protocol import (
@@ -9,6 +11,7 @@ from v2vsec.protocol import (
     CsiMalformedFieldError,
     CsiMessage,
     CsiMissingFieldError,
+    CsiParseError,
     CsiSeqRegressionError,
     CsiVersionError,
     DEFAULT_THRESHOLDS,
@@ -29,9 +32,9 @@ from v2vsec.protocol import (
 from v2vsec.secrecy import velocity_secrecy
 
 
-def make_csi(speed=30.0, seq=1, ts=0):
+def make_csi(speed=30.0, seq=1, ts=0, sender="B"):
     return CsiMessage.build(
-        sender_id="B",
+        sender_id=sender,
         seq=seq,
         timestamp_ms=ts,
         tx_power_dbm=23.0,
@@ -105,12 +108,98 @@ class TestCsiCodec:
         msg = CsiMessage.build("car-7", 12, 345, 23.5, -61.1234, -90.25, 22.2222)
         assert parse_csi(encode_csi(msg)) == msg
 
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            (8, "2.5e1"),  # exponent notation
+            (3, "1e2"),
+            (8, "22.22221"),  # a 5th fractional digit
+            (5, "+5"),  # what float()/int() also accept
+            (2, "+1"),
+            (4, "2_3"),
+            (3, "1_0"),
+            (4, " 23"),
+            (2, "1 "),
+            (4, "inf"),
+            (5, "nan"),
+            (4, "Infinity"),
+            (8, ".5"),  # a radix point needs digits on both sides
+            (8, "5."),
+            (2, "1.0"),  # integer fields take digits only
+            (2, "-1"),
+            (3, "\u0661"),  # a non-ASCII digit
+        ],
+    )
+    def test_wire_grammar_enforced(self, field, text):
+        fields = "CSI1|B|1|0|23|-60|-90|30|22.22".split("|")
+        fields[field] = text
+        with pytest.raises(CsiMalformedFieldError):
+            parse_csi("|".join(fields))
+
     def test_message_invariant_enforced(self):
         with pytest.raises(ValueError):
             CsiMessage(
                 sender_id="B", seq=1, timestamp_ms=0, tx_power_dbm=23.0,
                 rx_power_dbm=-60.0, noise_floor_dbm=-90.0, snr_db=29.0, speed_mps=1.0,
             )
+
+
+def _wire_decimal(min_value=-10**9):
+    """Values that a wire decimal field holds exactly: k / 10^4."""
+    return st.integers(min_value, 10**9).map(lambda k: k / 10_000)
+
+
+_MESSAGES = st.builds(
+    CsiMessage.build,
+    sender_id=st.text(st.characters(blacklist_characters="|"), min_size=1),
+    seq=st.integers(0, 10**12),
+    timestamp_ms=st.integers(0, 10**15),
+    tx_power_dbm=_wire_decimal(),
+    rx_power_dbm=_wire_decimal(),
+    noise_floor_dbm=_wire_decimal(),
+    speed_mps=_wire_decimal(min_value=0),
+)
+# pieces that float() or int() accept but the wire grammar does not, among others
+_FIELD_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.text("0123456789.-+eE_ nainf", max_size=8),
+    st.sampled_from(["1e1", "+5", "1_0", " 1", "nan", "inf", "-0", "0.12345", "007", ""]),
+)
+
+
+@st.composite
+def _edited_lines(draw):
+    """A well-formed line with one field replaced by arbitrary text."""
+    fields = encode_csi(draw(_MESSAGES)).split("|")
+    fields[draw(st.integers(0, len(fields) - 1))] = draw(_FIELD_TEXT)
+    return "|".join(fields)
+
+
+def _is_wire_number(text, integer):
+    """The README grammar, spelled out with string methods."""
+    whole, dot, frac = (text if integer else text.removeprefix("-")).partition(".")
+    if not (whole.isascii() and whole.isdigit()):
+        return False
+    return not dot or (not integer and frac.isascii() and frac.isdigit() and len(frac) <= 4)
+
+
+class TestCsiGrammarProperties:
+    @given(_MESSAGES)
+    def test_encode_parse_round_trip(self, msg):
+        assert parse_csi(encode_csi(msg)) == msg
+
+    @settings(max_examples=400)
+    @given(st.one_of(st.text(), _edited_lines(),
+                     st.lists(_FIELD_TEXT, min_size=7, max_size=7)
+                     .map(lambda f: "CSI1|" + "|".join(f))))
+    def test_arbitrary_text_raises_only_parse_errors(self, line):
+        try:
+            msg = parse_csi(line)
+        except CsiParseError:
+            return
+        numbers = line.rstrip("\r\n").split("|")[2:]
+        assert all(_is_wire_number(t, integer=i < 2) for i, t in enumerate(numbers))
+        assert parse_csi(encode_csi(msg)) == msg
 
 
 class TestThresholdSchedule:
@@ -286,6 +375,24 @@ class TestSession:
         session.process(make_csi(seq=1, ts=1000))
         with pytest.raises(StaleCsiError):
             session.process(make_csi(seq=2, ts=400))
+
+    def test_sequences_are_per_sender(self):
+        session = ProtocolSession(scenario=SCENARIO, config=ProtocolConfig())
+        session.process(make_csi(seq=5, ts=0, sender="B"))
+        session.process(make_csi(seq=1, ts=100, sender="C"))
+        assert session.last_seq == {"B": 5, "C": 1}
+        with pytest.raises(CsiSeqRegressionError):
+            session.process(make_csi(seq=5, ts=200, sender="B"))
+        session.process(make_csi(seq=6, ts=200, sender="B"))
+
+    def test_freshness_is_per_sender(self):
+        session = ProtocolSession(scenario=SCENARIO, config=ProtocolConfig())
+        session.process(make_csi(seq=1, ts=1000, sender="B"))
+        # C's clock runs behind B's; only its own newest timestamp counts
+        session.process(make_csi(seq=1, ts=100, sender="C"))
+        with pytest.raises(StaleCsiError):
+            session.process(make_csi(seq=2, ts=400, sender="B"))
+        assert session.newest_ts == {"B": 1000, "C": 100}
 
     def test_fresh_messages_flow(self):
         session = ProtocolSession(scenario=SCENARIO, config=ProtocolConfig())

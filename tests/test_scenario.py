@@ -82,6 +82,18 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="csi.line.1"):
             load_scenario(write(tmp_path, text))
 
+    def test_seq_checked_per_sender_at_load(self, tmp_path):
+        text = BASE.replace("line.1 = CSI1|B|2|100|23|-60|-90|30|30",
+                            "line.1 = CSI1|B|5|100|23|-60|-90|30|30\n"
+                            "line.2 = CSI1|C|1|150|23|-60|-90|30|30")
+        scn = load_scenario(write(tmp_path, text))
+        assert [(m.sender_id, m.seq) for m in scn.messages] == [("B", 1), ("B", 5), ("C", 1)]
+        records = run_protocol_trace(scn)
+        assert [r.seq for r in records] == [1, 5, 1]
+        repeated = text.replace("line.2 = CSI1|C|1|", "line.2 = CSI1|B|5|")
+        with pytest.raises(ScenarioError, match="csi.line.2: seq 5 from 'B'"):
+            load_scenario(write(tmp_path, repeated))
+
     def test_sparse_indices_rejected(self, tmp_path):
         text = BASE.replace("line.1 =", "line.3 =")
         with pytest.raises(ScenarioError, match="csi"):
