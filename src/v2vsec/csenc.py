@@ -23,6 +23,7 @@ __all__ = [
     "keygen",
     "encrypt",
     "decrypt",
+    "omp",
     "random_sparse_signal",
 ]
 
@@ -77,8 +78,9 @@ def should_encrypt(cs: SecrecyResult, gate_threshold: float) -> bool:
 
 def keygen(key: CsKey) -> np.ndarray:
     """The m x n measurement matrix: i.i.d. N(0, 1/m) entries from the seed."""
-    rng = np.random.default_rng(key.seed)
-    return rng.standard_normal((key.m, key.n)) / math.sqrt(key.m)
+    phi = np.random.default_rng(key.seed).standard_normal((key.m, key.n))
+    phi /= math.sqrt(key.m)
+    return phi
 
 
 def encrypt(x: SparseSignal | np.ndarray, key: CsKey) -> np.ndarray:
@@ -90,33 +92,60 @@ def encrypt(x: SparseSignal | np.ndarray, key: CsKey) -> np.ndarray:
 
 
 def decrypt(y: np.ndarray, key: CsKey, k: int) -> SparseSignal:
-    """Recover a k-sparse signal from measurements by orthogonal matching pursuit.
+    """Recover a k-sparse signal from measurements under ``key``.
 
-    Runs k greedy iterations: pick the column most correlated with the
-    residual (normalized by column norm), then least-squares on the
-    selected support. Raises :class:`RecoveryError` if the support goes
-    rank-deficient.
+    Generates the key's matrix once and runs :func:`omp` on it: k greedy
+    atoms, with the support's QR factors grown one column at a time and
+    one solve of the triangular R at the end instead of a least-squares
+    solve per atom. Raises :class:`RecoveryError` if the support goes
+    rank-deficient, i.e. a chosen column keeps a norm of at most
+    eps * m * its own norm outside the span of the columns before it.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (key.m,):
         raise ValueError(f"measurement dimension {y.shape} does not match m={key.m}")
     if not 1 <= k <= key.m:
         raise ValueError(f"need 1 <= k <= m, got k={k!r}")
-    phi = keygen(key)
-    norms = np.linalg.norm(phi, axis=0)
+    return omp(keygen(key), y, k)
+
+
+def omp(phi: np.ndarray, y: np.ndarray, k: int) -> SparseSignal:
+    """Orthogonal matching pursuit: k greedy atoms of the m x n ``phi`` that explain ``y``.
+
+    Each iteration picks the column outside the support most correlated
+    with the residual, normalised by the column norm. The support's QR
+    factors grow one column at a time: the new column is orthogonalised
+    against Q by Gram-Schmidt run twice, which keeps Q orthonormal to
+    rounding, and the residual loses its component along the new unit
+    vector. The coefficients solve R @ coef = Q.T @ y once, at the end.
+    A column whose part outside span(Q) has norm <= eps * m * its own
+    norm makes the support rank-deficient and raises :class:`RecoveryError`.
+    """
+    m, n = phi.shape
+    y = np.asarray(y, dtype=np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->j", phi, phi))
+    tol = np.finfo(np.float64).eps * m
+    q = np.zeros((k, m))  # rows are the orthonormal basis vectors
+    r = np.zeros((k, k))
     residual = y.copy()
     support: list[int] = []
-    coef = np.zeros(0)
-    for _ in range(k):
+    for j in range(k):
         corr = np.abs(phi.T @ residual) / norms
         corr[support] = 0.0
-        support.append(int(np.argmax(corr)))
-        sub = phi[:, support]
-        coef, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)
-        if rank < len(support):
-            raise RecoveryError(f"rank-deficient support after {len(support)} atoms")
-        residual = y - sub @ coef
-    values = np.zeros(key.n)
+        atom = int(np.argmax(corr))
+        support.append(atom)
+        v = phi[:, atom].copy()
+        for _ in range(2):
+            c = q[:j] @ v
+            v -= c @ q[:j]
+            r[:j, j] += c
+        r[j, j] = math.sqrt(v @ v)
+        if r[j, j] <= tol * norms[atom]:
+            raise RecoveryError(f"rank-deficient support after {j + 1} atoms")
+        q[j] = v / r[j, j]
+        residual -= q[j] * (q[j] @ residual)
+    coef = np.linalg.solve(r, q @ y)
+    values = np.zeros(n)
     values[support] = coef
     return SparseSignal.from_dense(values)
 

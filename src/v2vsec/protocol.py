@@ -9,11 +9,13 @@ Wire format (one message per line, UTF-8):
 
     CSI1|sender_id|seq|timestamp_ms|tx_power_dbm|rx_power_dbm|noise_floor_dbm|snr_db|speed_mps
 
-Fields are '|'-separated; ``CSI1`` is the version tag. ``seq`` and
-``timestamp_ms`` are ASCII digits only; the other numeric fields are an
-optional '-', digits, and optionally a '.' radix point followed by 1-4
-digits. Nothing else is a number on the wire: no exponent, sign '+',
-digit separator, surrounding whitespace, or nan/inf.
+Fields are '|'-separated; ``CSI1`` is the version tag. ``sender_id`` is
+nonempty and holds neither '|' nor any character ``str.splitlines()``
+breaks a line at (``LINE_BREAKS``), so a message is always one line.
+``seq`` and ``timestamp_ms`` are ASCII digits only; the other numeric
+fields are an optional '-', digits, and optionally a '.' radix point
+followed by 1-4 digits. Nothing else is a number on the wire: no
+exponent, sign '+', digit separator, surrounding whitespace, or nan/inf.
 """
 
 from __future__ import annotations
@@ -57,10 +59,13 @@ WIRE_VERSION = "CSI1"
 _WIRE_FIELDS = 9
 # Carried SNR may differ from rx - noise by at most this much (dB).
 SNR_TOLERANCE_DB = 0.01
+# Every character str.splitlines() breaks a line at; none may appear in a sender_id.
+LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 # A well-formed line; one that fails to match is classified by parse_csi.
 _DECIMAL = r"(-?[0-9]+(?:\.[0-9]{1,4})?)"
+_SENDER = "([^|" + "".join(sorted(LINE_BREAKS)) + "]*)"
 _WIRE_LINE = re.compile(
-    rf"{WIRE_VERSION}\|([^|]*)\|([0-9]+)\|([0-9]+)" + rf"\|{_DECIMAL}" * 5
+    rf"{WIRE_VERSION}\|{_SENDER}\|([0-9]+)\|([0-9]+)" + rf"\|{_DECIMAL}" * 5
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -115,6 +120,8 @@ class CsiMessage:
     def __post_init__(self) -> None:
         if not self.sender_id:
             raise ValueError("sender_id must be nonempty")
+        if not LINE_BREAKS.isdisjoint(self.sender_id):
+            raise ValueError(f"sender_id must not contain a line break, got {self.sender_id!r}")
         if self.seq < 0:
             raise ValueError(f"seq must be >= 0, got {self.seq!r}")
         if self.timestamp_ms < 0:
@@ -204,6 +211,8 @@ def parse_csi(line: str, last_seq: int | None = None) -> CsiMessage:
             raise CsiMalformedFieldError(f"expected {_WIRE_FIELDS} fields, got {len(parts)}")
         if parts[0] != WIRE_VERSION:
             raise CsiVersionError(f"unknown version tag {parts[0]!r}")
+        if not LINE_BREAKS.isdisjoint(parts[1]):
+            raise CsiMalformedFieldError(f"sender_id holds a line break: {parts[1]!r}")
         raise CsiMalformedFieldError(f"numeric fields break the wire grammar: {parts[2:]!r}")
     sender_id, seq, timestamp_ms, tx, rx, noise, snr, speed = match.groups()
     try:

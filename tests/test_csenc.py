@@ -1,17 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from v2vsec.csenc import (
     CsKey,
+    RecoveryError,
     SparseSignal,
     decrypt,
     encrypt,
     keygen,
+    omp,
     random_sparse_signal,
     should_encrypt,
 )
 from v2vsec.secrecy import SecrecyResult
+from v2vsec.sweeps import run_cs_demo
 
 KEY = CsKey(seed=424242, n=256, m=64)
 
@@ -54,6 +59,12 @@ class TestKeygen:
         other = keygen(CsKey(seed=424243, n=256, m=64))
         frac_diff = np.mean(keygen(KEY) != other)
         assert frac_diff >= 0.99
+
+    @pytest.mark.parametrize("n, m", [(256, 64), (1024, 256)])
+    def test_documented_formula_bit_for_bit(self, n, m):
+        key = CsKey(seed=31337, n=n, m=m)
+        expected = np.random.default_rng(31337).standard_normal((m, n)) / math.sqrt(m)
+        assert np.array_equal(keygen(key), expected)
 
     def test_rejects_no_compression(self):
         with pytest.raises(ValueError):
@@ -125,6 +136,66 @@ class TestDecrypt:
             decrypt(np.zeros(63), KEY, 8)
         with pytest.raises(ValueError):
             decrypt(np.zeros(64), KEY, 65)
+
+
+def _lstsq_omp(phi, y, k):
+    """Reference OMP: a full least-squares solve on the support after every atom."""
+    norms = np.linalg.norm(phi, axis=0)
+    residual = y.copy()
+    support: list[int] = []
+    coef = np.zeros(0)
+    for _ in range(k):
+        corr = np.abs(phi.T @ residual) / norms
+        corr[support] = 0.0
+        support.append(int(np.argmax(corr)))
+        sub = phi[:, support]
+        coef, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)
+        if rank < len(support):
+            raise RecoveryError(f"rank-deficient support after {len(support)} atoms")
+        residual = y - sub @ coef
+    return support, coef
+
+
+class TestOmpAgainstLeastSquares:
+    """The QR-updated OMP picks the same atoms and coefficients as the lstsq one."""
+
+    @pytest.mark.parametrize("n, m, k, trials", [
+        (256, 64, 8, 20), (1024, 256, 32, 6), (64, 16, 16, 20),
+    ])
+    @pytest.mark.parametrize("wrong_key", [False, True])
+    def test_same_support_coefficients_and_verdict(self, n, m, k, trials, wrong_key):
+        rng = np.random.default_rng(n + k)
+        for t in range(trials):
+            x = random_sparse_signal(n, k, rng).values
+            xnorm = np.linalg.norm(x)
+            phi = keygen(CsKey(seed=7_000 + t, n=n, m=m))
+            y = phi @ x
+            if wrong_key:
+                phi = keygen(CsKey(seed=8_000 + t, n=n, m=m))
+            support, coef = _lstsq_omp(phi, y, k)
+            recovered = omp(phi, y, k).values
+            assert sorted(np.flatnonzero(recovered)) == sorted(support)
+            assert np.max(np.abs(recovered[support] - coef)) <= 1e-9 * xnorm
+            expected = np.zeros(n)
+            expected[support] = coef
+            rel = np.linalg.norm(recovered - x) / xnorm
+            assert (rel < 1e-6) == (np.linalg.norm(expected - x) / xnorm < 1e-6)
+
+    def test_identical_columns_raise(self):
+        column = np.random.default_rng(5).standard_normal((8, 1))
+        phi = np.repeat(column, 3, axis=1)
+        y = 2.0 * column[:, 0]
+        with pytest.raises(RecoveryError):
+            _lstsq_omp(phi, y, 2)
+        with pytest.raises(RecoveryError):
+            omp(phi, y, 2)
+
+
+def test_readme_cs_demo_counts():
+    lines = run_cs_demo(n=256, m=64, k=8, trials=500, seed=12345)
+    correct, wrong = (row.split(",") for row in lines[1:])
+    assert correct[5] == "500" and float(correct[7]) < 1e-12
+    assert wrong[5] == "0" and wrong[7] == "1.36162"
 
 
 class TestSparseSignal:

@@ -15,6 +15,7 @@ from v2vsec.protocol import (
     CsiSeqRegressionError,
     CsiVersionError,
     DEFAULT_THRESHOLDS,
+    LINE_BREAKS,
     LinkScenario,
     NoRelayError,
     ProtocolConfig,
@@ -136,6 +137,17 @@ class TestCsiCodec:
         with pytest.raises(CsiMalformedFieldError):
             parse_csi("|".join(fields))
 
+    @pytest.mark.parametrize("brk", sorted(LINE_BREAKS))
+    def test_sender_line_break_rejected(self, brk):
+        with pytest.raises(CsiMalformedFieldError, match="line break"):
+            parse_csi(f"CSI1|B{brk}C|1|0|23|-60|-90|30|22.22")
+        with pytest.raises(ValueError, match="line break"):
+            make_csi(sender=f"B{brk}C")
+
+    def test_line_breaks_are_splitlines_breaks(self):
+        assert LINE_BREAKS == {chr(c) for c in range(0x110000)
+                               if len(f"a{chr(c)}b".splitlines()) == 2}
+
     def test_message_invariant_enforced(self):
         with pytest.raises(ValueError):
             CsiMessage(
@@ -151,7 +163,8 @@ def _wire_decimal(min_value=-10**9):
 
 _MESSAGES = st.builds(
     CsiMessage.build,
-    sender_id=st.text(st.characters(blacklist_characters="|"), min_size=1),
+    sender_id=st.text(st.characters(blacklist_characters="|" + "".join(LINE_BREAKS)),
+                      min_size=1),
     seq=st.integers(0, 10**12),
     timestamp_ms=st.integers(0, 10**15),
     tx_power_dbm=_wire_decimal(),
