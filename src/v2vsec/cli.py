@@ -14,10 +14,9 @@ from pathlib import Path
 from .channel import FadingModel
 from .csenc import RecoveryError
 from .ergodic import DEFAULT_SEED, ErgodicConvergenceError
-from .scenario import ScenarioError, load_scenario, run_protocol_trace, trace_to_csv
+from .scenario import load_scenario, run_protocol_trace, trace_to_csv
 from .secrecy import RelayConfig
 from .sweeps import (
-    SweepError,
     SweepOrderingError,
     SweepSpec,
     axis_points,
@@ -206,16 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         text = _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        print(f"v2vsec: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"v2vsec: error: {exc}", file=sys.stderr)
-        return 1
-    except (ScenarioError, SweepError) as exc:
-        print(f"v2vsec: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, FileNotFoundError, ValueError) as exc:  # ScenarioError, SweepError too
         print(f"v2vsec: error: {exc}", file=sys.stderr)
         return 1
     except (SweepOrderingError, ErgodicConvergenceError, RecoveryError) as exc:

@@ -120,6 +120,8 @@ class CsiMessage:
     def __post_init__(self) -> None:
         if not self.sender_id:
             raise ValueError("sender_id must be nonempty")
+        if "|" in self.sender_id:
+            raise ValueError(f"sender_id must not contain '|', got {self.sender_id!r}")
         if not LINE_BREAKS.isdisjoint(self.sender_id):
             raise ValueError(f"sender_id must not contain a line break, got {self.sender_id!r}")
         if self.seq < 0:
@@ -176,8 +178,6 @@ def _fmt4(x: float) -> str:
 
 def encode_csi(msg: CsiMessage) -> str:
     """One wire line for the message (no trailing newline)."""
-    if "|" in msg.sender_id:
-        raise ValueError("sender_id must not contain '|'")
     return "|".join(
         (
             WIRE_VERSION,
@@ -193,13 +193,13 @@ def encode_csi(msg: CsiMessage) -> str:
     )
 
 
-def parse_csi(line: str, last_seq: int | None = None) -> CsiMessage:
+def parse_csi(line: str) -> CsiMessage:
     """Parse one wire line, re-deriving the SNR from the power fields.
 
     The carried snr_db must agree with rx - noise to within 0.01 dB; the
     stored value is the recomputed one so the message invariant is exact.
-    With ``last_seq`` given, a non-increasing sequence number raises
-    :class:`CsiSeqRegressionError`.
+    Sequence order is a property of a stream, checked by
+    :class:`ProtocolSession` and by the scenario loader.
     """
     line = line.rstrip("\r\n")
     match = _WIRE_LINE.fullmatch(line)
@@ -224,8 +224,6 @@ def parse_csi(line: str, last_seq: int | None = None) -> CsiMessage:
         raise CsiConsistencyError(
             f"carried snr_db={snr!r} disagrees with rx - noise = {rx - noise!r}"
         )
-    if last_seq is not None and seq <= last_seq:
-        raise CsiSeqRegressionError(f"seq {seq} does not increase past {last_seq}")
     try:
         return CsiMessage(
             sender_id=sender_id,
@@ -519,6 +517,15 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
     )
 
 
+def _check_seq_increases(last_seq: dict[str, int], csi: CsiMessage) -> None:
+    """Raise CsiSeqRegressionError unless csi.seq exceeds its sender's last seq."""
+    last = last_seq.get(csi.sender_id)
+    if last is not None and csi.seq <= last:
+        raise CsiSeqRegressionError(
+            f"seq {csi.seq} from {csi.sender_id!r} does not increase past {last}"
+        )
+
+
 @dataclass
 class ProtocolSession:
     """Per-link session enforcing CSI ordering and freshness around decide().
@@ -535,12 +542,8 @@ class ProtocolSession:
     newest_ts: dict[str, int] = field(default_factory=dict, init=False)
 
     def process(self, csi: CsiMessage) -> LinkDecision:
+        _check_seq_increases(self.last_seq, csi)
         sender = csi.sender_id
-        last_seq = self.last_seq.get(sender)
-        if last_seq is not None and csi.seq <= last_seq:
-            raise CsiSeqRegressionError(
-                f"seq {csi.seq} from {sender!r} does not increase past {last_seq}"
-            )
         newest_ts = self.newest_ts.get(sender, csi.timestamp_ms)
         if csi.timestamp_ms < newest_ts - self.config.freshness_ms:
             raise StaleCsiError(

@@ -43,13 +43,13 @@ from .channel import PowerBudget
 from .protocol import (
     CsiMessage,
     CsiParseError,
-    CsiSeqRegressionError,
     LinkDecision,
     LinkScenario,
     ProtocolConfig,
     ProtocolSession,
     RelayCandidate,
     ThresholdSchedule,
+    _check_seq_increases,
     parse_csi,
 )
 from .secrecy import velocity_secrecy
@@ -70,17 +70,6 @@ TRACE_HEADER = (
     "relay_id,relay_power,new_power,boost_iterations"
 )
 
-_LINK_KEYS = {"r_m", "alpha", "tau_s", "pn0_db"}
-_PROTOCOL_KEYS = {
-    "boost_step_db",
-    "boost_cap_db",
-    "max_boost_iterations",
-    "strategy_order",
-    "freshness_ms",
-}
-_RELAY_KEYS = {"h_rb", "h_re", "p_max"}
-_SCENARIO_KEYS = {"name", "seed"}
-
 
 class ScenarioError(ValueError):
     """Schema violation, reported with the offending field path."""
@@ -88,11 +77,11 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
-    seed: int
     link: LinkScenario
     config: ProtocolConfig
     messages: tuple[CsiMessage, ...]
+    name: str = "scenario"
+    seed: int = 0  # stored, but nothing reads it
 
 
 @dataclass(frozen=True)
@@ -126,30 +115,57 @@ class TraceRecord:
         )
 
 
-def _getfloat(section, section_name: str, key: str) -> float:
-    raw = section.get(key)
-    if raw is None:
-        raise ScenarioError(f"{section_name}.{key}: missing")
-    try:
-        return float(raw)
-    except ValueError:
-        raise ScenarioError(f"{section_name}.{key}: not a number: {raw!r}") from None
+def _strategy_list(raw: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
-def _getint(section, section_name: str, key: str, default: int) -> int:
-    raw = section.get(key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError(f"{section_name}.{key}: not an integer: {raw!r}") from None
+# Keyed sections: INI key -> converter. [protocol] and [relay.<id>] keys are
+# the ProtocolConfig and RelayCandidate field names; [link] keys are in
+# LinkScenario's field order, with the dB power ratio becoming its budget.
+_SCHEMA = {
+    "scenario": {"name": str, "seed": int},
+    "link": {"r_m": float, "alpha": float, "tau_s": float, "pn0_db": float},
+    "protocol": {
+        "boost_step_db": float,
+        "boost_cap_db": float,
+        "max_boost_iterations": int,
+        "strategy_order": _strategy_list,
+        "freshness_ms": float,
+    },
+    "relay": {"h_rb": float, "h_re": float, "p_max": float},
+}
+_NOT_A = {float: "a number", int: "an integer"}
 
 
-def _check_keys(section, section_name: str, allowed: set[str]) -> None:
-    for key in section:
-        if key not in allowed:
+def _read_section(parser, section_name: str, required: bool = False) -> dict:
+    """Converted values of one section, in schema order.
+
+    A key absent from the file is an error when ``required``; otherwise it
+    is left out, so the dataclass default applies.
+    """
+    schema = _SCHEMA[section_name.partition(".")[0]]
+    section = parser[section_name] if parser.has_section(section_name) else {}
+    values = {}
+    for key, raw in section.items():
+        convert = schema.get(key)
+        if convert is None:
             raise ScenarioError(f"{section_name}.{key}: unknown key")
+        try:
+            values[key] = convert(raw)
+        except ValueError:
+            raise ScenarioError(f"{section_name}.{key}: not {_NOT_A[convert]}: {raw!r}") from None
+    missing = [key for key in schema if key not in values]
+    if required and missing:
+        raise ScenarioError(f"{section_name}.{missing[0]}: missing")
+    return {key: values[key] for key in schema if key in values}
+
+
+def _build(section_name: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with its ValueError reported against the section."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{section_name}: {exc}") from None
 
 
 def _indexed_values(section, section_name: str, prefix: str) -> list[str]:
@@ -176,10 +192,7 @@ def _parse_thresholds(section) -> ThresholdSchedule:
         except ValueError:
             raise ScenarioError(f"thresholds.band.{i}: not numeric: {value!r}") from None
         bands.append((low, high, threshold))
-    try:
-        return ThresholdSchedule(bands=tuple(bands))
-    except ValueError as exc:
-        raise ScenarioError(f"thresholds: {exc}") from None
+    return _build("thresholds", ThresholdSchedule, bands=tuple(bands))
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -196,44 +209,15 @@ def load_scenario(path: str | Path) -> Scenario:
         if section_name not in known and not section_name.startswith("relay."):
             raise ScenarioError(f"{section_name}: unknown section")
 
-    name = "scenario"
-    seed = 0
-    if parser.has_section("scenario"):
-        _check_keys(parser["scenario"], "scenario", _SCENARIO_KEYS)
-        name = parser["scenario"].get("name", name)
-        seed = _getint(parser["scenario"], "scenario", "seed", 0)
+    meta = _read_section(parser, "scenario")
 
     if not parser.has_section("link"):
         raise ScenarioError("link: missing section")
-    _check_keys(parser["link"], "link", _LINK_KEYS)
-    try:
-        link = LinkScenario(
-            r=_getfloat(parser["link"], "link", "r_m"),
-            alpha=_getfloat(parser["link"], "link", "alpha"),
-            tau=_getfloat(parser["link"], "link", "tau_s"),
-            budget=PowerBudget.from_db(_getfloat(parser["link"], "link", "pn0_db")),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"link: {exc}") from None
+    *geometry, budget_db = _read_section(parser, "link", required=True).values()
+    budget = _build("link", PowerBudget.from_db, budget_db)
+    link = _build("link", LinkScenario, *geometry, budget)
 
-    kwargs = {}
-    if parser.has_section("protocol"):
-        sec = parser["protocol"]
-        _check_keys(sec, "protocol", _PROTOCOL_KEYS)
-        if "boost_step_db" in sec:
-            kwargs["boost_step_db"] = _getfloat(sec, "protocol", "boost_step_db")
-        if "boost_cap_db" in sec:
-            kwargs["boost_cap_db"] = _getfloat(sec, "protocol", "boost_cap_db")
-        if "max_boost_iterations" in sec:
-            kwargs["max_boost_iterations"] = _getint(sec, "protocol", "max_boost_iterations", 5)
-        if "freshness_ms" in sec:
-            kwargs["freshness_ms"] = _getfloat(sec, "protocol", "freshness_ms")
-        if "strategy_order" in sec:
-            kwargs["strategy_order"] = tuple(
-                s.strip() for s in sec["strategy_order"].split(",") if s.strip()
-            )
+    kwargs = _read_section(parser, "protocol")
     if parser.has_section("thresholds"):
         kwargs["thresholds"] = _parse_thresholds(parser["thresholds"])
 
@@ -244,28 +228,10 @@ def load_scenario(path: str | Path) -> Scenario:
         relay_id = section_name[len("relay.") :]
         if not relay_id:
             raise ScenarioError(f"{section_name}: empty relay id")
-        sec = parser[section_name]
-        _check_keys(sec, section_name, _RELAY_KEYS)
-        try:
-            candidates.append(
-                RelayCandidate(
-                    relay_id=relay_id,
-                    h_rb=_getfloat(sec, section_name, "h_rb"),
-                    h_re=_getfloat(sec, section_name, "h_re"),
-                    p_max=_getfloat(sec, section_name, "p_max"),
-                )
-            )
-        except ValueError as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError(f"{section_name}: {exc}") from None
+        values = _read_section(parser, section_name, required=True)
+        candidates.append(_build(section_name, RelayCandidate, relay_id=relay_id, **values))
     candidates.sort(key=lambda c: c.relay_id)
-    kwargs["relay_candidates"] = tuple(candidates)
-
-    try:
-        config = ProtocolConfig(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"protocol: {exc}") from None
+    config = _build("protocol", ProtocolConfig, relay_candidates=tuple(candidates), **kwargs)
 
     if not parser.has_section("csi"):
         raise ScenarioError("csi: missing section")
@@ -274,11 +240,7 @@ def load_scenario(path: str | Path) -> Scenario:
     for i, line in enumerate(_indexed_values(parser["csi"], "csi", "line")):
         try:
             msg = parse_csi(line)
-            if msg.seq <= last_seq.get(msg.sender_id, -1):
-                raise CsiSeqRegressionError(
-                    f"seq {msg.seq} from {msg.sender_id!r} does not increase past "
-                    f"{last_seq[msg.sender_id]}"
-                )
+            _check_seq_increases(last_seq, msg)
         except CsiParseError as exc:
             raise ScenarioError(f"csi.line.{i}: {exc}") from None
         messages.append(msg)
@@ -286,9 +248,7 @@ def load_scenario(path: str | Path) -> Scenario:
     if not messages:
         raise ScenarioError("csi: needs at least one line")
 
-    return Scenario(
-        name=name, seed=seed, link=link, config=config, messages=tuple(messages)
-    )
+    return Scenario(link=link, config=config, messages=tuple(messages), **meta)
 
 
 def run_protocol_trace(scenario: Scenario) -> list[TraceRecord]:

@@ -151,15 +151,18 @@ def axis_points(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(n)]
 
 
-def _row_for_point(spec: SweepSpec, value: float) -> SweepRow:
+def _row_for_point(spec: SweepSpec, value: float, theta_result=None) -> SweepRow:
+    """Row at one axis point: d = v*tau, or the given fixed-angle capacity."""
     v = value if spec.axis == "speed" else spec.v_mps
     alpha = value if spec.axis == "alpha" else spec.alpha
     tau = value if spec.axis == "tau" else spec.tau
     pn0_db = value if spec.axis == "power_db" else spec.pn0_db
-    try:
-        res = velocity_secrecy(db_to_linear(pn0_db), 1.0, v, tau, spec.r, alpha)
-    except ValueError as exc:
-        raise SweepError(f"axis point {spec.axis}={fmt_num(value)}: {exc}") from None
+    res = theta_result
+    if res is None:
+        try:
+            res = velocity_secrecy(db_to_linear(pn0_db), 1.0, v, tau, spec.r, alpha)
+        except ValueError as exc:
+            raise SweepError(f"axis point {spec.axis}={fmt_num(value)}: {exc}") from None
     return SweepRow(
         axis=spec.axis,
         axis_value=value,
@@ -171,29 +174,7 @@ def _row_for_point(spec: SweepSpec, value: float) -> SweepRow:
         pn0_db=pn0_db,
         cs_raw=res.raw,
         cs_clamped=res.clamped,
-        variant=VARIANT_VTAU,
-    )
-
-
-def _theta_row_for_point(spec: SweepSpec, v: float) -> SweepRow:
-    try:
-        res = geometric_secrecy(
-            db_to_linear(spec.pn0_db), 1.0, LinkGeometry(r=spec.r, theta=spec.theta), spec.alpha
-        )
-    except ValueError as exc:
-        raise SweepError(f"axis point speed={fmt_num(v)}: {exc}") from None
-    return SweepRow(
-        axis=spec.axis,
-        axis_value=v,
-        v_mps=v,
-        v_kmh=ms_to_kmh(v),
-        alpha=spec.alpha,
-        tau_s=spec.tau,
-        r_m=spec.r,
-        pn0_db=spec.pn0_db,
-        cs_raw=res.raw,
-        cs_clamped=res.clamped,
-        variant=VARIANT_THETA,
+        variant=VARIANT_VTAU if theta_result is None else VARIANT_THETA,
     )
 
 
@@ -202,12 +183,18 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     For the speed axis with ``theta`` set, a second block of rows follows
     in which the separation is fixed by the angle instead of d = v*tau;
-    the ``variant`` column tells the blocks apart.
+    the ``variant`` column tells the blocks apart. That capacity does not
+    depend on speed, so it is evaluated once per curve.
     """
     points = axis_points(spec.start, spec.stop, spec.step)
     rows = [_row_for_point(spec, value) for value in points]
     if spec.theta is not None:
-        rows.extend(_theta_row_for_point(spec, v) for v in points)
+        try:
+            geometry = LinkGeometry(r=spec.r, theta=spec.theta)
+            theta_result = geometric_secrecy(db_to_linear(spec.pn0_db), 1.0, geometry, spec.alpha)
+        except ValueError as exc:
+            raise SweepError(f"axis point speed={fmt_num(points[0])}: {exc}") from None
+        rows.extend(_row_for_point(spec, v, theta_result) for v in points)
     return rows
 
 

@@ -101,10 +101,6 @@ class TestCsiCodec:
         with pytest.raises(CsiMalformedFieldError):
             parse_csi("CSI1|B|1|-100|23|-60|-90|30|22.22")
 
-    def test_seq_regression_rejected(self):
-        with pytest.raises(CsiSeqRegressionError):
-            parse_csi("CSI1|B|3|0|23|-60|-90|30|22.22", last_seq=3)
-
     def test_fractional_fields_round_trip(self):
         msg = CsiMessage.build("car-7", 12, 345, 23.5, -61.1234, -90.25, 22.2222)
         assert parse_csi(encode_csi(msg)) == msg
@@ -143,6 +139,10 @@ class TestCsiCodec:
             parse_csi(f"CSI1|B{brk}C|1|0|23|-60|-90|30|22.22")
         with pytest.raises(ValueError, match="line break"):
             make_csi(sender=f"B{brk}C")
+
+    def test_sender_with_separator_cannot_be_built(self):
+        with pytest.raises(ValueError, match=r"must not contain '\|'"):
+            make_csi(sender="a|b")
 
     def test_line_breaks_are_splitlines_breaks(self):
         assert LINE_BREAKS == {chr(c) for c in range(0x110000)

@@ -114,6 +114,34 @@ class TestLoadScenario:
         scn = load_scenario(write(tmp_path, text))
         assert [c.relay_id for c in scn.config.relay_candidates] == ["aa", "zz"]
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("alpha = 1.4", "alpha = fast", "link.alpha: not a number: 'fast'"),
+            ("seed = 7", "seed = 7.5", "scenario.seed: not an integer: '7.5'"),
+            ("[csi]", "[protocol]\nmax_boost_iterations = 2.5\n\n[csi]",
+             "protocol.max_boost_iterations: not an integer: '2.5'"),
+            ("pn0_db = 70", "pn0_db = inf", "link: x must be finite, got inf"),
+            ("[csi]", "[relay.r1]\nh_rb = 0.1\nh_re = 1\n\n[csi]", "relay.r1.p_max: missing"),
+            ("[csi]", "[relay.r1]\nh_rb = -0.1\nh_re = 1\np_max = 2\n\n[csi]",
+             "relay.r1: h_rb must be >= 0, got -0.1"),
+            ("[csi]", "[relay.]\nh_rb = 0.1\nh_re = 1\np_max = 2\n\n[csi]",
+             "relay.: empty relay id"),
+            ("[csi]", "[protocol]\nboost_step_db = 0\n\n[csi]",
+             "protocol: boost_step_db must be > 0, got 0.0"),
+            ("[csi]", "[protocol]\nstrategy_order = relay, warp\n\n[csi]",
+             "protocol: unknown strategy 'warp'"),
+            ("[csi]", "[protocol]\nturbo = 1\n\n[csi]", "protocol.turbo: unknown key"),
+            ("seed = 7", "seed = 7\nmood = calm", "scenario.mood: unknown key"),
+        ],
+    )
+    def test_error_message_names_the_field(self, tmp_path, old, new, message):
+        text = BASE.replace(old, new, 1)
+        assert text != BASE
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(write(tmp_path, text))
+        assert str(info.value) == message
+
     def test_protocol_overrides(self, tmp_path):
         text = BASE + "\n[protocol]\nboost_step_db = 1.5\nstrategy_order = power_boost, v2i_fallback\n"
         scn = load_scenario(write(tmp_path, text))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from v2vsec.channel import FadingModel, db_to_linear
-from v2vsec.secrecy import RelayConfig, fading_secrecy, velocity_secrecy
+from v2vsec import sweeps
+from v2vsec.secrecy import RelayConfig, fading_secrecy, geometric_secrecy, velocity_secrecy
 from v2vsec.sweeps import (
     ERGODIC_COMPARE_HEADER,
     RELAY_COMPARE_HEADER,
@@ -102,6 +103,23 @@ class TestRunSweep:
         assert len(vtau) == len(theta) == 4
         assert len({r.cs_raw for r in theta}) == 1
         check_sweep_orderings(spec, rows)
+
+    def test_theta_capacity_evaluated_once_per_curve(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return geometric_secrecy(*args)
+
+        monkeypatch.setattr(sweeps, "geometric_secrecy", counted)
+        spec = SweepSpec(axis="speed", start=20.0, stop=35.0, step=5.0, alpha=3.5, theta=0.1)
+        assert len(run_sweep(spec)) == 8
+        assert len(calls) == 1
+
+    def test_bad_theta_names_first_speed(self):
+        spec = SweepSpec(axis="speed", start=7.5, stop=9.5, step=1.0, theta=-1.0)
+        with pytest.raises(SweepError, match=r"^axis point speed=7\.5: theta"):
+            run_sweep(spec)
 
     def test_theta_only_on_speed_axis(self):
         with pytest.raises(SweepError):
