@@ -2,6 +2,8 @@
 
 ``ergodic`` calls them as ``_kernels.gamma_allocation`` and
 ``_kernels.secrecy_rate`` attribute lookups, once per multiplier trial.
+Each evaluates its closed form over the whole input with ufunc ``where=``
+masks rather than gathering the active states into copies.
 """
 
 import numpy as np
@@ -23,16 +25,16 @@ def gamma_allocation(a: np.ndarray, b: np.ndarray, mu: float) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    out = np.zeros(a.shape)
-    s = a - b - mu
+    diff = a - b
+    s = diff - mu
     active = s > 0.0
-    if np.any(active):
-        aa = a[active]
-        bb = b[active]
-        diff = aa - bb
-        disc = mu * diff * (mu * diff + 4.0 * aa * bb)
-        out[active] = 2.0 * s[active] / (np.sqrt(disc) + mu * (aa + bb))
-    return out
+    # The closed form runs over every state; ``where=`` skips the inactive
+    # ones in sqrt and divide, so they neither raise nor need gathering.
+    mu_diff = mu * diff
+    disc = mu_diff * (mu_diff + 4.0 * a * b)
+    root = np.sqrt(disc, out=disc, where=active)
+    denom = np.add(root, mu * (a + b), out=root)
+    return np.divide(2.0 * s, denom, out=np.zeros(a.shape), where=active)
 
 
 def secrecy_rate(a: np.ndarray, b: np.ndarray, gamma: np.ndarray) -> np.ndarray:

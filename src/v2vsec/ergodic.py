@@ -6,7 +6,10 @@ and maximizes the average secrecy rate over state-dependent transmit
 powers subject to an average-power budget. The per-state optimum is
 closed-form given the budget multiplier (``v2vsec._kernels``); the
 multiplier itself is found on a log scale by safeguarded Newton on the
-log of the total allocated power, over the favorable states only.
+log of the total allocated power, over the favorable states only. With
+no eavesdropper the allocation is water-filling, whose multiplier follows
+exactly from the sorted gains, so the search starts at the root and its
+first kernel call confirms it.
 """
 
 from __future__ import annotations
@@ -133,8 +136,17 @@ def estimate_on_states(a: np.ndarray, b: np.ndarray, p_budget: float) -> Ergodic
     # known. The iterate is mu itself, so the search can reach every double.
     target = n * p_budget
     lo, hi = 0.0, float(np.max(a - b))
-    # water-filling start, exact when b = 0 and every favorable state is allocated
-    start = n_active / (target + float(np.sum(1.0 / a)))
+    if not np.any(b):
+        # No eavesdropper: the allocation is water-filling, 1/mu - 1/a where
+        # a > mu. The allocated states are then the k strongest, and spending
+        # the budget on them fixes mu_k = k / (n p + sum of their 1/a); the
+        # true k is the largest with a_(k) > mu_k, so the start is the root.
+        strongest = np.sort(a)[::-1]
+        levels = np.arange(1, n_active + 1) / (target + np.cumsum(1.0 / strongest))
+        start = float(levels[max(1, int(np.count_nonzero(strongest > levels))) - 1])
+    else:
+        # the same level as if every favorable state were allocated
+        start = n_active / (target + float(np.sum(1.0 / a)))
     mu = min(start, hi) if start > 0 else hi
     step = 1.0
     for iterations in range(1, _MAX_ITER + 1):

@@ -526,6 +526,16 @@ def _check_seq_increases(last_seq: dict[str, int], csi: CsiMessage) -> None:
         )
 
 
+def _check_fresh(newest_ts: dict[str, int], csi: CsiMessage, freshness_ms: float) -> None:
+    """Raise StaleCsiError if csi lags its sender's newest timestamp by over freshness_ms."""
+    newest = newest_ts.get(csi.sender_id, csi.timestamp_ms)
+    if csi.timestamp_ms < newest - freshness_ms:
+        raise StaleCsiError(
+            f"timestamp {csi.timestamp_ms} ms from {csi.sender_id!r} is older than the "
+            f"freshness window ({freshness_ms} ms behind {newest} ms)"
+        )
+
+
 @dataclass
 class ProtocolSession:
     """Per-link session enforcing CSI ordering and freshness around decide().
@@ -543,14 +553,9 @@ class ProtocolSession:
 
     def process(self, csi: CsiMessage) -> LinkDecision:
         _check_seq_increases(self.last_seq, csi)
-        sender = csi.sender_id
-        newest_ts = self.newest_ts.get(sender, csi.timestamp_ms)
-        if csi.timestamp_ms < newest_ts - self.config.freshness_ms:
-            raise StaleCsiError(
-                f"timestamp {csi.timestamp_ms} ms from {sender!r} is older than the "
-                f"freshness window ({self.config.freshness_ms} ms behind {newest_ts} ms)"
-            )
+        _check_fresh(self.newest_ts, csi, self.config.freshness_ms)
         decision = decide(csi, self.scenario, self.config)
+        sender = csi.sender_id
         self.last_seq[sender] = csi.seq
-        self.newest_ts[sender] = max(newest_ts, csi.timestamp_ms)
+        self.newest_ts[sender] = max(self.newest_ts.get(sender, csi.timestamp_ms), csi.timestamp_ms)
         return decision

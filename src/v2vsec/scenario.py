@@ -1,7 +1,7 @@
 """Declarative protocol scenarios: INI-style files driving decision traces.
 
 Schema (key-value with nested sections; unknown sections or keys are
-rejected at load time):
+rejected at load time, and names are case-sensitive):
 
     [scenario]            ; optional
     name = accel-crossing
@@ -48,7 +48,9 @@ from .protocol import (
     ProtocolConfig,
     ProtocolSession,
     RelayCandidate,
+    StaleCsiError,
     ThresholdSchedule,
+    _check_fresh,
     _check_seq_increases,
     parse_csi,
 )
@@ -198,6 +200,7 @@ def _parse_thresholds(section) -> ThresholdSchedule:
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate one scenario file; all errors carry field paths."""
     parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str  # keys are case-sensitive, like section names
     text = Path(path).read_text(encoding="utf-8")
     try:
         parser.read_string(text, source=str(path))
@@ -236,15 +239,19 @@ def load_scenario(path: str | Path) -> Scenario:
     if not parser.has_section("csi"):
         raise ScenarioError("csi: missing section")
     messages = []
-    last_seq: dict[str, int] = {}  # per sender_id
+    last_seq: dict[str, int] = {}  # per sender_id, as ProtocolSession keeps them
+    newest_ts: dict[str, int] = {}
     for i, line in enumerate(_indexed_values(parser["csi"], "csi", "line")):
         try:
             msg = parse_csi(line)
             _check_seq_increases(last_seq, msg)
-        except CsiParseError as exc:
+            _check_fresh(newest_ts, msg, config.freshness_ms)
+        except (CsiParseError, StaleCsiError) as exc:
             raise ScenarioError(f"csi.line.{i}: {exc}") from None
         messages.append(msg)
-        last_seq[msg.sender_id] = msg.seq
+        sender = msg.sender_id
+        last_seq[sender] = msg.seq
+        newest_ts[sender] = max(newest_ts.get(sender, msg.timestamp_ms), msg.timestamp_ms)
     if not messages:
         raise ScenarioError("csi: needs at least one line")
 

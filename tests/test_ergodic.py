@@ -234,6 +234,8 @@ class TestMultiplierSearch:
         capacity, mu = _bisection_oracle(a, b, spec.p_budget)
         assert res.capacity == pytest.approx(capacity, rel=1e-7)
         assert res.multiplier == pytest.approx(mu, rel=1e-6)
+        if eaves is None:  # water-filling: the exact start meets the budget at once
+            assert res.iterations == 1
 
     @pytest.mark.parametrize("p_db", [36, 40])
     def test_high_snr_spends_the_whole_budget(self, p_db):
@@ -278,11 +280,9 @@ class TestMultiplierSearch:
         with pytest.raises(ErgodicConvergenceError, match="n_active=1"):
             estimate_on_states(a, b, p)
 
-    def test_newton_step_leaving_the_bracket_is_bisected(self, monkeypatch):
-        # with b = 0 only a = 0.03 is allocated at the root, but the
-        # water-filling start counts both states, so it lands left of the
-        # root and the first Newton step overshoots mu = max(a - b) = 0.03
-        a, b, p = np.array([0.01, 0.03]), np.zeros(2), 1.0
+    @staticmethod
+    def _recorded_multipliers(monkeypatch, a, b, p):
+        """The estimate and the multiplier of each gamma_allocation call it made."""
         mus = []
         gamma_allocation = _kernels.gamma_allocation
 
@@ -293,12 +293,29 @@ class TestMultiplierSearch:
         monkeypatch.setattr(_kernels, "gamma_allocation", recording)
         res = estimate_on_states(a, b, p)
         monkeypatch.undo()
-        assert mus[0] == 2.0 / (2.0 * p + (1.0 / 0.01 + 1.0 / 0.03))
-        assert float(np.sum(gamma_allocation(a, b, mus[0]))) > 2.0 * p
-        assert mus[1] == math.sqrt(mus[0]) * math.sqrt(0.03)
+        return res, mus
+
+    def test_newton_step_leaving_the_bracket_is_bisected(self, monkeypatch):
+        # only a = 0.031 is allocated at the root, but the start counts both
+        # favorable states, so it lands left of the root and the first
+        # Newton step overshoots mu = max(a - b)
+        a, b, p = np.array([0.011, 0.031]), np.array([0.001, 0.001]), 1.0
+        res, mus = self._recorded_multipliers(monkeypatch, a, b, p)
+        hi = float(np.max(a - b))
+        assert mus[0] == 2.0 / (2.0 * p + (1.0 / 0.011 + 1.0 / 0.031))
+        assert float(np.sum(_kernels.gamma_allocation(a, b, mus[0]))) > 2.0 * p
+        assert mus[1] == math.sqrt(mus[0]) * math.sqrt(hi)
         assert abs(res.power_residual) <= 1e-9
-        # the root in closed form: one allocated state, 1/mu - 1/0.03 = 2p
-        assert res.multiplier == pytest.approx(1.0 / (2.0 * p + 1.0 / 0.03), rel=1e-9)
+        _, mu = _bisection_oracle(a, b, p)
+        assert res.multiplier == pytest.approx(mu, rel=1e-6)
+
+    def test_no_eavesdropper_starts_at_the_exact_water_level(self, monkeypatch):
+        # with b = 0 only a = 0.03 is allocated at the root: 1/mu - 1/0.03 = 2p
+        a, b, p = np.array([0.01, 0.03]), np.zeros(2), 1.0
+        res, mus = self._recorded_multipliers(monkeypatch, a, b, p)
+        assert res.iterations == len(mus) == 1
+        assert res.multiplier == 1.0 / (2.0 * p + 1.0 / 0.03)
+        assert abs(res.power_residual) <= 1e-9
 
     @settings(max_examples=150, deadline=None)
     @given(_state_sets())

@@ -11,14 +11,24 @@ def _random_states(n=5000, seed=3):
     a = rng.exponential(1.0, n)
     b = rng.exponential(1.0, n)
     b[: n // 10] = 0.0  # include eavesdropper-free states
-    a[n // 10 : n // 5] = b[n // 10 : n // 5]  # and exactly-tied ones
+    a[n // 10 : n // 5] = b[n // 10 : n // 5]  # exactly-tied ones
+    a[n // 5 : 3 * n // 10] = b[n // 5 : 3 * n // 10] = 0.0  # both links dead
+    a[3 * n // 10 : 2 * n // 5] = 0.5 * b[3 * n // 10 : 2 * n // 5]  # eavesdropper stronger
     return np.ascontiguousarray(a), np.ascontiguousarray(b)
+
+
+@pytest.fixture(autouse=True)
+def _float_errors_raise():
+    # inactive states must not reach sqrt or divide, even on a = b = 0 or a < b
+    with np.errstate(all="raise"):
+        yield
 
 
 @pytest.mark.parametrize("mu", [0.01, 0.5, 2.0])
 def test_allocation_positive_exactly_when_gap_exceeds_multiplier(mu):
     a, b = _random_states(seed=11)
     gamma = _kernels.gamma_allocation(a, b, mu)
+    assert np.all(np.isfinite(gamma))
     assert np.all(gamma >= 0)
     assert np.array_equal(gamma > 0, (a - b) > mu)
 

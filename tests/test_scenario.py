@@ -94,6 +94,15 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="csi.line.2: seq 5 from 'B'"):
             load_scenario(write(tmp_path, repeated))
 
+    def test_stale_script_rejected_at_load(self, tmp_path):
+        # the session would raise StaleCsiError on line 1: 1000 - 0 > 500 ms
+        text = BASE.replace("|1|0|23|", "|1|1000|23|").replace("|2|100|23|", "|2|0|23|")
+        with pytest.raises(ScenarioError, match="csi.line.1: timestamp 0 ms from 'B'"):
+            load_scenario(write(tmp_path, text))
+        # within the window, or from another sender, it loads
+        load_scenario(write(tmp_path, text.replace("|2|0|23|", "|2|500|23|")))
+        load_scenario(write(tmp_path, text.replace("CSI1|B|2|0|", "CSI1|C|2|0|")))
+
     def test_sparse_indices_rejected(self, tmp_path):
         text = BASE.replace("line.1 =", "line.3 =")
         with pytest.raises(ScenarioError, match="csi"):
@@ -133,6 +142,8 @@ class TestLoadScenario:
              "protocol: unknown strategy 'warp'"),
             ("[csi]", "[protocol]\nturbo = 1\n\n[csi]", "protocol.turbo: unknown key"),
             ("seed = 7", "seed = 7\nmood = calm", "scenario.mood: unknown key"),
+            ("alpha = 1.4", "ALPHA = 1.4", "link.ALPHA: unknown key"),
+            ("[link]", "[Link]", "Link: unknown section"),
         ],
     )
     def test_error_message_names_the_field(self, tmp_path, old, new, message):
