@@ -2,10 +2,10 @@
 
 Secrecy capacity under speed-dependent geometry, fading, relaying and
 ergodic power allocation, a link-mode decision protocol driven by CSI
-reports, and an optional compressive-sensing cipher gated on secrecy
-capacity. ``KERNEL_BACKEND`` names the numeric backend of the allocation
-kernels; it is always ``"numpy"``, the only one, and is kept so recorded
-benchmark runs can say which backend produced them.
+reports, and a compressive-sensing cipher demo. ``KERNEL_BACKEND`` names
+the numeric backend of the allocation kernels; it is always ``"numpy"``,
+the only one, and is kept so recorded benchmark runs can say which
+backend produced them.
 """
 
 from .channel import (
@@ -18,7 +18,7 @@ from .channel import (
     sample_fading,
     shannon_capacity,
 )
-from .csenc import CsKey, SparseSignal, decrypt, encrypt, keygen, should_encrypt
+from .csenc import CsKey, SparseSignal, decrypt, encrypt, keygen
 from .ergodic import (
     DEFAULT_SEED,
     ErgodicConvergenceError,

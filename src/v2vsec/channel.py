@@ -133,9 +133,12 @@ def path_loss_amplitude(distance: float, alpha: float) -> float:
 
 
 def db_to_linear(x: float) -> float:
-    """Power ratio from decibels: 10^(x/10)."""
+    """Power ratio from decibels: 10^(x/10); a ratio beyond the float range is an error."""
     x = _check_finite("x", x)
-    return 10.0 ** (x / 10.0)
+    try:
+        return 10.0 ** (x / 10.0)
+    except OverflowError:
+        raise ValueError(f"{x!r} dB overflows a float power ratio") from None
 
 
 def linear_to_db(x: float) -> float:

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .channel import FadingModel
+from .channel import FadingModel, db_to_linear
 from .csenc import RecoveryError
 from .ergodic import DEFAULT_SEED, ErgodicConvergenceError
 from .scenario import load_scenario, run_protocol_trace, trace_to_csv
@@ -154,7 +154,7 @@ def _cmd_sweep(args) -> str:
 
 def _cmd_relay_compare(args) -> str:
     base = RelayConfig(
-        p_a=args.sigma_b2 * 10 ** (args.pa_db / 10.0),
+        p_a=args.sigma_b2 * db_to_linear(args.pa_db),
         p_r=args.pr,
         h_ab=args.h_ab,
         h_rb=args.h_rb,

@@ -1,4 +1,4 @@
-"""Secrecy-gated compressive-sensing cipher.
+"""Compressive-sensing cipher.
 
 The shared key is the seed of a Gaussian measurement matrix; encryption
 is the projection y = Phi @ x of a sparse signal, decryption is greedy
@@ -13,13 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .secrecy import SecrecyResult
-
 __all__ = [
     "CsKey",
     "SparseSignal",
     "RecoveryError",
-    "should_encrypt",
     "keygen",
     "encrypt",
     "decrypt",
@@ -67,13 +64,6 @@ class SparseSignal:
     def from_dense(cls, values: np.ndarray) -> "SparseSignal":
         values = np.asarray(values, dtype=np.float64)
         return cls(values=values, k=int(np.count_nonzero(values)))
-
-
-def should_encrypt(cs: SecrecyResult, gate_threshold: float) -> bool:
-    """Add the cipher exactly when the clamped secrecy capacity is below the gate."""
-    if not (math.isfinite(gate_threshold) and gate_threshold >= 0):
-        raise ValueError(f"gate_threshold must be >= 0, got {gate_threshold!r}")
-    return cs.clamped < gate_threshold
 
 
 def keygen(key: CsKey) -> np.ndarray:

@@ -4,6 +4,13 @@ Every operation returns a :class:`SecrecyResult` carrying both the raw
 formula value (which can be negative when the eavesdropper's channel is
 the stronger one) and its nonnegative clamp. Sweeps plot the raw value;
 protocol decisions use the clamped one.
+
+The fading, geometric and relay formulas live once, in the private
+float-level helpers ``_fading_raw``, ``_geometric_raw`` and
+``_relay_raw``. The public functions validate their inputs and return
+through them; the sweep engine calls them directly on points it has
+already checked, so a sweep cell and the public function agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -28,6 +35,40 @@ _LN2 = math.log(2.0)
 
 def _log2_1p(x: float) -> float:
     return math.log1p(x) / _LN2
+
+
+def _fading_raw(p: float, n0: float, h_ab: float, h_ae: float) -> float:
+    """Raw fading secrecy capacity on validated floats; amplitudes are squared here."""
+    return _log2_1p(p * (h_ab * h_ab) / n0) - _log2_1p(p * (h_ae * h_ae) / n0)
+
+
+def _geometric_raw(p: float, n0: float, d: float, r: float, alpha: float) -> float:
+    """Raw geometric secrecy capacity on validated positive finite floats."""
+    exp = 2.0 * alpha
+    try:
+        return _log2_1p(p / (n0 * d**exp)) - _log2_1p(p / (n0 * r**exp))
+    except (OverflowError, ZeroDivisionError):
+        # a path-loss power d**(2*alpha) or r**(2*alpha) left the float range
+        raise ValueError(
+            f"path-loss power out of float range: d={d!r}, r={r!r}, alpha={alpha!r}"
+        ) from None
+
+
+def _relay_raw(
+    p_a: float,
+    p_r: float,
+    h_ab: float,
+    h_rb: float,
+    h_ae: float,
+    h_re: float,
+    sigma_b2: float,
+    sigma_e2: float,
+    w: float,
+) -> float:
+    """Raw relay-model secrecy capacity on the fields of a valid :class:`RelayConfig`."""
+    snr_b = p_a * h_ab / (p_r * h_rb + sigma_b2)
+    snr_e = p_a * h_ae / (p_r * h_re + sigma_e2)
+    return w * (_log2_1p(snr_b) - _log2_1p(snr_e))
 
 
 def _check_positive(name: str, value: float) -> float:
@@ -137,8 +178,7 @@ def fading_secrecy(p: float, n0: float, h_ab: float, h_ae: float) -> SecrecyResu
     for name, v in (("h_ab", h_ab), ("h_ae", h_ae)):
         if not (math.isfinite(v) and v >= 0):
             raise ValueError(f"{name} must be >= 0, got {v!r}")
-    raw = _log2_1p(p * (h_ab * h_ab) / n0) - _log2_1p(p * (h_ae * h_ae) / n0)
-    return SecrecyResult.from_raw(raw)
+    return SecrecyResult.from_raw(_fading_raw(p, n0, h_ab, h_ae))
 
 
 def geometric_secrecy(p: float, n0: float, geom: LinkGeometry, alpha: float) -> SecrecyResult:
@@ -150,9 +190,7 @@ def geometric_secrecy(p: float, n0: float, geom: LinkGeometry, alpha: float) -> 
     _check_positive("p", p)
     _check_positive("n0", n0)
     _check_positive("alpha", alpha)
-    exp = 2.0 * alpha
-    raw = _log2_1p(p / (n0 * geom.d**exp)) - _log2_1p(p / (n0 * geom.r**exp))
-    return SecrecyResult.from_raw(raw)
+    return SecrecyResult.from_raw(_geometric_raw(p, n0, geom.d, geom.r, alpha))
 
 
 def velocity_secrecy(
@@ -175,7 +213,9 @@ def relay_secrecy(cfg: RelayConfig) -> SecrecyResult:
     gains are power-domain and are used unsquared. With p_r = 0 and w = 1
     this reduces to the direct fading formula on power gains.
     """
-    snr_b = cfg.p_a * cfg.h_ab / (cfg.p_r * cfg.h_rb + cfg.sigma_b2)
-    snr_e = cfg.p_a * cfg.h_ae / (cfg.p_r * cfg.h_re + cfg.sigma_e2)
-    raw = cfg.w * (_log2_1p(snr_b) - _log2_1p(snr_e))
-    return SecrecyResult.from_raw(raw)
+    raw = _relay_raw(
+        cfg.p_a, cfg.p_r, cfg.h_ab, cfg.h_rb, cfg.h_ae, cfg.h_re, cfg.sigma_b2, cfg.sigma_e2, cfg.w
+    )
+    # from_raw without its extra call: protocol's relay-power search runs
+    # this hundreds of times per decision
+    return SecrecyResult(raw, max(0.0, raw))

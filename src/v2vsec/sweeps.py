@@ -5,12 +5,24 @@ power ratio, cruise constant or path-loss exponent, the relay on/off
 comparison, the ergodic-vs-AWGN comparison, and the cipher demo. Output
 is plain CSV with LF line endings; re-runs with the same inputs are
 byte-identical.
+
+The sweep and relay-compare tables are evaluated on plain Python floats
+through the private formula helpers in :mod:`v2vsec.secrecy`, the same
+ones the public functions return through, so every cell equals the
+public function's value bit for bit. Each point passes one cheap
+positive-and-finite guard; a point that fails it is handed to the public
+function (or to ``RelayConfig``'s checks), whose error names the field,
+and is reported as ``axis point <axis>=<value>: ...``. Rows are
+:class:`SweepRow` named tuples, and each CSV line is one ``%``-format
+string with fmt_num's ``%.6g`` per numeric cell.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,13 +31,14 @@ from . import csenc
 # encrypt stays importable from here: perfbench's tracer wraps it by this name
 from .csenc import CsKey, decrypt, encrypt, random_sparse_signal  # noqa: F401
 from .ergodic import DEFAULT_SEED, ErgodicSpec, ergodic_secrecy
-from .kinematics import ms_to_kmh
 from .secrecy import (
     LinkGeometry,
     RelayConfig,
-    fading_secrecy,
+    _fading_raw,
+    _geometric_raw,
+    _relay_raw,
     geometric_secrecy,
-    relay_secrecy,
+    relay_secrecy,  # noqa: F401  no longer called here; perfbench's tracer wraps it by this name
     velocity_secrecy,
 )
 
@@ -87,6 +100,11 @@ def fmt_num(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _check_finite_range(start: float, stop: float) -> None:
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise SweepError(f"range [{start!r}, {stop!r}] must be finite")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One curve: a swept axis over [start, stop] plus fixed parameters."""
@@ -107,14 +125,34 @@ class SweepSpec:
             raise SweepError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not (math.isfinite(self.step) and self.step > 0):
             raise SweepError(f"step must be > 0, got {self.step!r}")
+        _check_finite_range(self.start, self.stop)
         if self.stop < self.start:
             raise SweepError(f"empty range [{self.start!r}, {self.stop!r}]")
         if self.theta is not None and self.axis != "speed":
             raise SweepError("theta variant applies to the speed axis only")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+# One sweep-table line: fmt_num's "%.6g" per numeric cell. Each number
+# gets + 0.0 first, which turns a negative zero into 0 as fmt_num does.
+_ROW_FORMAT = "%s" + ",%.6g" * 9 + ",%s"
+# One relay-compare line; the seven channel cells that no axis sweeps are
+# formatted once per table and enter as one "%s".
+_RELAY_ROW_FORMAT = "%s,%.6g,%.6g,%.6g,%s,%.6g,%.6g,%.6g,%.6g"
+
+
+def _csv_lines(rows: Iterable[SweepRow]) -> list[str]:
+    """Sweep-table lines, one per 11-field row, without the header."""
+    return [
+        _ROW_FORMAT
+        % (axis, x + 0.0, v + 0.0, kmh + 0.0, alpha + 0.0, tau + 0.0, r + 0.0, db + 0.0,
+           raw + 0.0, clamped + 0.0, variant)
+        for axis, x, v, kmh, alpha, tau, r, db, raw, clamped, variant in rows
+    ]
+
+
+class SweepRow(NamedTuple):
+    """One sweep-table row, its fields in SWEEP_HEADER's order."""
+
     axis: str
     axis_value: float
     v_mps: float
@@ -128,21 +166,7 @@ class SweepRow:
     variant: str
 
     def to_csv(self) -> str:
-        return ",".join(
-            (
-                self.axis,
-                fmt_num(self.axis_value),
-                fmt_num(self.v_mps),
-                fmt_num(self.v_kmh),
-                fmt_num(self.alpha),
-                fmt_num(self.tau_s),
-                fmt_num(self.r_m),
-                fmt_num(self.pn0_db),
-                fmt_num(self.cs_raw),
-                fmt_num(self.cs_clamped),
-                self.variant,
-            )
-        )
+        return _csv_lines((self,))[0]
 
 
 def axis_points(start: float, stop: float, step: float) -> list[float]:
@@ -151,31 +175,49 @@ def axis_points(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(n)]
 
 
-def _row_for_point(spec: SweepSpec, value: float, theta_result=None) -> SweepRow:
-    """Row at one axis point: d = v*tau, or the given fixed-angle capacity."""
-    v = value if spec.axis == "speed" else spec.v_mps
-    alpha = value if spec.axis == "alpha" else spec.alpha
-    tau = value if spec.axis == "tau" else spec.tau
-    pn0_db = value if spec.axis == "power_db" else spec.pn0_db
-    res = theta_result
-    if res is None:
+def _public_raw(
+    axis: str, value: float, pn0_db: float, v: float, tau: float, r: float, alpha: float
+) -> float:
+    """Raw capacity by the public formula; its error, named by the axis point, if it refuses."""
+    try:
+        return velocity_secrecy(db_to_linear(pn0_db), 1.0, v, tau, r, alpha).raw
+    except ValueError as exc:
+        raise SweepError(f"axis point {axis}={fmt_num(value)}: {exc}") from None
+
+
+def _vtau_rows(spec: SweepSpec, points: list[float]) -> list[SweepRow]:
+    """The d = v*tau rows, on plain floats through secrecy's own formula.
+
+    A point whose v, tau, alpha, r, d = v*tau and p = 10^(dB/10) are all
+    positive and finite is evaluated directly. Any other point goes
+    through the public ``velocity_secrecy``, which raises the error that
+    secrecy owns.
+    """
+    axis, r = spec.axis, spec.r
+
+    def column(name: str, fixed: float) -> list[float]:
+        return points if axis == name else [fixed] * len(points)
+
+    inf = math.inf
+    rows = []
+    for value, v, tau, alpha, pn0_db in zip(
+        points, column("speed", spec.v_mps), column("tau", spec.tau),
+        column("alpha", spec.alpha), column("power_db", spec.pn0_db),
+    ):
+        d = v * tau
         try:
-            res = velocity_secrecy(db_to_linear(pn0_db), 1.0, v, tau, spec.r, alpha)
-        except ValueError as exc:
-            raise SweepError(f"axis point {spec.axis}={fmt_num(value)}: {exc}") from None
-    return SweepRow(
-        axis=spec.axis,
-        axis_value=value,
-        v_mps=v,
-        v_kmh=ms_to_kmh(v),
-        alpha=alpha,
-        tau_s=tau,
-        r_m=spec.r,
-        pn0_db=pn0_db,
-        cs_raw=res.raw,
-        cs_clamped=res.clamped,
-        variant=VARIANT_VTAU if theta_result is None else VARIANT_THETA,
-    )
+            p = 10.0 ** (pn0_db / 10.0)  # db_to_linear, whose checks the guard repeats
+            valid = (0 < v < inf and 0 < tau < inf and 0 < alpha < inf and 0 < r < inf
+                     and 0 < d < inf and 0 < p < inf)
+            raw = _geometric_raw(p, 1.0, d, r, alpha) if valid else None
+        except (OverflowError, ValueError):
+            raw = None
+        if raw is None:
+            raw = _public_raw(axis, value, pn0_db, v, tau, r, alpha)
+        # v * 3.6 is ms_to_kmh on a speed the guard has checked
+        rows.append(SweepRow(axis, value, v, v * 3.6, alpha, tau, r, pn0_db, raw,
+                             max(0.0, raw), VARIANT_VTAU))
+    return rows
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -187,14 +229,16 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     depend on speed, so it is evaluated once per curve.
     """
     points = axis_points(spec.start, spec.stop, spec.step)
-    rows = [_row_for_point(spec, value) for value in points]
+    rows = _vtau_rows(spec, points)
     if spec.theta is not None:
         try:
             geometry = LinkGeometry(r=spec.r, theta=spec.theta)
-            theta_result = geometric_secrecy(db_to_linear(spec.pn0_db), 1.0, geometry, spec.alpha)
+            theta = geometric_secrecy(db_to_linear(spec.pn0_db), 1.0, geometry, spec.alpha)
         except ValueError as exc:
             raise SweepError(f"axis point speed={fmt_num(points[0])}: {exc}") from None
-        rows.extend(_row_for_point(spec, v, theta_result) for v in points)
+        # every speed passed the vtau block's guard, so v * 3.6 is ms_to_kmh
+        fixed = (spec.alpha, spec.tau, spec.r, spec.pn0_db, theta.raw, theta.clamped)
+        rows += [SweepRow("speed", v, v, v * 3.6, *fixed, VARIANT_THETA) for v in points]
     return rows
 
 
@@ -208,21 +252,27 @@ def check_sweep_orderings(spec: SweepSpec, rows: list[SweepRow]) -> None:
     direction = {"speed": -1, "tau": -1, "power_db": +1, "alpha": 0}[spec.axis]
     if direction == 0:
         return
-    curve = [row for row in rows if row.variant == VARIANT_VTAU]
-    for prev, cur in zip(curve, curve[1:]):
-        if prev.v_mps * prev.tau_s >= prev.r_m or cur.v_mps * cur.tau_s >= cur.r_m:
+    # Fields by position, in SWEEP_HEADER's order: 1 axis_value, 2 v_mps,
+    # 5 tau_s, 6 r_m, 8 cs_raw, 10 variant; indexing reads them faster than
+    # unpacking the whole row.
+    prev = None  # the previous vtau row, if it lies inside r
+    for row in rows:
+        if row[10] != VARIANT_VTAU:
             continue
-        delta = cur.cs_raw - prev.cs_raw
-        if direction * delta <= 0:
+        if row[2] * row[5] >= row[6]:
+            prev = None
+            continue
+        if prev is not None and direction * (row[8] - prev[8]) <= 0:
             raise SweepOrderingError(
                 f"{spec.axis} ordering violated between "
-                f"{fmt_num(prev.axis_value)} and {fmt_num(cur.axis_value)}: "
-                f"raw {prev.cs_raw!r} -> {cur.cs_raw!r}"
+                f"{fmt_num(prev[1])} and {fmt_num(row[1])}: "
+                f"raw {prev[8]!r} -> {row[8]!r}"
             )
+        prev = row
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    return "\n".join([SWEEP_HEADER] + [row.to_csv() for row in rows]) + "\n"
+    return "\n".join([SWEEP_HEADER, *_csv_lines(rows), ""])
 
 
 def read_sweep_csv(text: str) -> list[SweepRow]:
@@ -237,16 +287,15 @@ def read_sweep_csv(text: str) -> list[SweepRow]:
         parts = line.split(",")
         if len(parts) != 11:
             raise SweepFormatError(f"line {i}: expected 11 fields, got {len(parts)}")
-        axis, *numeric, variant = parts
-        if axis not in AXES:
-            raise SweepFormatError(f"line {i}: unknown axis {axis!r}")
-        if variant not in (VARIANT_VTAU, VARIANT_THETA):
-            raise SweepFormatError(f"line {i}: unknown variant {variant!r}")
+        if parts[0] not in AXES:
+            raise SweepFormatError(f"line {i}: unknown axis {parts[0]!r}")
+        if parts[10] not in (VARIANT_VTAU, VARIANT_THETA):
+            raise SweepFormatError(f"line {i}: unknown variant {parts[10]!r}")
         try:
-            values = [float(p) for p in numeric]
+            parts[1:10] = map(float, parts[1:10])
         except ValueError as exc:
             raise SweepFormatError(f"line {i}: {exc}") from None
-        rows.append(SweepRow(axis, *values, variant))
+        rows.append(SweepRow._make(parts))
     return rows
 
 
@@ -261,53 +310,55 @@ def run_relay_compare(
 
     ``axis`` is ``pa_db`` (sweeps p_a in dB over sigma_b2) or ``pr``
     (sweeps p_r linearly). Returns formatted CSV lines including header.
+    ``base`` is a validated :class:`RelayConfig`, so only the swept powers
+    are checked per point; a point that fails goes through
+    ``dataclasses.replace``, whose checks name the field.
     """
     if axis not in ("pa_db", "pr"):
         raise SweepError(f"axis must be pa_db or pr, got {axis!r}")
+    _check_finite_range(start, stop)
     if not (math.isfinite(step) and step > 0) or stop < start:
         raise SweepError(f"bad range [{start!r}, {stop!r}] step {step!r}")
+    p_a, p_r = base.p_a, base.p_r
+    gains = (base.h_ab, base.h_rb, base.h_ae, base.h_re)
+    sigma_b2, sigma_e2, w = base.sigma_b2, base.sigma_e2, base.w
+    fixed_cells = ",".join(fmt_num(x) for x in (*gains, sigma_b2, sigma_e2, w))
+    # relay-off must reduce to the direct fading formula on amplitudes sqrt(h)
+    direct_amplitudes = (math.sqrt(base.h_ab), math.sqrt(base.h_ae))
+    inf = math.inf
     lines = [RELAY_COMPARE_HEADER]
     for value in axis_points(start, stop, step):
         try:
             if axis == "pa_db":
-                cfg = replace(base, p_a=base.sigma_b2 * db_to_linear(value))
+                p_a = sigma_b2 * 10.0 ** (value / 10.0)  # db_to_linear; the guard checks it
             else:
-                cfg = replace(base, p_r=value)
-        except ValueError as exc:
-            raise SweepError(f"axis point {axis}={fmt_num(value)}: {exc}") from None
-        on = relay_secrecy(cfg)
-        off = relay_secrecy(replace(cfg, p_r=0.0))
-        if cfg.sigma_b2 == cfg.sigma_e2:
-            # relay-off must reduce to the direct fading formula; the sqrt
-            # round-trip perturbs the gains by ~1 ulp, hence the abs floor
-            direct = cfg.w * fading_secrecy(
-                cfg.p_a, cfg.sigma_b2, math.sqrt(cfg.h_ab), math.sqrt(cfg.h_ae)
-            ).raw
-            if abs(off.raw - direct) > 1e-9 + 1e-12 * abs(direct):
+                p_r = value
+            valid = 0 < p_a < inf and 0 <= p_r < inf
+        except OverflowError:
+            valid = False
+        if not valid:
+            try:
+                if axis == "pa_db":
+                    cfg = replace(base, p_a=sigma_b2 * db_to_linear(value))
+                else:
+                    cfg = replace(base, p_r=value)
+            except ValueError as exc:
+                raise SweepError(f"axis point {axis}={fmt_num(value)}: {exc}") from None
+            p_a, p_r = cfg.p_a, cfg.p_r
+        on = _relay_raw(p_a, p_r, *gains, sigma_b2, sigma_e2, w)
+        off = _relay_raw(p_a, 0.0, *gains, sigma_b2, sigma_e2, w)
+        if sigma_b2 == sigma_e2:
+            # the sqrt round-trip perturbs the gains by ~1 ulp, hence the abs floor
+            direct = w * _fading_raw(p_a, sigma_b2, *direct_amplitudes)
+            if abs(off - direct) > 1e-9 + 1e-12 * abs(direct):
                 raise SweepOrderingError(
-                    f"relay-off arm {off.raw!r} deviates from the direct formula "
+                    f"relay-off arm {off!r} deviates from the direct formula "
                     f"{direct!r} at {axis}={fmt_num(value)}"
                 )
         lines.append(
-            ",".join(
-                (
-                    axis,
-                    fmt_num(value),
-                    fmt_num(cfg.p_a),
-                    fmt_num(cfg.p_r),
-                    fmt_num(cfg.h_ab),
-                    fmt_num(cfg.h_rb),
-                    fmt_num(cfg.h_ae),
-                    fmt_num(cfg.h_re),
-                    fmt_num(cfg.sigma_b2),
-                    fmt_num(cfg.sigma_e2),
-                    fmt_num(cfg.w),
-                    fmt_num(on.raw),
-                    fmt_num(on.clamped),
-                    fmt_num(off.raw),
-                    fmt_num(off.clamped),
-                )
-            )
+            _RELAY_ROW_FORMAT
+            % (axis, value + 0.0, p_a + 0.0, p_r + 0.0, fixed_cells, on + 0.0,
+               max(0.0, on) + 0.0, off + 0.0, max(0.0, off) + 0.0)
         )
     return lines
 

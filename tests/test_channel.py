@@ -77,6 +77,11 @@ class TestDecibels:
     def test_seventy_db(self):
         assert db_to_linear(70.0) == 1e7
 
+    @pytest.mark.parametrize("x", [4000.0, 3090.0])
+    def test_db_to_linear_overflow_is_value_error(self, x):
+        with pytest.raises(ValueError, match="overflows a float power ratio"):
+            db_to_linear(x)
+
     @given(x=st.floats(min_value=1e-6, max_value=1e6))
     def test_round_trip(self, x):
         assert db_to_linear(linear_to_db(x)) == pytest.approx(x, rel=1e-12)

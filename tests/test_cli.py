@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from v2vsec.cli import main
@@ -62,6 +64,64 @@ class TestSweepCommand:
 
     def test_bad_axis_point_is_config_error(self):
         assert main(["sweep", "--axis", "tau", "--from", "0", "--to", "0.2", "--step", "0.1"]) == 1
+
+
+class TestReadmeOutputsPinned:
+    """The README's sweep and relay-compare tables, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv,sha256",
+        [
+            (["sweep", "--axis", "speed", "--from", "5", "--to", "50", "--step", "0.5",
+              "--alpha", "4,2,1.4", "--pn0-db", "70", "--tau-ms", "200", "--r-m", "1000"],
+             "4755ac8b0d4ad6dad535347e94012b44660ed2e9b1402078bdec5e39f3b9c524"),
+            (["sweep", "--axis", "speed", "--alpha", "3.5", "--theta", "0.1"],
+             "0ffabd0031eeb5389a85c29c9cea556486a93747a4fb2f359cc750ec3acd9909"),
+            (["relay-compare", "--axis", "pa-db", "--from", "0", "--to", "30", "--step", "2"],
+             "c2611556f60cfa2e579dec546c7e7166f7ff1fcee8778da13b157dde6e89065c"),
+        ],
+        ids=["speed_vs_alpha", "speed_fixed_angle", "relay_onoff"],
+    )
+    def test_sha256(self, tmp_path, argv, sha256):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+class TestOutOfRangeInput:
+    """Overflowing or non-finite input is a configuration error, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--axis", "speed", "--from", "5", "--to", "inf", "--step", "1"],
+             "range [5.0, inf] must be finite"),
+            (["sweep", "--axis", "speed", "--from", "nan", "--to", "50", "--step", "1"],
+             "range [nan, 50.0] must be finite"),
+            (["sweep", "--axis", "speed", "--from", "5", "--to", "10", "--step", "1",
+              "--pn0-db", "4000"],
+             "axis point speed=5: 4000.0 dB overflows a float power ratio"),
+            (["sweep", "--axis", "speed", "--from", "5", "--to", "10", "--step", "1",
+              "--alpha", "300"],
+             "axis point speed=5: path-loss power out of float range"),
+            (["sweep", "--axis", "alpha", "--from", "1", "--to", "500", "--step", "100",
+              "--v-mps", "30"],
+             "axis point alpha=101: path-loss power out of float range"),
+            (["relay-compare", "--axis", "pa-db", "--from", "0", "--to", "4000",
+              "--step", "1000"],
+             "axis point pa_db=4000: 4000.0 dB overflows a float power ratio"),
+            (["relay-compare", "--axis", "pr", "--from", "0", "--to", "1", "--step", "1",
+              "--pa-db", "4000"],
+             "4000.0 dB overflows a float power ratio"),
+        ],
+        ids=["to-inf", "from-nan", "pn0-db-4000", "alpha-300", "alpha-axis-overflow",
+             "relay-pa-db-4000", "relay-base-pa-db-4000"],
+    )
+    def test_exits_1_with_message(self, capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("v2vsec: error: " + message), err
+        assert "Traceback" not in err
 
 
 class TestOtherCommands:

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from v2vsec.csenc import (
     CsKey,
@@ -13,36 +12,10 @@ from v2vsec.csenc import (
     keygen,
     omp,
     random_sparse_signal,
-    should_encrypt,
 )
-from v2vsec.secrecy import SecrecyResult
 from v2vsec.sweeps import run_cs_demo
 
 KEY = CsKey(seed=424242, n=256, m=64)
-
-
-class TestShouldEncrypt:
-    def test_strong_channel_skips_cipher(self):
-        assert should_encrypt(SecrecyResult.from_raw(5.0), 2.0) is False
-
-    def test_zero_capacity_encrypts(self):
-        assert should_encrypt(SecrecyResult.from_raw(0.0), 0.5) is True
-
-    def test_boundary_is_strict(self):
-        assert should_encrypt(SecrecyResult.from_raw(2.0), 2.0) is False
-
-    @given(
-        c1=st.floats(min_value=0.0, max_value=10.0),
-        c2=st.floats(min_value=0.0, max_value=10.0),
-    )
-    def test_monotone_in_capacity(self, c1, c2):
-        lo, hi = sorted((c1, c2))
-        if not should_encrypt(SecrecyResult.from_raw(lo), 3.0):
-            assert not should_encrypt(SecrecyResult.from_raw(hi), 3.0)
-
-    def test_rejects_negative_gate(self):
-        with pytest.raises(ValueError):
-            should_encrypt(SecrecyResult.from_raw(1.0), -0.1)
 
 
 class TestKeygen:

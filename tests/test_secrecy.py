@@ -118,6 +118,15 @@ class TestGeometricSecrecy:
         assert all(c > 0 for c in caps)
         assert all(a > b for a, b in zip(caps, caps[1:]))
 
+    @pytest.mark.parametrize(
+        "d,r,alpha",
+        [(1.0, 1000.0, 300.0), (2e199, 1000.0, 1.4), (2e-201, 1000.0, 1.4)],
+        ids=["r-power-overflows", "d-power-overflows", "d-power-underflows"],
+    )
+    def test_path_loss_power_outside_float_range_is_value_error(self, d, r, alpha):
+        with pytest.raises(ValueError, match="path-loss power out of float range"):
+            geometric_secrecy(1e7, 1.0, LinkGeometry(r=r, d=d), alpha)
+
 
 class TestVelocitySecrecy:
     def test_hand_value(self):

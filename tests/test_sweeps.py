@@ -1,11 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from v2vsec.channel import FadingModel, db_to_linear
 from v2vsec import sweeps
-from v2vsec.secrecy import RelayConfig, fading_secrecy, geometric_secrecy, velocity_secrecy
+from v2vsec.secrecy import (
+    LinkGeometry,
+    RelayConfig,
+    fading_secrecy,
+    geometric_secrecy,
+    relay_secrecy,
+    velocity_secrecy,
+)
 from v2vsec.sweeps import (
     ERGODIC_COMPARE_HEADER,
     RELAY_COMPARE_HEADER,
@@ -159,6 +167,160 @@ class TestRunSweep:
             assert all(a.cs_raw > b.cs_raw for a, b in zip(fast, slow))
 
 
+def _assert_cells_match_public_formula(spec):
+    """Every vtau row carries exactly the public velocity_secrecy value, bit for bit."""
+    rows = run_sweep(spec)
+    p_fixed = db_to_linear(spec.pn0_db)
+    for row in rows:
+        if row.variant == "theta":
+            ref = geometric_secrecy(p_fixed, 1.0, LinkGeometry(r=spec.r, theta=spec.theta),
+                                    spec.alpha)
+        else:
+            ref = velocity_secrecy(db_to_linear(row.pn0_db), 1.0, row.v_mps, row.tau_s,
+                                   row.r_m, row.alpha)
+        assert row.cs_raw == ref.raw and row.cs_clamped == ref.clamped, row
+    return rows
+
+
+class TestBitIdentity:
+    """Sweep cells are the public formulas' values, not approximations of them."""
+
+    @pytest.mark.parametrize(
+        "spec,crosses_r",
+        [
+            (SweepSpec(axis="speed", start=0.5, stop=9000.0, step=3.7, tau=0.4), True),
+            (SweepSpec(axis="power_db", start=-60.0, stop=140.0, step=0.37, v_mps=30.0), False),
+            (SweepSpec(axis="power_db", start=-60.0, stop=140.0, step=0.37, v_mps=6000.0), True),
+            (SweepSpec(axis="tau", start=0.01, stop=80.0, step=0.029, v_mps=30.0, alpha=2.0),
+             True),
+            (SweepSpec(axis="alpha", start=0.05, stop=30.0, step=0.013, v_mps=4.0), False),
+            (SweepSpec(axis="alpha", start=0.05, stop=30.0, step=0.013, v_mps=9000.0), True),
+        ],
+        ids=["speed", "power_db", "power_db-beyond-r", "tau", "alpha", "alpha-beyond-r"],
+    )
+    def test_every_axis(self, spec, crosses_r):
+        rows = _assert_cells_match_public_formula(spec)
+        assert any(r.v_mps * r.tau_s >= r.r_m for r in rows) == crosses_r
+        check_sweep_orderings(spec, rows)  # rows beyond r are exempt
+
+    def test_rows_beyond_r_are_negative_and_exact(self):
+        rows = _assert_cells_match_public_formula(
+            SweepSpec(axis="speed", start=2400.0, stop=2600.0, step=5.0, tau=0.4)
+        )
+        beyond = [r for r in rows if r.v_mps * r.tau_s >= r.r_m]
+        assert beyond and all(r.cs_raw <= 0 and r.cs_clamped == 0.0 for r in beyond)
+
+    def test_readme_sweeps(self):
+        for alpha in (4.0, 2.0, 1.4):
+            _assert_cells_match_public_formula(
+                SweepSpec(axis="speed", start=5.0, stop=50.0, step=0.5, alpha=alpha,
+                          pn0_db=70.0, tau=0.2, r=1000.0)
+            )
+        _assert_cells_match_public_formula(
+            SweepSpec(axis="speed", start=5.0, stop=50.0, step=0.5, alpha=3.5, theta=0.1)
+        )
+
+    def test_criterion_2_grid(self):
+        for alpha in (1.4, 2.0, 4.0):
+            for tau in (0.1, 0.2, 0.4):
+                for pn0_db in (40.0, 50.0, 60.0, 70.0):
+                    _assert_cells_match_public_formula(
+                        SweepSpec(axis="speed", start=5.0, stop=50.0, step=0.5,
+                                  alpha=alpha, tau=tau, pn0_db=pn0_db)
+                    )
+                for v in (5.0, 27.5, 50.0):
+                    _assert_cells_match_public_formula(
+                        SweepSpec(axis="power_db", start=40.0, stop=70.0, step=0.5,
+                                  alpha=alpha, tau=tau, v_mps=v)
+                    )
+
+
+class TestBadAxisPoint:
+    """The first point the formulas refuse is named with secrecy's own message."""
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            (SweepSpec(axis="speed", start=5.0, stop=6.0, step=1.0, tau=0.0),
+             "axis point speed=5: tau must be positive and finite, got 0.0"),
+            (SweepSpec(axis="power_db", start=60.0, stop=70.0, step=5.0, tau=0.0),
+             "axis point power_db=60: tau must be positive and finite, got 0.0"),
+            (SweepSpec(axis="tau", start=0.0, stop=0.2, step=0.1, v_mps=30.0),
+             "axis point tau=0: tau must be positive and finite, got 0.0"),
+            (SweepSpec(axis="alpha", start=1.0, stop=2.0, step=0.5, tau=0.0),
+             "axis point alpha=1: tau must be positive and finite, got 0.0"),
+            (SweepSpec(axis="speed", start=5.0, stop=6.0, step=1.0, r=0.0),
+             "axis point speed=5: r must be positive and finite, got 0.0"),
+            (SweepSpec(axis="power_db", start=60.0, stop=70.0, step=5.0, r=-3.0),
+             "axis point power_db=60: r must be positive and finite, got -3.0"),
+            (SweepSpec(axis="tau", start=0.1, stop=0.2, step=0.1, r=-1.0),
+             "axis point tau=0.1: r must be positive and finite, got -1.0"),
+            (SweepSpec(axis="alpha", start=1.0, stop=2.0, step=0.5, r=0.0),
+             "axis point alpha=1: r must be positive and finite, got 0.0"),
+            (SweepSpec(axis="speed", start=5.0, stop=6.0, step=1.0, pn0_db=-4000.0),
+             "axis point speed=5: p must be positive and finite, got 0.0"),
+            (SweepSpec(axis="power_db", start=-4000.0, stop=0.0, step=1000.0),
+             "axis point power_db=-4000: p must be positive and finite, got 0.0"),
+            (SweepSpec(axis="tau", start=0.1, stop=0.2, step=0.1, pn0_db=-4000.0),
+             "axis point tau=0.1: p must be positive and finite, got 0.0"),
+            (SweepSpec(axis="alpha", start=1.0, stop=2.0, step=0.5, pn0_db=-4000.0),
+             "axis point alpha=1: p must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_exact_message(self, spec, message):
+        with pytest.raises(SweepError) as info:
+            run_sweep(spec)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "spec,prefix",
+        [
+            # alpha = 1 is fine; r**(2*alpha) leaves the float range at alpha = 101
+            (SweepSpec(axis="alpha", start=1.0, stop=500.0, step=100.0, v_mps=30.0),
+             "axis point alpha=101: path-loss power out of float range"),
+            # tau = 1 is fine; d**(2*alpha) overflows at d = 30 m/s * 5e199 s
+            (SweepSpec(axis="tau", start=1.0, stop=1e200, step=5e199, v_mps=30.0),
+             "axis point tau=5e+199: path-loss power out of float range"),
+        ],
+    )
+    def test_bad_point_after_good_ones_is_named(self, spec, prefix):
+        with pytest.raises(SweepError) as info:
+            run_sweep(spec)
+        assert str(info.value).startswith(prefix)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"pn0_db": 4000.0}, {"alpha": 300.0}, {"start": 1e200, "stop": 1e200},
+         {"start": 1e-200, "stop": 1e-200}],
+        ids=["power-overflow", "path-loss-overflow", "distance-overflow", "distance-underflow"],
+    )
+    def test_out_of_range_floats_are_sweep_errors(self, kwargs):
+        spec = SweepSpec(**{"axis": "speed", "start": 5.0, "stop": 6.0, "step": 1.0, **kwargs})
+        with pytest.raises(SweepError, match=r"^axis point speed="):
+            run_sweep(spec)
+
+    @pytest.mark.parametrize("start,stop", [(5.0, math.inf), (math.nan, 5.0), (5.0, math.nan),
+                                            (-math.inf, 5.0)])
+    def test_non_finite_range_is_rejected(self, start, stop):
+        with pytest.raises(SweepError, match=r"must be finite"):
+            SweepSpec(axis="speed", start=start, stop=stop, step=1.0)
+
+
+class TestSweepRow:
+    def test_is_a_named_tuple_with_the_header_fields(self):
+        row = run_sweep(SweepSpec(axis="speed", start=5.0, stop=5.0, step=1.0))[0]
+        assert isinstance(row, tuple)
+        assert ",".join(SweepRow._fields) == SWEEP_HEADER
+        assert row == tuple(row)
+
+    def test_to_csv_matches_fmt_num_cells(self):
+        row = SweepRow("power_db", -0.0, 30.0, 108.0, 1.4, 0.2, 1000.0, -0.0, -3.25e-7, 0.0,
+                       "vtau")
+        expected = ",".join([row.axis, *(fmt_num(x) for x in row[1:10]), row.variant])
+        assert row.to_csv() == expected == "power_db,0,30,108,1.4,0.2,1000,0,-3.25e-07,0,vtau"
+        assert rows_to_csv([row]) == SWEEP_HEADER + "\n" + expected + "\n"
+
+
 class TestCsvContract:
     def test_round_trip_is_byte_identical(self):
         spec = SweepSpec(axis="speed", start=5.0, stop=10.0, step=0.5, theta=0.1, alpha=3.5)
@@ -221,6 +383,43 @@ class TestRelayCompare:
     def test_rejects_unknown_axis(self):
         with pytest.raises(SweepError):
             run_relay_compare("speed", 0.0, 1.0, 1.0, self.BASE)
+
+    @pytest.mark.parametrize("start,stop", [(0.0, math.inf), (math.nan, 4.0), (0.0, math.nan)])
+    def test_rejects_non_finite_range(self, start, stop):
+        with pytest.raises(SweepError, match=r"must be finite"):
+            run_relay_compare("pa_db", start, stop, 1.0, self.BASE)
+
+    def test_bad_axis_point_is_named(self):
+        with pytest.raises(SweepError) as info:
+            run_relay_compare("pa_db", 0.0, 4000.0, 1000.0, self.BASE)
+        assert str(info.value) == "axis point pa_db=4000: 4000.0 dB overflows a float power ratio"
+        with pytest.raises(SweepError) as info:
+            run_relay_compare("pa_db", -4000.0, 0.0, 1000.0, self.BASE)
+        assert str(info.value) == (
+            "axis point pa_db=-4000: p_a must be positive and finite, got 0.0"
+        )
+        with pytest.raises(SweepError) as info:
+            run_relay_compare("pr", -1.0, 1.0, 1.0, self.BASE)
+        assert str(info.value) == "axis point pr=-1: p_r must be >= 0, got -1.0"
+
+    @pytest.mark.parametrize("sigma_e2", [1.0, 2.5, 0.3])
+    @pytest.mark.parametrize("axis,start,stop,step", [("pa_db", -40.0, 60.0, 0.25),
+                                                      ("pr", 0.0, 40.0, 0.125)])
+    def test_cells_are_the_public_relay_formula(self, axis, start, stop, step, sigma_e2):
+        base = replace(self.BASE, sigma_e2=sigma_e2, h_rb=0.3)
+        lines = run_relay_compare(axis, start, stop, step, base)
+        points = axis_points(start, stop, step)
+        assert len(lines) == len(points) + 1
+        for value, line in zip(points, lines[1:]):
+            if axis == "pa_db":
+                cfg = replace(base, p_a=base.sigma_b2 * db_to_linear(value))
+            else:
+                cfg = replace(base, p_r=value)
+            on, off = relay_secrecy(cfg), relay_secrecy(replace(cfg, p_r=0.0))
+            cells = line.split(",")
+            assert cells[2:4] == [fmt_num(cfg.p_a), fmt_num(cfg.p_r)]
+            assert cells[11:] == [fmt_num(on.raw), fmt_num(on.clamped),
+                                  fmt_num(off.raw), fmt_num(off.clamped)], line
 
 
 class TestErgodicCompare:
