@@ -10,6 +10,12 @@ log of the total allocated power, over the favorable states only. With
 no eavesdropper the allocation is water-filling, whose multiplier follows
 exactly from the sorted gains, so the search starts at the root and its
 first kernel call confirms it.
+
+Each estimate allocates one workspace block, which also holds the
+favorable states when some are dropped. Every kernel call (through its
+``out``/``work`` arguments), every Newton step and the final rates write
+into it, so the search allocates no per-call temporaries. Since every
+state left is favorable, the kernels run there without masks.
 """
 
 from __future__ import annotations
@@ -91,13 +97,16 @@ def draw_channel_states(spec: ErgodicSpec) -> tuple[np.ndarray, np.ndarray]:
     the draw is reproducible and the links stay independent.
     """
     legit_ss, eaves_ss = np.random.SeedSequence(spec.seed).spawn(2)
-    h_b = sample_fading(spec.legit_fading, np.random.default_rng(legit_ss), spec.n_samples)
-    a = np.ascontiguousarray(h_b * h_b / spec.sigma_b2)
+    # each |h| array is fresh, so it is squared and scaled in place
+    a = sample_fading(spec.legit_fading, np.random.default_rng(legit_ss), spec.n_samples)
+    np.multiply(a, a, out=a)
+    np.divide(a, spec.sigma_b2, out=a)
     if spec.eaves_fading is None:
         b = np.zeros(spec.n_samples)
     else:
-        h_e = sample_fading(spec.eaves_fading, np.random.default_rng(eaves_ss), spec.n_samples)
-        b = np.ascontiguousarray(h_e * h_e / spec.sigma_e2)
+        b = sample_fading(spec.eaves_fading, np.random.default_rng(eaves_ss), spec.n_samples)
+        np.multiply(b, b, out=b)
+        np.divide(b, spec.sigma_e2, out=b)
     return a, b
 
 
@@ -123,9 +132,17 @@ def estimate_on_states(a: np.ndarray, b: np.ndarray, p_budget: float) -> Ergodic
     n_active = int(np.count_nonzero(favorable))
     if n_active == 0:
         return ErgodicResult(0.0, 0.0, 0.0, math.inf, 0, 0, 0.0)
-    if n_active < n:
+    # One block holds gamma, two scratch rows and, if some state is
+    # unfavorable, the favorable states' a and b. Every kernel call and
+    # Newton step below writes into it; the caller's a and b are only read.
+    gamma, w1, w2, *gathered = np.empty((3 if n_active == n else 5, n_active))
+    if gathered:
         # Only favorable states can ever get power; the rest add zeros.
-        a, b = a[favorable], b[favorable]
+        keep = np.flatnonzero(favorable)  # an index gather is faster than a mask
+        a = np.take(a, keep, out=gathered[0], mode="clip")
+        b = np.take(b, keep, out=gathered[1], mode="clip")
+    if not np.any(b):
+        b = None  # no eavesdropper, as the kernels spell it
 
     # Newton on F(t) = ln P(e^t) - ln(n p), t = ln(mu), P the total allocated
     # power. On allocated states the KKT condition x - y = mu, with
@@ -135,22 +152,31 @@ def estimate_on_states(a: np.ndarray, b: np.ndarray, p_budget: float) -> Ergodic
     # residual narrows the bracket (lo, hi); lo = 0 while no lower end is
     # known. The iterate is mu itself, so the search can reach every double.
     target = n * p_budget
-    lo, hi = 0.0, float(np.max(a - b))
-    if not np.any(b):
-        # No eavesdropper: the allocation is water-filling, 1/mu - 1/a where
-        # a > mu. The allocated states are then the k strongest, and spending
-        # the budget on them fixes mu_k = k / (n p + sum of their 1/a); the
-        # true k is the largest with a_(k) > mu_k, so the start is the root.
-        strongest = np.sort(a)[::-1]
-        levels = np.arange(1, n_active + 1) / (target + np.cumsum(1.0 / strongest))
-        start = float(levels[max(1, int(np.count_nonzero(strongest > levels))) - 1])
-    else:
-        # the same level as if every favorable state were allocated
-        start = n_active / (target + float(np.sum(1.0 / a)))
+    lo = 0.0
+    # 1/a overflows to inf for a subnormal gain; the start then comes out 0,
+    # and the search starts from the top of the bracket instead.
+    with np.errstate(over="ignore"):
+        if b is None:
+            # No eavesdropper: the allocation is water-filling, 1/mu - 1/a where
+            # a > mu. The allocated states are then the k strongest, and spending
+            # the budget on them fixes mu_k = k / (n p + sum of their 1/a); the
+            # true k is the largest with a_(k) > mu_k, so the start is the root.
+            np.copyto(w1, a)
+            w1.sort()
+            strongest = w1[::-1]
+            hi = float(strongest[0])
+            levels = np.cumsum(np.divide(1.0, strongest, out=w2), out=w2)
+            np.add(levels, target, out=levels)
+            np.divide(np.arange(1.0, n_active + 1.0), levels, out=levels)
+            start = float(levels[max(1, int(np.count_nonzero(strongest > levels))) - 1])
+        else:
+            hi = float(np.max(np.subtract(a, b, out=w1)))
+            # the same level as if every favorable state were allocated
+            start = n_active / (target + float(np.sum(np.divide(1.0, a, out=w1))))
     mu = min(start, hi) if start > 0 else hi
     step = 1.0
     for iterations in range(1, _MAX_ITER + 1):
-        gamma = _kernels.gamma_allocation(a, b, mu)
+        gamma = _kernels.gamma_allocation(a, b, mu, out=gamma, work=w1)
         power = float(np.sum(gamma))
         residual = power / target - 1.0
         if abs(residual) <= _POWER_RTOL:
@@ -161,8 +187,17 @@ def estimate_on_states(a: np.ndarray, b: np.ndarray, p_budget: float) -> Ergodic
             hi = mu
         nxt = math.nan
         if power > 0:
-            inv = 1.0 / (a / (1.0 + gamma * a) + b / (1.0 + gamma * b))
-            dt = math.log(power / target) * power / float(np.sum(inv, where=gamma > 0))
+            # 1/(x + y) on allocated states; sign(gamma) is 0 on the rest
+            np.multiply(gamma, a, out=w1)
+            np.add(w1, 1.0, out=w1)
+            np.divide(a, w1, out=w1)
+            if b is not None:
+                np.multiply(gamma, b, out=w2)
+                np.add(w2, 1.0, out=w2)
+                np.divide(b, w2, out=w2)
+                np.add(w1, w2, out=w1)
+            np.divide(np.sign(gamma, out=w2), w1, out=w2)
+            dt = math.log(power / target) * power / float(np.sum(w2))
             nxt = mu * math.exp(min(dt, 709.0))  # exp() overflows past 709
         if not lo < nxt < hi:
             if lo == 0.0:
@@ -180,10 +215,11 @@ def estimate_on_states(a: np.ndarray, b: np.ndarray, p_budget: float) -> Ergodic
             f"{iterations} iterations (p_budget={p_budget!r}, n_active={n_active})"
         )
 
-    rates = _kernels.secrecy_rate(a, b, gamma)
+    rates = _kernels.secrecy_rate(a, b, gamma, out=w1, work=w2)
     capacity = float(np.sum(rates)) / n
     # Spread over all n states; the n - n_active unfavorable ones have rate 0.
-    var = (float(np.sum((rates - capacity) ** 2)) + (n - n_active) * capacity**2) / n
+    deviation = np.square(np.subtract(rates, capacity, out=rates), out=rates)
+    var = (float(np.sum(deviation)) + (n - n_active) * capacity**2) / n
     ci = 1.96 * math.sqrt(var / n)
     return ErgodicResult(capacity, power / n, ci, mu, n_active, iterations, residual)
 

@@ -100,9 +100,24 @@ def fmt_num(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _check_finite_range(start: float, stop: float) -> None:
+def _point_count(start: float, stop: float, step: float) -> int:
+    """Number of points of the inclusive grid over [start, stop] in steps of step.
+
+    The one range rule for every axis: a positive finite step, a finite
+    non-empty range and a finite point count, else :class:`SweepError`.
+    """
+    if not (math.isfinite(step) and step > 0):
+        raise SweepError(f"step must be > 0, got {step!r}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise SweepError(f"range [{start!r}, {stop!r}] must be finite")
+    if stop < start:
+        raise SweepError(f"empty range [{start!r}, {stop!r}]")
+    spans = (stop - start) / step
+    if not math.isfinite(spans):
+        raise SweepError(
+            f"range [{start!r}, {stop!r}] with step {step!r} has no finite point count"
+        )
+    return int(math.floor(spans + 1e-9)) + 1
 
 
 @dataclass(frozen=True)
@@ -123,11 +138,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in AXES:
             raise SweepError(f"axis must be one of {AXES}, got {self.axis!r}")
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise SweepError(f"step must be > 0, got {self.step!r}")
-        _check_finite_range(self.start, self.stop)
-        if self.stop < self.start:
-            raise SweepError(f"empty range [{self.start!r}, {self.stop!r}]")
+        _point_count(self.start, self.stop, self.step)
         if self.theta is not None and self.axis != "speed":
             raise SweepError("theta variant applies to the speed axis only")
 
@@ -170,9 +181,11 @@ class SweepRow(NamedTuple):
 
 
 def axis_points(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive arithmetic grid start, start+step, ... capped at stop."""
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
+    """Inclusive arithmetic grid start, start+step, ... capped at stop.
+
+    Raises :class:`SweepError` for a range that ``_point_count`` refuses.
+    """
+    return [start + i * step for i in range(_point_count(start, stop, step))]
 
 
 def _public_raw(
@@ -316,9 +329,6 @@ def run_relay_compare(
     """
     if axis not in ("pa_db", "pr"):
         raise SweepError(f"axis must be pa_db or pr, got {axis!r}")
-    _check_finite_range(start, stop)
-    if not (math.isfinite(step) and step > 0) or stop < start:
-        raise SweepError(f"bad range [{start!r}, {stop!r}] step {step!r}")
     p_a, p_r = base.p_a, base.p_r
     gains = (base.h_ab, base.h_rb, base.h_ae, base.h_re)
     sigma_b2, sigma_e2, w = base.sigma_b2, base.sigma_e2, base.w

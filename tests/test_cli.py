@@ -67,7 +67,7 @@ class TestSweepCommand:
 
 
 class TestReadmeOutputsPinned:
-    """The README's sweep and relay-compare tables, pinned byte for byte."""
+    """The README's default tables, pinned byte for byte."""
 
     @pytest.mark.parametrize(
         "argv,sha256",
@@ -79,8 +79,13 @@ class TestReadmeOutputsPinned:
              "0ffabd0031eeb5389a85c29c9cea556486a93747a4fb2f359cc750ec3acd9909"),
             (["relay-compare", "--axis", "pa-db", "--from", "0", "--to", "30", "--step", "2"],
              "c2611556f60cfa2e579dec546c7e7166f7ff1fcee8778da13b157dde6e89065c"),
+            (["ergodic-compare", "--eaves", "none"],
+             "2bf152f736d9abc2caf6cc577731787846a6e71ba4d5fd692423023e9c42ee31"),
+            (["ergodic-compare", "--eaves", "rayleigh"],
+             "b3a2c29693c12ea67bf4c044dd59a4154a309c3da8e83c3da3700ea4498ca9ed"),
         ],
-        ids=["speed_vs_alpha", "speed_fixed_angle", "relay_onoff"],
+        ids=["speed_vs_alpha", "speed_fixed_angle", "relay_onoff", "ergodic_no_eaves",
+             "ergodic_rayleigh_eaves"],
     )
     def test_sha256(self, tmp_path, argv, sha256):
         out = tmp_path / "out.csv"
@@ -113,9 +118,18 @@ class TestOutOfRangeInput:
             (["relay-compare", "--axis", "pr", "--from", "0", "--to", "1", "--step", "1",
               "--pa-db", "4000"],
              "4000.0 dB overflows a float power ratio"),
+            (["sweep", "--axis", "speed", "--from", "0", "--to", "1e300", "--step", "1e-300"],
+             "range [0.0, 1e+300] with step 1e-300 has no finite point count"),
+            (["relay-compare", "--axis", "pr", "--from", "0", "--to", "1e300",
+              "--step", "1e-300"],
+             "range [0.0, 1e+300] with step 1e-300 has no finite point count"),
+            (["ergodic-compare", "--to", "inf"], "range [6.0, inf] must be finite"),
+            (["ergodic-compare", "--step", "0"], "step must be > 0, got 0.0"),
+            (["ergodic-compare", "--from", "nan"], "range [nan, 24.0] must be finite"),
         ],
         ids=["to-inf", "from-nan", "pn0-db-4000", "alpha-300", "alpha-axis-overflow",
-             "relay-pa-db-4000", "relay-base-pa-db-4000"],
+             "relay-pa-db-4000", "relay-base-pa-db-4000", "sweep-point-count",
+             "relay-point-count", "ergodic-to-inf", "ergodic-step-0", "ergodic-from-nan"],
     )
     def test_exits_1_with_message(self, capsys, argv, message):
         assert main(argv) == 1

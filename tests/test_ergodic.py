@@ -191,6 +191,46 @@ class TestEstimator:
         ratio = ci_small / ci_large
         assert 2.0 < ratio < 8.0
 
+    def test_huge_gain_gets_its_water_level(self):
+        # (mu*a)^2 overflows for a = 1e300; water-filling 1/mu - 1/a over both
+        # states spends 2p at mu = 2/3, giving the strong state 1.5 - 1e-300
+        a, b = np.array([1e300, 1.0]), np.zeros(2)
+        res = estimate_on_states(a, b, 1.0)
+        assert res.multiplier == 2.0 / 3.0
+        assert abs(res.power_residual) <= ergodic._POWER_RTOL
+        expected = (math.log2(1.0 + 1.5e300) + math.log2(1.5)) / 2.0
+        assert res.capacity == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("eaves", [None, RAYLEIGH], ids=["no_eaves", "rayleigh_eaves"])
+    def test_caller_states_are_not_written(self, eaves):
+        # every state favorable, so the estimate works on the caller's arrays
+        spec = ErgodicSpec(legit_fading=RAYLEIGH, p_budget=10.0, eaves_fading=eaves,
+                           n_samples=5000, seed=9)
+        a, b = draw_channel_states(spec)
+        if eaves is not None:
+            b = 0.5 * a
+        a_before, b_before = a.tobytes(), b.tobytes()
+        res = estimate_on_states(a, b, spec.p_budget)
+        assert res.n_active == a.shape[0]
+        assert a.tobytes() == a_before and b.tobytes() == b_before
+
+    @pytest.mark.parametrize(
+        "a,b,p,multiplier,iterations",
+        [
+            ([1e-320, 1.0], [0.0, 0.0], 1.0, 0.33333333333358833, 5),
+            ([5e-324, 1.0], [0.0, 0.0], 0.1, 0.8333333333760583, 9),
+            ([1e-320, 1.0], [0.0, 0.0], 1e-3, 0.9980039920159806, 15),
+            ([2e-320, 1.0], [1e-320, 0.5], 1.0, 0.08333333333354428, 6),
+            ([5e-324, 1.0], [0.0, 0.5], 1.0, 0.08333333333354428, 6),
+        ],
+    )
+    def test_subnormal_gains(self, a, b, p, multiplier, iterations):
+        # values of the masked kernel; a subnormal a's 1/a is inf, so the search
+        # starts at max(a - b), and the unmasked kernel must raise no warning
+        res = estimate_on_states(np.array(a), np.array(b), p)
+        assert res.multiplier == multiplier
+        assert res.iterations == iterations
+
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             estimate_on_states(np.ones(10), np.zeros(11), 1.0)
@@ -286,9 +326,9 @@ class TestMultiplierSearch:
         mus = []
         gamma_allocation = _kernels.gamma_allocation
 
-        def recording(a_, b_, mu):
+        def recording(a_, b_, mu, **kwargs):
             mus.append(mu)
-            return gamma_allocation(a_, b_, mu)
+            return gamma_allocation(a_, b_, mu, **kwargs)
 
         monkeypatch.setattr(_kernels, "gamma_allocation", recording)
         res = estimate_on_states(a, b, p)
@@ -341,14 +381,46 @@ class TestMultiplierSearch:
         assert res.capacity == pytest.approx(capacity, rel=1e-7, abs=atol)
 
 
+class TestWorkspaceKernels:
+    """The estimator's in-place kernel path against the allocating one."""
+
+    @staticmethod
+    def _favorable_states(eaves):
+        spec = ErgodicSpec(legit_fading=RAYLEIGH, p_budget=10.0, eaves_fading=eaves,
+                           n_samples=20_000, seed=5)
+        a, b = draw_channel_states(spec)
+        keep = a > b
+        return np.ascontiguousarray(a[keep]), np.ascontiguousarray(b[keep])
+
+    @pytest.mark.parametrize("eaves", [None, RAYLEIGH], ids=["no_eaves", "rayleigh_eaves"])
+    @pytest.mark.parametrize("mu", [1e-3, 0.05, 0.4, 2.0])
+    def test_gamma_allocation_bit_identical(self, eaves, mu):
+        a, b = self._favorable_states(eaves)
+        out, work = np.empty_like(a), np.empty_like(a)
+        gamma = _kernels.gamma_allocation(a, None if eaves is None else b, mu,
+                                          out=out, work=work)
+        assert gamma is out
+        assert gamma.tobytes() == _kernels.gamma_allocation(a, b, mu).tobytes()
+
+    @pytest.mark.parametrize("eaves", [None, RAYLEIGH], ids=["no_eaves", "rayleigh_eaves"])
+    def test_secrecy_rate_bit_identical(self, eaves):
+        a, b = self._favorable_states(eaves)
+        gamma = _kernels.gamma_allocation(a, b, 0.05)
+        out, work = np.empty_like(a), np.empty_like(a)
+        rates = _kernels.secrecy_rate(a, None if eaves is None else b, gamma,
+                                      out=out, work=work)
+        assert rates is out
+        assert rates.tobytes() == _kernels.secrecy_rate(a, b, gamma).tobytes()
+
+
 class TestDiagnostics:
     def test_iterations_count_kernel_calls(self, monkeypatch):
         calls = []
         gamma_allocation = _kernels.gamma_allocation
 
-        def counting(a, b, mu):
+        def counting(a, b, mu, **kwargs):
             calls.append(mu)
-            return gamma_allocation(a, b, mu)
+            return gamma_allocation(a, b, mu, **kwargs)
 
         monkeypatch.setattr(_kernels, "gamma_allocation", counting)
         spec = ErgodicSpec(

@@ -72,6 +72,26 @@ class TestAxisPoints:
     def test_endpoint_not_overshot(self):
         assert axis_points(0.0, 1.0, 0.3) == pytest.approx([0.0, 0.3, 0.6, 0.9])
 
+    @pytest.mark.parametrize(
+        "start,stop,step,message",
+        [
+            (0.0, 1.0, 0.0, "step must be > 0, got 0.0"),
+            (0.0, 1.0, math.nan, "step must be > 0, got nan"),
+            (0.0, math.inf, 1.0, "range [0.0, inf] must be finite"),
+            (math.nan, 1.0, 1.0, "range [nan, 1.0] must be finite"),
+            (1.0, 0.0, 1.0, "empty range [1.0, 0.0]"),
+            (0.0, 1e300, 1e-300, "range [0.0, 1e+300] with step 1e-300 has no finite point count"),
+            (-1e308, 1e308, 1.0, "range [-1e+308, 1e+308] with step 1.0 has no finite point count"),
+        ],
+    )
+    def test_rejects_a_range_without_finite_points(self, start, stop, step, message):
+        with pytest.raises(SweepError) as info:
+            axis_points(start, stop, step)
+        assert str(info.value) == message
+        with pytest.raises(SweepError) as info:
+            SweepSpec(axis="speed", start=start, stop=stop, step=step)
+        assert str(info.value) == message
+
 
 class TestRunSweep:
     def test_speed_rows_ascend_and_decrease(self):
