@@ -10,16 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "PowerBudget",
     "FadingModel",
-    "shannon_capacity",
     "awgn_capacity",
     "path_loss_amplitude",
     "db_to_linear",
-    "linear_to_db",
     "sample_fading",
 ]
 
@@ -89,25 +85,6 @@ class FadingModel:
         return cls(kind="nakagami", m=m)
 
 
-def shannon_capacity(bandwidth: float, snr: float) -> float:
-    """Channel capacity in bits/s of a band-limited link at a linear SNR.
-
-    Parameters
-    ----------
-    bandwidth : float
-        Channel bandwidth in Hz, > 0.
-    snr : float
-        Signal-to-noise ratio, linear scale, >= 0.
-    """
-    bandwidth = _check_finite("bandwidth", bandwidth)
-    snr = _check_finite("snr", snr)
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth!r}")
-    if snr < 0:
-        raise ValueError(f"snr must be >= 0, got {snr!r}")
-    return bandwidth * math.log1p(snr) / _LN2
-
-
 def awgn_capacity(budget: PowerBudget, gain_power: float) -> float:
     """Capacity in bits/s/Hz of a non-fading AWGN link with a power gain."""
     gain_power = _check_finite("gain_power", gain_power)
@@ -141,20 +118,16 @@ def db_to_linear(x: float) -> float:
         raise ValueError(f"{x!r} dB overflows a float power ratio") from None
 
 
-def linear_to_db(x: float) -> float:
-    """Decibels from a linear power ratio: 10*log10(x), defined for x > 0."""
-    x = _check_finite("x", x)
-    if x <= 0:
-        raise ValueError(f"linear ratio must be > 0, got {x!r}")
-    return 10.0 * math.log10(x)
-
-
 def sample_fading(model: FadingModel, rng: np.random.Generator, size: int | None = None):
     """Draw fading amplitudes |h| >= 0 with E[|h|^2] = 1 from the model.
 
     Deterministic for a given generator state. Returns a scalar when
-    ``size`` is None, otherwise an array of that length.
+    ``size`` is None, otherwise an array of that length. This is the one
+    function of the module that computes on arrays, so it imports numpy
+    itself and importing :mod:`v2vsec.channel` does not load numpy.
     """
+    import numpy as np
+
     n = 1 if size is None else int(size)
     if model.kind == "rayleigh":
         out = rng.rayleigh(scale=1.0 / math.sqrt(2.0), size=n)

@@ -3,6 +3,9 @@
 Subcommands: sweep, relay-compare, ergodic-compare, protocol-trace,
 cs-demo. Exit codes: 0 success with all assertions passing, 1 for
 usage or configuration errors, 2 for computation or assertion failures.
+
+Each handler imports the array layer it runs, so protocol-trace, which
+runs on plain floats, never loads numpy.
 """
 
 from __future__ import annotations
@@ -11,22 +14,10 @@ import argparse
 import sys
 from pathlib import Path
 
+from ._common import ComputationError
 from .channel import FadingModel, db_to_linear
-from .csenc import RecoveryError
-from .ergodic import DEFAULT_SEED, ErgodicConvergenceError
 from .scenario import load_scenario, run_protocol_trace, trace_to_csv
 from .secrecy import RelayConfig
-from .sweeps import (
-    SweepOrderingError,
-    SweepSpec,
-    axis_points,
-    check_sweep_orderings,
-    rows_to_csv,
-    run_cs_demo,
-    run_ergodic_compare,
-    run_relay_compare,
-    run_sweep,
-)
 
 __all__ = ["main"]
 
@@ -94,7 +85,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--to", dest="stop", type=float, default=24.0, help="power end, dB")
     p.add_argument("--step", type=float, default=2.0)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, help="RNG seed (default ergodic.DEFAULT_SEED)")
     p.add_argument("--eaves", choices=["none", "rayleigh"], default="none")
     p.add_argument("--out", help="output path (default stdout)")
 
@@ -107,13 +98,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=64)
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, help="RNG seed (default ergodic.DEFAULT_SEED)")
     p.add_argument("--out", help="output path (default stdout)")
 
     return parser
 
 
 def _cmd_sweep(args) -> str:
+    from .sweeps import SweepSpec, check_sweep_orderings, rows_to_csv, run_sweep
+
     axis = _AXIS_CHOICES[args.axis]
     defaults = {"speed": (5.0, 50.0, 0.5)}
     if args.start is None or args.stop is None or args.step is None:
@@ -153,6 +146,8 @@ def _cmd_sweep(args) -> str:
 
 
 def _cmd_relay_compare(args) -> str:
+    from .sweeps import run_relay_compare
+
     base = RelayConfig(
         p_a=args.sigma_b2 * db_to_linear(args.pa_db),
         p_r=args.pr,
@@ -170,13 +165,16 @@ def _cmd_relay_compare(args) -> str:
 
 
 def _cmd_ergodic_compare(args) -> str:
+    from .ergodic import DEFAULT_SEED
+    from .sweeps import axis_points, run_ergodic_compare
+
     eaves = FadingModel.rayleigh() if args.eaves == "rayleigh" else None
     lines = run_ergodic_compare(
         p_dbs=axis_points(args.start, args.stop, args.step),
         legit_fading=FadingModel.rayleigh(),
         eaves_fading=eaves,
         n_samples=args.samples,
-        seed=args.seed,
+        seed=DEFAULT_SEED if args.seed is None else args.seed,
     )
     return "\n".join(lines) + "\n"
 
@@ -187,7 +185,11 @@ def _cmd_protocol_trace(args) -> str:
 
 
 def _cmd_cs_demo(args) -> str:
-    lines = run_cs_demo(n=args.n, m=args.m, k=args.k, trials=args.trials, seed=args.seed)
+    from .ergodic import DEFAULT_SEED
+    from .sweeps import run_cs_demo
+
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    lines = run_cs_demo(n=args.n, m=args.m, k=args.k, trials=args.trials, seed=seed)
     return "\n".join(lines) + "\n"
 
 
@@ -208,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, FileNotFoundError, ValueError) as exc:  # ScenarioError, SweepError too
         print(f"v2vsec: error: {exc}", file=sys.stderr)
         return 1
-    except (SweepOrderingError, ErgodicConvergenceError, RecoveryError) as exc:
+    except ComputationError as exc:  # SweepOrderingError, ErgodicConvergenceError, RecoveryError
         print(f"v2vsec: assertion failure: {exc}", file=sys.stderr)
         return 2
     _write_output(text, args.out)

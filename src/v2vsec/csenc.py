@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._common import ComputationError
+
 __all__ = [
     "CsKey",
     "SparseSignal",
@@ -25,7 +27,7 @@ __all__ = [
 ]
 
 
-class RecoveryError(RuntimeError):
+class RecoveryError(ComputationError):
     """Sparse recovery hit a rank-deficient support."""
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._common import ComputationError
 from .channel import FadingModel, sample_fading
 
 __all__ = [
@@ -46,7 +47,7 @@ _POWER_RTOL = 1e-9
 _MAX_ITER = 100
 
 
-class ErgodicConvergenceError(RuntimeError):
+class ErgodicConvergenceError(ComputationError):
     """The multiplier search failed to meet the power-budget tolerance."""
 
 

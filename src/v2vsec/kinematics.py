@@ -12,16 +12,11 @@ from dataclasses import dataclass
 __all__ = [
     "BrakingProfile",
     "VehicleState",
-    "DEFAULT_TAU_S",
     "braking_distance",
     "safety_distance_full",
-    "safety_distance_cruise",
     "kmh_to_ms",
     "ms_to_kmh",
 ]
-
-# Cruise-control constant used when a scenario does not set one.
-DEFAULT_TAU_S = 0.2
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,9 @@ def safety_distance_full(host: VehicleState, target: VehicleState, tau: float) -
     """Separation in m that prevents a rear-end collision between host and target.
 
     May be negative when the target out-brakes the host; the raw value is
-    returned and callers decide how to clamp.
+    returned and callers decide how to clamp. With equal vehicles it
+    reduces to the cruise separation v*tau, the d = v*tau of the secrecy
+    formulas.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be > 0, got {tau!r}")
@@ -80,15 +77,6 @@ def safety_distance_full(host: VehicleState, target: VehicleState, tau: float) -
         + host.speed * host.speed / (2.0 * host.accel)
         - target.speed * target.speed / (2.0 * target.accel)
     )
-
-
-def safety_distance_cruise(v: float, tau: float) -> float:
-    """Cruise-mode separation v*tau, the equal-speed reduction of the full formula."""
-    if not (math.isfinite(v) and v >= 0):
-        raise ValueError(f"v must be >= 0, got {v!r}")
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be > 0, got {tau!r}")
-    return v * tau
 
 
 def kmh_to_ms(v: float) -> float:

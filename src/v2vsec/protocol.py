@@ -24,8 +24,6 @@ import math
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .channel import PowerBudget, db_to_linear
 from .secrecy import RelayConfig, relay_secrecy, velocity_secrecy
 
@@ -391,12 +389,30 @@ def _relay_capacity(
     return relay_secrecy(cfg).clamped
 
 
+def _coarse_grid(p_max: float) -> list[float]:
+    """``np.linspace(0.0, p_max, COARSE_GRID_POINTS)`` bit for bit, on plain floats.
+
+    numpy scales ``i`` by the step p_max/(n-1), or by ``i/(n-1)`` then p_max
+    when that step underflows to 0 (a subnormal p_max), and sets the last
+    point to p_max exactly.
+    """
+    div = COARSE_GRID_POINTS - 1
+    step = p_max / div
+    if step == 0.0:
+        points = [i / div * p_max for i in range(div)]
+    else:
+        points = [i * step for i in range(div)]
+    points.append(p_max)
+    return points
+
+
 def optimize_relay_power(
     scenario: LinkScenario, candidate: RelayCandidate, speed_mps: float
 ) -> tuple[float, float]:
     """Best relay power on [0, p_max] and the capacity it achieves.
 
-    Seeds a 32-point coarse grid, golden-section-refines around every grid
+    Seeds a 32-point coarse grid (the points of ``np.linspace(0, p_max,
+    32)``, built on plain floats), golden-section-refines around every grid
     local maximum (unimodality is not guaranteed), and returns the best
     point ever evaluated, so the result dominates all probes by
     construction. Capacity ties prefer the lower relay power.
@@ -406,20 +422,20 @@ def optimize_relay_power(
     if candidate.p_max == 0.0:
         return 0.0, _relay_capacity(scenario, candidate, speed_mps, 0.0)
 
-    grid = np.linspace(0.0, candidate.p_max, COARSE_GRID_POINTS)
+    grid = _coarse_grid(candidate.p_max)
     values = [_relay_capacity(scenario, candidate, speed_mps, p) for p in grid]
     best_p, best_c = 0.0, values[0]
     for p, c in zip(grid[1:], values[1:]):
         if c > best_c:
-            best_p, best_c = float(p), c
+            best_p, best_c = p, c
 
     for i in range(COARSE_GRID_POINTS):
         left = values[i - 1] if i > 0 else -math.inf
         right = values[i + 1] if i < COARSE_GRID_POINTS - 1 else -math.inf
         if values[i] < left or values[i] < right:
             continue
-        lo = float(grid[max(i - 1, 0)])
-        hi = float(grid[min(i + 1, COARSE_GRID_POINTS - 1)])
+        lo = grid[max(i - 1, 0)]
+        hi = grid[min(i + 1, COARSE_GRID_POINTS - 1)]
         x1 = hi - _GOLDEN * (hi - lo)
         x2 = lo + _GOLDEN * (hi - lo)
         f1 = _relay_capacity(scenario, candidate, speed_mps, x1)

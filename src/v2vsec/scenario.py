@@ -39,6 +39,7 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._common import fmt_num
 from .channel import PowerBudget
 from .protocol import (
     CsiMessage,
@@ -55,7 +56,6 @@ from .protocol import (
     parse_csi,
 )
 from .secrecy import velocity_secrecy
-from .sweeps import fmt_num
 
 __all__ = [
     "ScenarioError",

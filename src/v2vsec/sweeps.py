@@ -28,6 +28,7 @@ import numpy as np
 
 from .channel import PowerBudget, awgn_capacity, db_to_linear
 from . import csenc
+from ._common import ComputationError, fmt_num
 # encrypt stays importable from here: perfbench's tracer wraps it by this name
 from .csenc import CsKey, decrypt, encrypt, random_sparse_signal  # noqa: F401
 from .ergodic import DEFAULT_SEED, ErgodicSpec, ergodic_secrecy
@@ -85,19 +86,12 @@ class SweepError(ValueError):
     """Invalid sweep specification, including a bad point on the axis."""
 
 
-class SweepOrderingError(RuntimeError):
+class SweepOrderingError(ComputationError):
     """A computed table violated its expected monotone ordering."""
 
 
 class SweepFormatError(ValueError):
     """CSV text does not conform to the sweep table contract."""
-
-
-def fmt_num(x: float) -> str:
-    """Numeric cell: up to 6 significant digits, no negative zero."""
-    if x == 0:
-        x = 0.0
-    return f"{x:.6g}"
 
 
 def _point_count(start: float, stop: float, step: float) -> int:
@@ -289,7 +283,16 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 
 
 def read_sweep_csv(text: str) -> list[SweepRow]:
-    """Strict parser for the sweep table; re-encoding its output is byte-identical."""
+    """Parse a sweep table, checking its structure.
+
+    The text must start with exactly ``SWEEP_HEADER``, end in one LF, and
+    hold 11 comma-separated fields per line, with a known axis in the first
+    and a known variant in the last. Each of the nine numeric cells may be
+    any spelling ``float()`` accepts, such as ``1e3``, ``+3``, ``1_0``,
+    ``nan``, ``inf`` or a number with surrounding spaces. Re-encoding the
+    rows gives back the identical bytes for a table that
+    :func:`rows_to_csv` wrote, not for every table this accepts.
+    """
     lines = text.split("\n")
     if not lines or lines[0] != SWEEP_HEADER:
         raise SweepFormatError(f"bad header: {lines[0] if lines else ''!r}")

@@ -10,38 +10,9 @@ from v2vsec.channel import (
     PowerBudget,
     awgn_capacity,
     db_to_linear,
-    linear_to_db,
     path_loss_amplitude,
     sample_fading,
-    shannon_capacity,
 )
-
-
-class TestShannonCapacity:
-    def test_zero_snr_is_zero(self):
-        assert shannon_capacity(1.0, 0.0) == 0.0
-
-    def test_unit_snr_is_one_bit(self):
-        assert shannon_capacity(1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_two_hz_snr_three(self):
-        # 2 * log2(4), checked against arbitrary-precision evaluation
-        assert shannon_capacity(2.0, 3.0) == pytest.approx(4.0, rel=1e-12)
-
-    def test_monotone_in_snr_linear_in_bandwidth(self):
-        rng = np.random.default_rng(7)
-        snrs = np.sort(rng.uniform(0.0, 1e6, 50))
-        caps = [shannon_capacity(1.0, s) for s in snrs]
-        assert all(c2 > c1 for c1, c2 in zip(caps, caps[1:]))
-        for w in rng.uniform(0.1, 1e6, 10):
-            assert shannon_capacity(w, 42.0) == pytest.approx(
-                w * shannon_capacity(1.0, 42.0), rel=1e-12
-            )
-
-    @pytest.mark.parametrize("bw,snr", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)])
-    def test_rejects_bad_inputs(self, bw, snr):
-        with pytest.raises(ValueError):
-            shannon_capacity(bw, snr)
 
 
 class TestPathLoss:
@@ -84,12 +55,7 @@ class TestDecibels:
 
     @given(x=st.floats(min_value=1e-6, max_value=1e6))
     def test_round_trip(self, x):
-        assert db_to_linear(linear_to_db(x)) == pytest.approx(x, rel=1e-12)
-
-    @pytest.mark.parametrize("x", [0.0, -3.0])
-    def test_linear_to_db_rejects_nonpositive(self, x):
-        with pytest.raises(ValueError):
-            linear_to_db(x)
+        assert db_to_linear(10.0 * math.log10(x)) == pytest.approx(x, rel=1e-12)
 
 
 class TestPowerBudget:

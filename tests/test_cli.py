@@ -17,6 +17,58 @@ line.0 = CSI1|B|1|0|23|-60|-90|30|20
 line.1 = CSI1|B|2|100|23|-60|-90|30|28
 """
 
+# Five relay candidates (one, e, with an interior power optimum) and speeds
+# chosen so the trace reaches all four modes: direct, relay, power_boost
+# and v2i_fallback.
+LADDER_SCENARIO_TEXT = """\
+[link]
+r_m = 150
+alpha = 1.4
+tau_s = 0.2
+pn0_db = 60
+
+[thresholds]
+band.0 = 0, 25, 14
+band.1 = 25, inf, 10.9
+
+[relay.a]
+h_rb = 3e-9
+h_re = 2e-6
+p_max = 4e5
+
+[relay.b]
+h_rb = 1e-8
+h_re = 5e-7
+p_max = 1e6
+
+[relay.c]
+h_rb = 2e-9
+h_re = 8e-6
+p_max = 3e6
+
+[relay.d]
+h_rb = 5e-8
+h_re = 3e-6
+p_max = 5e5
+
+[relay.e]
+h_rb = 2e-9
+h_re = 8e-6
+p_max = 3e9
+
+[csi]
+line.0 = CSI1|B|1|0|23|-60|-90|30|5
+line.1 = CSI1|B|2|100|23|-60|-90|30|16
+line.2 = CSI1|B|3|200|23|-60|-90|30|20
+line.3 = CSI1|B|4|300|23|-60|-90|30|22
+line.4 = CSI1|B|5|400|23|-60|-90|30|24
+line.5 = CSI1|B|6|500|23|-60|-90|30|30
+line.6 = CSI1|B|7|600|23|-60|-90|30|38
+line.7 = CSI1|B|8|700|23|-60|-90|30|42.5
+line.8 = CSI1|B|9|800|23|-60|-90|30|19.25
+line.9 = CSI1|B|10|900|23|-60|-90|30|23.1
+"""
+
 
 class TestSweepCommand:
     def test_writes_conformant_csv(self, tmp_path):
@@ -91,6 +143,21 @@ class TestReadmeOutputsPinned:
         out = tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+class TestProtocolTracePinned:
+    """protocol-trace output, pinned byte for byte on a ladder that reaches every mode."""
+
+    SHA256 = "957e4c8838425de93afc089a89b77f09f7849b59bc2d2fa43c535de298b15fd5"
+
+    def test_sha256(self, tmp_path):
+        scn = tmp_path / "ladder.ini"
+        scn.write_text(LADDER_SCENARIO_TEXT, encoding="utf-8")
+        out = tmp_path / "trace.csv"
+        assert main(["protocol-trace", "--scenario", str(scn), "--out", str(out)]) == 0
+        modes = {line.split(",")[6] for line in out.read_text(encoding="utf-8").splitlines()[1:]}
+        assert modes == {"direct", "relay", "power_boost", "v2i_fallback"}
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256
 
 
 class TestOutOfRangeInput:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +8,6 @@ from v2vsec.kinematics import (
     braking_distance,
     kmh_to_ms,
     ms_to_kmh,
-    safety_distance_cruise,
     safety_distance_full,
 )
 
@@ -67,15 +64,17 @@ class TestSafetyDistance:
     )
     def test_cruise_equals_full_under_symmetry(self, v, a, tau):
         state = VehicleState(speed=v, accel=a)
-        assert safety_distance_cruise(v, tau) == pytest.approx(
-            safety_distance_full(state, state, tau), rel=1e-9, abs=1e-9
+        assert safety_distance_full(state, state, tau) == pytest.approx(
+            v * tau, rel=1e-9, abs=1e-9
         )
 
     def test_cruise_zero_speed(self):
-        assert safety_distance_cruise(0.0, 0.2) == 0.0
+        state = VehicleState(speed=0.0, accel=5.0)
+        assert safety_distance_full(state, state, 0.2) == 0.0
 
     def test_cruise_80_kmh(self):
-        assert safety_distance_cruise(kmh_to_ms(80.0), 0.2) == pytest.approx(
+        state = VehicleState(speed=kmh_to_ms(80.0), accel=5.0)
+        assert safety_distance_full(state, state, 0.2) == pytest.approx(
             4.444444444444445, rel=1e-12
         )
 

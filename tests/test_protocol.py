@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from v2vsec.channel import PowerBudget, db_to_linear
 from v2vsec.protocol import (
+    COARSE_GRID_POINTS,
     CsiConsistencyError,
     CsiMalformedFieldError,
     CsiMessage,
@@ -23,6 +24,7 @@ from v2vsec.protocol import (
     RelayCandidate,
     StaleCsiError,
     ThresholdSchedule,
+    _coarse_grid,
     decide,
     derive_threshold,
     encode_csi,
@@ -374,6 +376,44 @@ class TestSelectRelay:
         p_best, cap_best = optimize_relay_power(NEAR_EVE, cand, 30.0)
         assert 0.0 <= p_best <= cand.p_max
         assert cap_best >= 0.0
+
+
+class TestCoarseGrid:
+    """The relay search's plain-float grid is np.linspace's, bit for bit."""
+
+    @staticmethod
+    def assert_is_linspace(p_max):
+        # near the float maximum numpy's 31*step overflows before the last
+        # point is overwritten with p_max; the plain-float grid never forms it
+        with np.errstate(over="ignore"):
+            expected = np.linspace(0.0, p_max, COARSE_GRID_POINTS).tolist()
+        got = _coarse_grid(p_max)
+        assert [x.hex() for x in got] == [x.hex() for x in expected], p_max
+
+    def test_random_magnitudes(self):
+        for exponent in np.random.default_rng(2024).uniform(-323.3, 308.25, 2000):
+            self.assert_is_linspace(float(10.0**exponent))
+
+    def test_benchmark_relay_range(self):
+        # csi-replay draws p_max log-uniformly over 10^5.5 .. 10^6.5
+        for exponent in np.random.default_rng(7).uniform(5.5, 6.5, 2000):
+            self.assert_is_linspace(float(10.0**exponent))
+
+    @pytest.mark.parametrize(
+        "p_max", [0.0, 5e-324, 1e-322, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308]
+    )
+    def test_edge_values(self, p_max):
+        self.assert_is_linspace(p_max)
+
+    def test_underflowing_step(self):
+        # p_max / 31 == 0: numpy scales i/31 by p_max, which rounds up from i = 16
+        grid = _coarse_grid(5e-324)
+        assert grid[:16] == [0.0] * 16
+        assert grid[16:] == [5e-324] * 16
+
+    @given(st.floats(min_value=0.0, max_value=1.7976931348623157e308))
+    def test_any_finite_p_max(self, p_max):
+        self.assert_is_linspace(p_max)
 
 
 class TestSession:

@@ -348,6 +348,14 @@ class TestCsvContract:
         assert rows_to_csv(read_sweep_csv(text)) == text
         assert text.endswith("\n") and "\r" not in text
 
+    def test_numeric_cells_take_any_float_spelling(self):
+        # the reader checks structure, not spelling: a table it accepts
+        # re-encodes byte for byte only if the writer produced it
+        text = SWEEP_HEADER + "\nspeed, 5,1_0,+3,nan,inf,1e3,70,0.00000,-0,vtau\n"
+        assert rows_to_csv(read_sweep_csv(text)) == (
+            SWEEP_HEADER + "\nspeed,5,10,3,nan,inf,1000,70,0,0,vtau\n"
+        )
+
     def test_rejects_bad_header(self):
         with pytest.raises(SweepFormatError):
             read_sweep_csv("axis,axis_value\nspeed,5\n")
