@@ -42,9 +42,7 @@ _EXPORTS = {
     "draw_channel_states": "ergodic",
     "ergodic_secrecy": "ergodic",
     "estimate_on_states": "ergodic",
-    "BrakingProfile": "kinematics",
     "VehicleState": "kinematics",
-    "braking_distance": "kinematics",
     "kmh_to_ms": "kinematics",
     "ms_to_kmh": "kinematics",
     "safety_distance_full": "kinematics",

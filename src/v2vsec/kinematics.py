@@ -10,35 +10,11 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "BrakingProfile",
     "VehicleState",
-    "braking_distance",
     "safety_distance_full",
     "kmh_to_ms",
     "ms_to_kmh",
 ]
-
-
-@dataclass(frozen=True)
-class BrakingProfile:
-    """Braking-process timing and maximum deceleration.
-
-    t_a: response period, s; t_b: braking clearance period, s;
-    t_c: braking force applying period, s; a_max: maximum deceleration, m/s^2.
-    """
-
-    t_a: float
-    t_b: float
-    t_c: float
-    a_max: float
-
-    def __post_init__(self) -> None:
-        for name in ("t_a", "t_b", "t_c"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be >= 0, got {v!r}")
-        if not (math.isfinite(self.a_max) and self.a_max > 0):
-            raise ValueError(f"a_max must be > 0, got {self.a_max!r}")
 
 
 @dataclass(frozen=True)
@@ -53,13 +29,6 @@ class VehicleState:
             raise ValueError(f"speed must be >= 0, got {self.speed!r}")
         if not (math.isfinite(self.accel) and self.accel > 0):
             raise ValueError(f"accel must be > 0, got {self.accel!r}")
-
-
-def braking_distance(v0: float, profile: BrakingProfile) -> float:
-    """Distance in m from initial braking point to a complete stop."""
-    if not (math.isfinite(v0) and v0 >= 0):
-        raise ValueError(f"v0 must be >= 0, got {v0!r}")
-    return v0 * (profile.t_a + profile.t_b + profile.t_c / 2.0) + v0 * v0 / (2.0 * profile.a_max)
 
 
 def safety_distance_full(host: VehicleState, target: VehicleState, tau: float) -> float:

@@ -25,7 +25,12 @@ import re
 from dataclasses import dataclass, field
 
 from .channel import PowerBudget, db_to_linear
-from .secrecy import RelayConfig, relay_secrecy, velocity_secrecy
+from .secrecy import (
+    RelayConfig,
+    _relay_raw,
+    relay_secrecy,  # noqa: F401  no longer called here; perfbench's tracer wraps it by this name
+    velocity_secrecy,
+)
 
 __all__ = [
     "CsiMessage",
@@ -370,25 +375,6 @@ class RelaySelection:
     capacity: float
 
 
-def _relay_capacity(
-    scenario: LinkScenario, candidate: RelayCandidate, speed_mps: float, p_r: float
-) -> float:
-    d = speed_mps * scenario.tau
-    exp = 2.0 * scenario.alpha
-    cfg = RelayConfig(
-        p_a=scenario.budget.p_linear,
-        p_r=p_r,
-        h_ab=d**-exp,
-        h_rb=candidate.h_rb,
-        h_ae=scenario.r**-exp,
-        h_re=candidate.h_re,
-        sigma_b2=scenario.budget.n0_linear,
-        sigma_e2=scenario.budget.n0_linear,
-        w=1.0,
-    )
-    return relay_secrecy(cfg).clamped
-
-
 def _coarse_grid(p_max: float) -> list[float]:
     """``np.linspace(0.0, p_max, COARSE_GRID_POINTS)`` bit for bit, on plain floats.
 
@@ -416,14 +402,28 @@ def optimize_relay_power(
     local maximum (unimodality is not guaranteed), and returns the best
     point ever evaluated, so the result dominates all probes by
     construction. Capacity ties prefer the lower relay power.
+
+    The link is validated once per call, by one :class:`RelayConfig` at
+    p_r = p_max; every probe power lies in [0, p_max], so each probe is
+    ``max(0.0, _relay_raw(...))`` on plain floats, which equals
+    ``relay_secrecy(cfg).clamped`` at that power bit for bit.
     """
     if not (math.isfinite(speed_mps) and speed_mps > 0):
         raise ValueError(f"speed_mps must be > 0, got {speed_mps!r}")
+    d = speed_mps * scenario.tau
+    exp = 2.0 * scenario.alpha
+    p_a, n0 = scenario.budget.p_linear, scenario.budget.n0_linear
+    h_ab, h_rb, h_ae, h_re = d**-exp, candidate.h_rb, scenario.r**-exp, candidate.h_re
+    RelayConfig(p_a, candidate.p_max, h_ab, h_rb, h_ae, h_re, n0, n0, 1.0)
+
+    def capacity(p_r: float) -> float:
+        return max(0.0, _relay_raw(p_a, p_r, h_ab, h_rb, h_ae, h_re, n0, n0, 1.0))
+
     if candidate.p_max == 0.0:
-        return 0.0, _relay_capacity(scenario, candidate, speed_mps, 0.0)
+        return 0.0, capacity(0.0)
 
     grid = _coarse_grid(candidate.p_max)
-    values = [_relay_capacity(scenario, candidate, speed_mps, p) for p in grid]
+    values = [capacity(p) for p in grid]
     best_p, best_c = 0.0, values[0]
     for p, c in zip(grid[1:], values[1:]):
         if c > best_c:
@@ -438,17 +438,17 @@ def optimize_relay_power(
         hi = grid[min(i + 1, COARSE_GRID_POINTS - 1)]
         x1 = hi - _GOLDEN * (hi - lo)
         x2 = lo + _GOLDEN * (hi - lo)
-        f1 = _relay_capacity(scenario, candidate, speed_mps, x1)
-        f2 = _relay_capacity(scenario, candidate, speed_mps, x2)
+        f1 = capacity(x1)
+        f2 = capacity(x2)
         while hi - lo > 1e-10 * candidate.p_max:
             if f1 < f2:
                 lo, x1, f1 = x1, x2, f2
                 x2 = lo + _GOLDEN * (hi - lo)
-                f2 = _relay_capacity(scenario, candidate, speed_mps, x2)
+                f2 = capacity(x2)
             else:
                 hi, x2, f2 = x2, x1, f1
                 x1 = hi - _GOLDEN * (hi - lo)
-                f1 = _relay_capacity(scenario, candidate, speed_mps, x1)
+                f1 = capacity(x1)
             for p, c in ((x1, f1), (x2, f2)):
                 if c > best_c or (c == best_c and p < best_p):
                     best_p, best_c = p, c

@@ -8,9 +8,9 @@ protocol decisions use the clamped one.
 The fading, geometric and relay formulas live once, in the private
 float-level helpers ``_fading_raw``, ``_geometric_raw`` and
 ``_relay_raw``. The public functions validate their inputs and return
-through them; the sweep engine calls them directly on points it has
-already checked, so a sweep cell and the public function agree bit for
-bit.
+through them; the sweep engine and protocol's relay-power search call
+them directly on inputs they have already checked, so a sweep cell or a
+relay-power probe and the public function agree bit for bit.
 """
 
 from __future__ import annotations
@@ -216,6 +216,4 @@ def relay_secrecy(cfg: RelayConfig) -> SecrecyResult:
     raw = _relay_raw(
         cfg.p_a, cfg.p_r, cfg.h_ab, cfg.h_rb, cfg.h_ae, cfg.h_re, cfg.sigma_b2, cfg.sigma_e2, cfg.w
     )
-    # from_raw without its extra call: protocol's relay-power search runs
-    # this hundreds of times per decision
     return SecrecyResult(raw, max(0.0, raw))

@@ -31,7 +31,7 @@ from . import csenc
 from ._common import ComputationError, fmt_num
 # encrypt stays importable from here: perfbench's tracer wraps it by this name
 from .csenc import CsKey, decrypt, encrypt, random_sparse_signal  # noqa: F401
-from .ergodic import DEFAULT_SEED, ErgodicSpec, ergodic_secrecy
+from .ergodic import DEFAULT_SEED, ErgodicSpec, draw_channel_states, estimate_on_states
 from .secrecy import (
     LinkGeometry,
     RelayConfig,
@@ -387,12 +387,16 @@ def run_ergodic_compare(
 ) -> list[str]:
     """AWGN capacity next to the ergodic estimate per average-power point.
 
+    Every point shares the seed, so the fading states are drawn once, at
+    the first point, and each point estimates on them.
+
     Raises :class:`SweepOrderingError` if any estimate exceeds the AWGN
     capacity by more than its confidence halfwidth.
     """
     if seed is None:
         seed = DEFAULT_SEED
     lines = [ERGODIC_COMPARE_HEADER]
+    states = None
     for p_db in p_dbs:
         p = db_to_linear(p_db)
         spec = ErgodicSpec(
@@ -404,7 +408,9 @@ def run_ergodic_compare(
             n_samples=n_samples,
             seed=seed,
         )
-        result = ergodic_secrecy(spec)
+        if states is None:
+            states = draw_channel_states(spec)
+        result = estimate_on_states(*states, p)
         awgn = awgn_capacity(PowerBudget(p_linear=p, n0_linear=sigma_b2), 1.0)
         if awgn < result.capacity - result.ci_halfwidth:
             raise SweepOrderingError(

@@ -1,45 +1,12 @@
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from v2vsec.kinematics import (
-    BrakingProfile,
     VehicleState,
-    braking_distance,
     kmh_to_ms,
     ms_to_kmh,
     safety_distance_full,
 )
-
-PROFILE = BrakingProfile(t_a=0.4, t_b=0.3, t_c=0.6, a_max=7.5)
-
-
-class TestBrakingDistance:
-    def test_stationary(self):
-        assert braking_distance(0.0, PROFILE) == 0.0
-
-    def test_hand_value(self):
-        # t_a + t_b + t_c/2 = 1 s, so 30*1 + 900/15 = 90 m
-        assert braking_distance(30.0, PROFILE) == pytest.approx(90.0, rel=1e-15)
-
-    def test_doubling_speed_more_than_doubles(self):
-        for v0 in (5.0, 12.0, 31.0):
-            assert braking_distance(2 * v0, PROFILE) > 2 * braking_distance(v0, PROFILE)
-
-    def test_monotone_and_convex(self):
-        v = np.linspace(0.0, 60.0, 121)
-        d = np.array([braking_distance(x, PROFILE) for x in v])
-        first = np.diff(d)
-        assert np.all(first > 0)
-        assert np.all(np.diff(first) > 0)
-
-    def test_rejects_negative_speed(self):
-        with pytest.raises(ValueError):
-            braking_distance(-1.0, PROFILE)
-
-    def test_rejects_bad_profile(self):
-        with pytest.raises(ValueError):
-            BrakingProfile(t_a=0.4, t_b=0.3, t_c=0.6, a_max=0.0)
 
 
 class TestSafetyDistance:

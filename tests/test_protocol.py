@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from v2vsec import protocol
 from v2vsec.channel import PowerBudget, db_to_linear
 from v2vsec.protocol import (
     COARSE_GRID_POINTS,
@@ -24,6 +25,7 @@ from v2vsec.protocol import (
     RelayCandidate,
     StaleCsiError,
     ThresholdSchedule,
+    _GOLDEN,
     _coarse_grid,
     decide,
     derive_threshold,
@@ -32,7 +34,7 @@ from v2vsec.protocol import (
     parse_csi,
     select_relay,
 )
-from v2vsec.secrecy import velocity_secrecy
+from v2vsec.secrecy import RelayConfig, relay_secrecy, velocity_secrecy
 
 
 def make_csi(speed=30.0, seq=1, ts=0, sender="B"):
@@ -376,6 +378,128 @@ class TestSelectRelay:
         p_best, cap_best = optimize_relay_power(NEAR_EVE, cand, 30.0)
         assert 0.0 <= p_best <= cand.p_max
         assert cap_best >= 0.0
+
+
+def per_probe_relay_power(scenario, candidate, speed_mps):
+    """The relay search with a validated RelayConfig and relay_secrecy at every probe.
+
+    Same grid, golden-section loop and tie rules as optimize_relay_power;
+    only the per-probe evaluation differs.
+    """
+
+    def capacity(p_r):
+        d = speed_mps * scenario.tau
+        exp = 2.0 * scenario.alpha
+        cfg = RelayConfig(
+            p_a=scenario.budget.p_linear,
+            p_r=p_r,
+            h_ab=d**-exp,
+            h_rb=candidate.h_rb,
+            h_ae=scenario.r**-exp,
+            h_re=candidate.h_re,
+            sigma_b2=scenario.budget.n0_linear,
+            sigma_e2=scenario.budget.n0_linear,
+            w=1.0,
+        )
+        return relay_secrecy(cfg).clamped
+
+    if not (math.isfinite(speed_mps) and speed_mps > 0):
+        raise ValueError(f"speed_mps must be > 0, got {speed_mps!r}")
+    if candidate.p_max == 0.0:
+        return 0.0, capacity(0.0)
+    grid = _coarse_grid(candidate.p_max)
+    values = [capacity(p) for p in grid]
+    best_p, best_c = 0.0, values[0]
+    for p, c in zip(grid[1:], values[1:]):
+        if c > best_c:
+            best_p, best_c = p, c
+    for i in range(COARSE_GRID_POINTS):
+        left = values[i - 1] if i > 0 else -math.inf
+        right = values[i + 1] if i < COARSE_GRID_POINTS - 1 else -math.inf
+        if values[i] < left or values[i] < right:
+            continue
+        lo = grid[max(i - 1, 0)]
+        hi = grid[min(i + 1, COARSE_GRID_POINTS - 1)]
+        x1 = hi - _GOLDEN * (hi - lo)
+        x2 = lo + _GOLDEN * (hi - lo)
+        f1, f2 = capacity(x1), capacity(x2)
+        while hi - lo > 1e-10 * candidate.p_max:
+            if f1 < f2:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + _GOLDEN * (hi - lo)
+                f2 = capacity(x2)
+            else:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - _GOLDEN * (hi - lo)
+                f1 = capacity(x1)
+            for p, c in ((x1, f1), (x2, f2)):
+                if c > best_c or (c == best_c and p < best_p):
+                    best_p, best_c = p, c
+    return best_p, best_c
+
+
+_GAINS = st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1e3))
+
+
+class TestRelayPowerExactness:
+    """optimize_relay_power equals the per-probe search exactly, not approximately."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        r=st.floats(min_value=1.0, max_value=1e4),
+        alpha=st.floats(min_value=0.5, max_value=3.0),
+        tau=st.floats(min_value=0.01, max_value=2.0),
+        pn0_db=st.floats(min_value=-20.0, max_value=90.0),
+        n0=st.floats(min_value=1e-6, max_value=1e3),
+        h_rb=_GAINS,
+        h_re=_GAINS,
+        p_max=st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e300]), st.floats(min_value=0.0, max_value=1e9)
+        ),
+        speed=st.floats(min_value=1e-3, max_value=100.0),
+    )
+    def test_equals_per_probe_search(self, r, alpha, tau, pn0_db, n0, h_rb, h_re, p_max, speed):
+        scenario = LinkScenario(r=r, alpha=alpha, tau=tau, budget=PowerBudget.from_db(pn0_db, n0))
+        cand = RelayCandidate("x", h_rb=h_rb, h_re=h_re, p_max=p_max)
+        got = optimize_relay_power(scenario, cand, speed)
+        assert got == per_probe_relay_power(scenario, cand, speed)
+
+    @pytest.mark.parametrize(
+        "cand",
+        [
+            RelayCandidate("jam", h_rb=0.01, h_re=2.0, p_max=20.0),
+            RelayCandidate("off", h_rb=0.5, h_re=0.5, p_max=0.0),
+            RelayCandidate("deaf", h_rb=0.0, h_re=0.0, p_max=1e300),
+            RelayCandidate("tiny", h_rb=0.3, h_re=0.9, p_max=5e-324),
+        ],
+        ids=lambda c: c.relay_id,
+    )
+    def test_hand_cases(self, cand):
+        for scenario in (SCENARIO, NEAR_EVE, MID_EVE):
+            for speed in (0.5, 30.0, 60.0):
+                got = optimize_relay_power(scenario, cand, speed)
+                assert got == per_probe_relay_power(scenario, cand, speed)
+
+    def test_validates_once_per_call(self, monkeypatch):
+        built = []
+
+        class CountingRelayConfig(RelayConfig):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(protocol, "RelayConfig", CountingRelayConfig)
+        cand = RelayCandidate("jam", h_rb=0.01, h_re=2.0, p_max=20.0)
+        optimize_relay_power(NEAR_EVE, cand, 30.0)
+        assert len(built) == 1
+        assert built[0].p_r == cand.p_max
+
+    def test_invalid_link_raises_before_any_probe(self):
+        # a negative gain slipped past RelayCandidate still fails RelayConfig's check
+        cand = RelayCandidate("x", h_rb=0.1, h_re=0.1, p_max=1.0)
+        object.__setattr__(cand, "h_re", -1.0)
+        with pytest.raises(ValueError, match="h_re must be >= 0"):
+            optimize_relay_power(NEAR_EVE, cand, 30.0)
 
 
 class TestCoarseGrid:

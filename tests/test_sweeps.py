@@ -467,6 +467,21 @@ class TestErgodicCompare:
         b = run_ergodic_compare(*args, n_samples=4000, seed=9)
         assert a == b
 
+    def test_draws_states_once_per_table(self, monkeypatch):
+        draws = []
+        draw = sweeps.draw_channel_states
+
+        def counting_draw(spec):
+            draws.append(spec)
+            return draw(spec)
+
+        monkeypatch.setattr(sweeps, "draw_channel_states", counting_draw)
+        lines = run_ergodic_compare(
+            [6.0, 8.0, 10.0], FadingModel.rayleigh(), FadingModel.rayleigh(), n_samples=2000, seed=3
+        )
+        assert len(lines) == 4
+        assert len(draws) == 1
+
     def test_low_power_opportunistic_regime_fails_loudly(self):
         # below ~2 dB the optimal fading allocation beats AWGN, so the
         # dominance assertion must trip rather than pass silently
