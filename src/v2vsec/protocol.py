@@ -28,8 +28,9 @@ from .channel import PowerBudget, db_to_linear
 from .secrecy import (
     RelayConfig,
     _relay_raw,
+    _velocity_raw,
     relay_secrecy,  # noqa: F401  no longer called here; perfbench's tracer wraps it by this name
-    velocity_secrecy,
+    velocity_secrecy,  # noqa: F401  no longer called here; perfbench's tracer wraps it by this name
 )
 
 __all__ = [
@@ -485,13 +486,20 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
     Direct when the clamped capacity clears the speed band's threshold at
     the original power; otherwise the configured strategies are tried in
     order; v2i_fallback is the terminal outcome when everything fails.
+
+    The direct link and each power-boost step are evaluated on plain floats
+    as ``max(0.0, _velocity_raw(...))``, which equals
+    ``velocity_secrecy(...).clamped`` bit for bit; an input that function
+    refuses (a standstill report, whose d = v*tau is 0, or a boosted power
+    that overflows) raises its own ``ValueError``.
     """
     threshold = derive_threshold(csi.speed_mps, config.thresholds)
     p = scenario.budget.p_linear
     n0 = scenario.budget.n0_linear
-    base = velocity_secrecy(p, n0, csi.speed_mps, scenario.tau, scenario.r, scenario.alpha)
-    if base.clamped >= threshold:
-        return LinkDecision(mode="direct", cs_achieved=base.clamped, threshold_used=threshold)
+    v, tau, r, alpha = csi.speed_mps, scenario.tau, scenario.r, scenario.alpha
+    base = max(0.0, _velocity_raw(p, n0, v, tau, r, alpha))
+    if base >= threshold:
+        return LinkDecision(mode="direct", cs_achieved=base, threshold_used=threshold)
 
     for strategy in config.strategy_order:
         if strategy == "relay":
@@ -514,9 +522,7 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
                 if total_db > config.boost_cap_db + 1e-12:
                     break
                 boosted = p * db_to_linear(total_db)
-                cs = velocity_secrecy(
-                    boosted, n0, csi.speed_mps, scenario.tau, scenario.r, scenario.alpha
-                ).clamped
+                cs = max(0.0, _velocity_raw(boosted, n0, v, tau, r, alpha))
                 if cs >= threshold:
                     return LinkDecision(
                         mode="power_boost",
@@ -528,9 +534,7 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
         else:  # v2i_fallback is terminal
             break
 
-    return LinkDecision(
-        mode="v2i_fallback", cs_achieved=base.clamped, threshold_used=threshold
-    )
+    return LinkDecision(mode="v2i_fallback", cs_achieved=base, threshold_used=threshold)
 
 
 def _check_seq_increases(last_seq: dict[str, int], csi: CsiMessage) -> None:

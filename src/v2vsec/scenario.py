@@ -55,7 +55,7 @@ from .protocol import (
     _check_seq_increases,
     parse_csi,
 )
-from .secrecy import velocity_secrecy
+from .secrecy import _velocity_raw
 
 __all__ = [
     "ScenarioError",
@@ -260,26 +260,20 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def run_protocol_trace(scenario: Scenario) -> list[TraceRecord]:
     """Replay the CSI script through a session; deterministic given the file."""
-    session = ProtocolSession(scenario=scenario.link, config=scenario.config)
+    link = scenario.link
+    p, n0 = link.budget.p_linear, link.budget.n0_linear
+    session = ProtocolSession(scenario=link, config=scenario.config)
     records = []
     for msg in scenario.messages:
-        budget = scenario.link.budget
-        direct = velocity_secrecy(
-            budget.p_linear,
-            budget.n0_linear,
-            msg.speed_mps,
-            scenario.link.tau,
-            scenario.link.r,
-            scenario.link.alpha,
-        )
+        direct = _velocity_raw(p, n0, msg.speed_mps, link.tau, link.r, link.alpha)
         decision = session.process(msg)
         records.append(
             TraceRecord(
                 seq=msg.seq,
                 timestamp_ms=msg.timestamp_ms,
                 speed_mps=msg.speed_mps,
-                cs_raw=direct.raw,
-                cs_clamped=direct.clamped,
+                cs_raw=direct,
+                cs_clamped=max(0.0, direct),
                 decision=decision,
             )
         )

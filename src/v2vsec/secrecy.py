@@ -8,8 +8,14 @@ protocol decisions use the clamped one.
 The fading, geometric and relay formulas live once, in the private
 float-level helpers ``_fading_raw``, ``_geometric_raw`` and
 ``_relay_raw``. The public functions validate their inputs and return
-through them; the sweep engine and protocol's relay-power search call
-them directly on inputs they have already checked, so a sweep cell or a
+through them. ``_velocity_raw`` is ``velocity_secrecy``'s raw value on
+plain floats: one positive-and-finite guard, then ``_geometric_raw``,
+and the public function's own error for any input the guard refuses.
+Callers that have already checked their inputs use the helpers directly:
+the sweep engine (``_geometric_raw``), protocol's ``decide`` for the
+direct link and each power-boost step and the scenario trace for its
+direct-capacity column (``_velocity_raw``), and protocol's relay-power
+search (``_relay_raw``). So a sweep cell, a decision's capacity or a
 relay-power probe and the public function agree bit for bit.
 """
 
@@ -31,6 +37,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_INF = math.inf
 
 
 def _log2_1p(x: float) -> float:
@@ -52,6 +59,21 @@ def _geometric_raw(p: float, n0: float, d: float, r: float, alpha: float) -> flo
         raise ValueError(
             f"path-loss power out of float range: d={d!r}, r={r!r}, alpha={alpha!r}"
         ) from None
+
+
+def _velocity_raw(p: float, n0: float, v: float, tau: float, r: float, alpha: float) -> float:
+    """``velocity_secrecy(p, n0, v, tau, r, alpha).raw`` bit for bit, on plain floats.
+
+    When all six inputs and d = v*tau are positive and finite this is
+    ``_geometric_raw(p, n0, v * tau, r, alpha)``, the value the public
+    function returns through. Any other input goes to ``velocity_secrecy``,
+    which raises its own error.
+    """
+    d = v * tau
+    if (0.0 < p < _INF and 0.0 < n0 < _INF and 0.0 < v < _INF and 0.0 < tau < _INF
+            and 0.0 < r < _INF and 0.0 < alpha < _INF and 0.0 < d < _INF):
+        return _geometric_raw(p, n0, d, r, alpha)
+    return velocity_secrecy(p, n0, v, tau, r, alpha).raw
 
 
 def _relay_raw(

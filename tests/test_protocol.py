@@ -316,6 +316,64 @@ class TestDecide:
         assert decide(make_csi(speed=30.0), NEAR_EVE, config).mode == "direct"
 
 
+def _public_clamped(power, n0, v, tau, r, alpha):
+    """velocity_secrecy's clamped value, or the type and message of its error."""
+    try:
+        return velocity_secrecy(power, n0, v, tau, r, alpha).clamped
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestDecideMatchesPublicFormula:
+    """decide evaluates on plain floats; every capacity is velocity_secrecy's, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        r=st.floats(min_value=1.0, max_value=1e4),
+        alpha=st.floats(min_value=0.5, max_value=4.0),
+        tau=st.floats(min_value=0.01, max_value=1.0),
+        pn0_db=st.floats(min_value=0.0, max_value=150.0),
+        # standstill, ordinary speeds, and log-uniform ones out to where
+        # d^(2*alpha) overflows or underflows (or d itself underflows to 0)
+        speed=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.1, max_value=100.0),
+            st.builds(lambda m, e: m * 10.0**e, st.floats(min_value=1.0, max_value=9.99),
+                      st.integers(min_value=-323, max_value=300)),
+        ),
+        threshold=st.floats(min_value=0.0, max_value=40.0),
+        boost_gap=st.none() | st.floats(min_value=0.0, max_value=1.5),
+    )
+    def test_capacities_equal_velocity_secrecy(
+        self, r, alpha, tau, pn0_db, speed, threshold, boost_gap
+    ):
+        scenario = LinkScenario(r=r, alpha=alpha, tau=tau, budget=PowerBudget.from_db(pn0_db))
+        p, n0 = scenario.budget.p_linear, scenario.budget.n0_linear
+        base = _public_clamped(p, n0, speed, tau, r, alpha)
+        if boost_gap is not None and isinstance(base, float) and math.isfinite(base):
+            threshold = base + boost_gap  # just above the direct link: boost steps can reach it
+        config = ProtocolConfig(thresholds=single_band(threshold))
+        try:
+            decision = decide(make_csi(speed=speed), scenario, config)
+        except ValueError as exc:
+            assert (type(exc), str(exc)) == base
+            return
+        if decision.mode == "power_boost":
+            want = _public_clamped(decision.new_power, n0, speed, tau, r, alpha)
+        else:
+            assert decision.mode in ("direct", "v2i_fallback")
+            want = base
+        assert decision.cs_achieved == want
+
+    def test_standstill_raises_velocity_secrecy_error(self):
+        p = SCENARIO.budget.p_linear
+        want = _public_clamped(p, 1.0, 0.0, SCENARIO.tau, SCENARIO.r, SCENARIO.alpha)
+        assert want == (ValueError, "v must be positive and finite, got 0.0")
+        with pytest.raises(ValueError) as exc:
+            decide(make_csi(speed=0.0), SCENARIO, ProtocolConfig())
+        assert (type(exc.value), str(exc.value)) == want
+
+
 class TestSelectRelay:
     def test_empty_candidates_rejected(self):
         with pytest.raises(NoRelayError):

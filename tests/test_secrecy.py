@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from v2vsec.channel import db_to_linear, path_loss_amplitude
 from v2vsec.kinematics import kmh_to_ms
@@ -11,6 +11,7 @@ from v2vsec.secrecy import (
     RelayConfig,
     SecrecyResult,
     WiretapNoise,
+    _velocity_raw,
     fading_secrecy,
     gaussian_wiretap,
     geometric_secrecy,
@@ -160,6 +161,36 @@ class TestVelocitySecrecy:
     def test_rejects_stationary_host(self):
         with pytest.raises(ValueError):
             velocity_secrecy(1e7, 1.0, 0.0, 0.2, 1000.0, 1.4)
+
+
+# Every edge of the positive-and-finite guard, plus ordinary and arbitrary floats.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e308, math.inf, math.nan]),
+    st.floats(min_value=1e-3, max_value=1e4),
+    st.floats(),
+)
+
+
+def _raw_or_error(fn, *args):
+    """The raw value fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestVelocityRaw:
+    @settings(max_examples=500)
+    @given(p=EDGE_FLOATS, n0=EDGE_FLOATS, v=EDGE_FLOATS, tau=EDGE_FLOATS, r=EDGE_FLOATS,
+           alpha=EDGE_FLOATS)
+    def test_equals_public_value_or_raises_its_error(self, p, n0, v, tau, r, alpha):
+        got = _raw_or_error(_velocity_raw, p, n0, v, tau, r, alpha)
+        want = _raw_or_error(lambda *a: velocity_secrecy(*a).raw, p, n0, v, tau, r, alpha)
+        if isinstance(want, float) and math.isnan(want):
+            # p/(n0*d^2a) and p/(n0*r^2a) can both overflow to inf, and inf - inf is nan
+            assert isinstance(got, float) and math.isnan(got)
+        else:
+            assert got == want
 
 
 class TestRelaySecrecy:
