@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 
+_SQRT_HALF = math.sqrt(0.5)
+
+
 class RecoveryError(ComputationError):
     """Sparse recovery hit a rank-deficient support."""
 
@@ -86,55 +89,63 @@ def encrypt(x: SparseSignal | np.ndarray, key: CsKey) -> np.ndarray:
 def decrypt(y: np.ndarray, key: CsKey, k: int) -> SparseSignal:
     """Recover a k-sparse signal from measurements under ``key``.
 
-    Generates the key's matrix once and runs :func:`omp` on it: k greedy
-    atoms, with the support's QR factors grown one column at a time and
-    one solve of the triangular R at the end instead of a least-squares
-    solve per atom. Raises :class:`RecoveryError` if the support goes
-    rank-deficient, i.e. a chosen column keeps a norm of at most
-    eps * m * its own norm outside the span of the columns before it.
+    Generates the key's matrix once and runs :func:`omp` on it, which owns
+    the input rules (y of length m, 1 <= k <= m) and raises
+    :class:`RecoveryError` if the support goes rank-deficient.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (key.m,):
-        raise ValueError(f"measurement dimension {y.shape} does not match m={key.m}")
-    if not 1 <= k <= key.m:
-        raise ValueError(f"need 1 <= k <= m, got k={k!r}")
     return omp(keygen(key), y, k)
 
 
 def omp(phi: np.ndarray, y: np.ndarray, k: int) -> SparseSignal:
     """Orthogonal matching pursuit: k greedy atoms of the m x n ``phi`` that explain ``y``.
 
+    ``y`` must have length m and k must satisfy 1 <= k <= m (more atoms
+    than measurements cannot be independent); otherwise ``ValueError``.
     Each iteration picks the column outside the support most correlated
     with the residual, normalised by the column norm. The support's QR
-    factors grow one column at a time: the new column is orthogonalised
-    against Q by Gram-Schmidt run twice, which keeps Q orthonormal to
-    rounding, and the residual loses its component along the new unit
-    vector. The coefficients solve R @ coef = Q.T @ y once, at the end.
-    A column whose part outside span(Q) has norm <= eps * m * its own
-    norm makes the support rank-deficient and raises :class:`RecoveryError`.
+    factors grow one column at a time: the new column gets one classical
+    Gram-Schmidt pass against Q, and a second pass only when the first
+    leaves less than 1/sqrt(2) of its norm ("twice is enough"), which
+    keeps Q orthonormal to working precision. The residual loses its
+    component along the new unit vector, and the coefficients solve
+    R @ coef = Q.T @ y once, at the end. A column whose part outside
+    span(Q) has norm <= eps * m * its own norm makes the support
+    rank-deficient and raises :class:`RecoveryError`.
     """
     m, n = phi.shape
     y = np.asarray(y, dtype=np.float64)
+    if y.shape != (m,):
+        raise ValueError(f"measurement dimension {y.shape} does not match m={m}")
+    if not 1 <= k <= m:
+        raise ValueError(f"need 1 <= k <= m, got k={k!r}, m={m}")
     norms = np.sqrt(np.einsum("ij,ij->j", phi, phi))
     tol = np.finfo(np.float64).eps * m
     q = np.zeros((k, m))  # rows are the orthonormal basis vectors
     r = np.zeros((k, k))
     residual = y.copy()
-    support: list[int] = []
+    corr = np.empty(n)
+    support = np.empty(k, dtype=np.intp)
     for j in range(k):
-        corr = np.abs(phi.T @ residual) / norms
-        corr[support] = 0.0
-        atom = int(np.argmax(corr))
-        support.append(atom)
-        v = phi[:, atom].copy()
-        for _ in range(2):
-            c = q[:j] @ v
-            v -= c @ q[:j]
+        np.matmul(residual, phi, out=corr)
+        np.abs(corr, out=corr)
+        np.divide(corr, norms, out=corr)
+        corr[support[:j]] = 0.0
+        atom = int(corr.argmax())
+        support[j] = atom
+        basis, column = q[:j], phi[:, atom]
+        c = basis @ column
+        v = column - c @ basis
+        r[:j, j] = c
+        norm = math.sqrt(v @ v)
+        if norm < _SQRT_HALF * norms[atom]:
+            c = basis @ v
+            v -= c @ basis
             r[:j, j] += c
-        r[j, j] = math.sqrt(v @ v)
-        if r[j, j] <= tol * norms[atom]:
+            norm = math.sqrt(v @ v)
+        if norm <= tol * norms[atom]:
             raise RecoveryError(f"rank-deficient support after {j + 1} atoms")
-        q[j] = v / r[j, j]
+        r[j, j] = norm
+        np.divide(v, norm, out=q[j])
         residual -= q[j] * (q[j] @ residual)
     coef = np.linalg.solve(r, q @ y)
     values = np.zeros(n)

@@ -490,8 +490,9 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
     The direct link and each power-boost step are evaluated on plain floats
     as ``max(0.0, _velocity_raw(...))``, which equals
     ``velocity_secrecy(...).clamped`` bit for bit; an input that function
-    refuses (a standstill report, whose d = v*tau is 0, or a boosted power
-    that overflows) raises its own ``ValueError``.
+    refuses (a standstill report, whose d = v*tau is 0, a boosted power
+    that overflows, or an SNR p/(n0*d^(2*alpha)) beyond the float range)
+    raises its own ``ValueError``.
     """
     threshold = derive_threshold(csi.speed_mps, config.thresholds)
     p = scenario.budget.p_linear

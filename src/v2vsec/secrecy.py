@@ -50,15 +50,26 @@ def _fading_raw(p: float, n0: float, h_ab: float, h_ae: float) -> float:
 
 
 def _geometric_raw(p: float, n0: float, d: float, r: float, alpha: float) -> float:
-    """Raw geometric secrecy capacity on validated positive finite floats."""
+    """Raw geometric secrecy capacity on validated positive finite floats.
+
+    ``ValueError`` if a path-loss power or an SNR quotient leaves the float
+    range, since the capacity would then come out inf or nan.
+    """
     exp = 2.0 * alpha
     try:
-        return _log2_1p(p / (n0 * d**exp)) - _log2_1p(p / (n0 * r**exp))
+        raw = _log2_1p(p / (n0 * d**exp)) - _log2_1p(p / (n0 * r**exp))
     except (OverflowError, ZeroDivisionError):
         # a path-loss power d**(2*alpha) or r**(2*alpha) left the float range
         raise ValueError(
             f"path-loss power out of float range: d={d!r}, r={r!r}, alpha={alpha!r}"
         ) from None
+    if -_INF < raw < _INF:
+        return raw
+    # an SNR quotient overflowed to inf, so raw is inf or inf - inf = nan
+    raise ValueError(
+        f"signal-to-noise ratio out of float range: p={p!r}, n0={n0!r}, d={d!r}, r={r!r}, "
+        f"alpha={alpha!r}"
+    )
 
 
 def _velocity_raw(p: float, n0: float, v: float, tau: float, r: float, alpha: float) -> float:

@@ -193,10 +193,14 @@ class TestOutOfRangeInput:
             (["ergodic-compare", "--to", "inf"], "range [6.0, inf] must be finite"),
             (["ergodic-compare", "--step", "0"], "step must be > 0, got 0.0"),
             (["ergodic-compare", "--from", "nan"], "range [nan, 24.0] must be finite"),
+            (["sweep", "--axis", "speed", "--from", "1e-4", "--to", "1e-4", "--step", "1",
+              "--alpha", "4", "--tau-ms", "10", "--pn0-db", "3000", "--r-m", "10"],
+             "axis point speed=0.0001: signal-to-noise ratio out of float range"),
         ],
         ids=["to-inf", "from-nan", "pn0-db-4000", "alpha-300", "alpha-axis-overflow",
              "relay-pa-db-4000", "relay-base-pa-db-4000", "sweep-point-count",
-             "relay-point-count", "ergodic-to-inf", "ergodic-step-0", "ergodic-from-nan"],
+             "relay-point-count", "ergodic-to-inf", "ergodic-step-0", "ergodic-from-nan",
+             "snr-overflow"],
     )
     def test_exits_1_with_message(self, capsys, argv, message):
         assert main(argv) == 1
@@ -248,6 +252,12 @@ class TestOtherCommands:
 
     def test_cs_demo_bad_dimensions_is_config_error(self):
         assert main(["cs-demo", "--n", "32", "--m", "64", "--k", "4", "--trials", "5"]) == 1
+
+    def test_cs_demo_more_atoms_than_measurements_is_config_error(self, capsys):
+        # both arms go through omp's own 1 <= k <= m rule, not a rank failure (exit 2)
+        assert main(["cs-demo", "--n", "64", "--m", "8", "--k", "16", "--trials", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("v2vsec: error: need 1 <= k <= m, got k=16, m=8"), err
 
     def test_stdout_when_no_out_flag(self, capsys):
         assert main(["sweep", "--from", "5", "--to", "6", "--step", "1"]) == 0

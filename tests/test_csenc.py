@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2vsec.csenc import (
     CsKey,
@@ -111,6 +113,17 @@ class TestDecrypt:
             decrypt(np.zeros(64), KEY, 65)
 
 
+class TestOmpInputRules:
+    @pytest.mark.parametrize("y_len, k, message", [
+        (64, 65, r"need 1 <= k <= m, got k=65, m=64"),
+        (64, 0, r"need 1 <= k <= m, got k=0, m=64"),
+        (63, 8, r"measurement dimension \(63,\) does not match m=64"),
+    ], ids=["k-above-m", "k-zero", "short-y"])
+    def test_rejects(self, y_len, k, message):
+        with pytest.raises(ValueError, match=message):
+            omp(keygen(KEY), np.ones(y_len), k)
+
+
 def _lstsq_omp(phi, y, k):
     """Reference OMP: a full least-squares solve on the support after every atom."""
     norms = np.linalg.norm(phi, axis=0)
@@ -154,6 +167,30 @@ class TestOmpAgainstLeastSquares:
             rel = np.linalg.norm(recovered - x) / xnorm
             assert (rel < 1e-6) == (np.linalg.norm(expected - x) / xnorm < 1e-6)
 
+    def test_nearly_parallel_columns_match_lstsq(self):
+        # Column 1 is column 0 turned by 1e-4 rad towards u, every other
+        # column is orthogonal to u, and y lies in the span of the pair. So
+        # once one of the pair is in the support, the residual is best
+        # explained by the other. Its first Gram-Schmidt pass leaves ~1e-4 of
+        # its norm, under 1/sqrt(2), so the second pass has to run.
+        m, n, k = 16, 48, 2
+        rng = np.random.default_rng(21)
+        u = rng.standard_normal(m)
+        u /= np.linalg.norm(u)
+        phi = rng.standard_normal((m, n)) / math.sqrt(m)
+        phi -= np.outer(u, u @ phi)
+        norm0 = np.linalg.norm(phi[:, 0])
+        theta = 1e-4
+        phi[:, 1] = math.cos(theta) * phi[:, 0] + math.sin(theta) * norm0 * u
+        x = np.zeros(n)
+        x[[0, 1]] = [1.5, -2.0]
+        y = phi @ x
+        support, coef = _lstsq_omp(phi, y, k)
+        assert sorted(support) == [0, 1]
+        recovered = omp(phi, y, k).values
+        assert sorted(np.flatnonzero(recovered)) == sorted(support)
+        assert np.max(np.abs(recovered[support] - coef)) <= 1e-9 * np.linalg.norm(x)
+
     def test_identical_columns_raise(self):
         column = np.random.default_rng(5).standard_normal((8, 1))
         phi = np.repeat(column, 3, axis=1)
@@ -162,6 +199,32 @@ class TestOmpAgainstLeastSquares:
             _lstsq_omp(phi, y, 2)
         with pytest.raises(RecoveryError):
             omp(phi, y, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.integers(min_value=4, max_value=48).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.integers(min_value=m + 1, max_value=4 * m),
+            st.integers(min_value=1, max_value=m // 2),
+        )
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_omp_coefficients_are_least_squares_on_their_support(shape, seed):
+    # Whichever atoms OMP picks, the returned values on them must fit y in
+    # the least-squares sense: the residual is orthogonal to every chosen column.
+    m, n, k = shape
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal((m, n))
+    y = rng.standard_normal(m)
+    recovered = omp(phi, y, k)
+    support = np.flatnonzero(recovered.values)
+    assert recovered.k == len(support) == k
+    phi_s = phi[:, support]
+    normal = phi_s.T @ (y - phi_s @ recovered.values[support])
+    assert np.linalg.norm(normal) <= 1e-9 * np.linalg.norm(phi_s, 2) * np.linalg.norm(y)
 
 
 def test_readme_cs_demo_counts():

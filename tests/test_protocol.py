@@ -373,6 +373,15 @@ class TestDecideMatchesPublicFormula:
             decide(make_csi(speed=0.0), SCENARIO, ProtocolConfig())
         assert (type(exc.value), str(exc.value)) == want
 
+    @pytest.mark.parametrize("r", [1e-3, 10.0], ids=["both-snrs-overflow", "direct-snr-overflows"])
+    def test_overflowing_snr_raises(self, r):
+        # d = 1e-4 m/s * 0.01 s = 1e-6 m, so p/(n0*d^8) = 1e300/1e-48 leaves the float
+        # range; unchecked, the capacity would be nan (a v2i_fallback clamped to 0) at
+        # r = 1e-3 and inf (a direct link) at r = 10
+        scenario = LinkScenario(r=r, alpha=4.0, tau=0.01, budget=PowerBudget.from_db(3000.0))
+        with pytest.raises(ValueError, match="signal-to-noise ratio out of float range"):
+            decide(make_csi(speed=1e-4), scenario, ProtocolConfig())
+
 
 class TestSelectRelay:
     def test_empty_candidates_rejected(self):

@@ -162,6 +162,11 @@ class TestVelocitySecrecy:
         with pytest.raises(ValueError):
             velocity_secrecy(1e7, 1.0, 0.0, 0.2, 1000.0, 1.4)
 
+    def test_overflowing_snr_is_value_error(self):
+        # p/(n0*d^2a) and p/(n0*r^2a) are both 1e308/5e-324 = inf, and inf - inf is nan
+        with pytest.raises(ValueError, match="signal-to-noise ratio out of float range"):
+            velocity_secrecy(1e308, 5e-324, 1.0, 1.0, 1.0, 1.0)
+
 
 # Every edge of the positive-and-finite guard, plus ordinary and arbitrary floats.
 EDGE_FLOATS = st.one_of(
@@ -186,11 +191,7 @@ class TestVelocityRaw:
     def test_equals_public_value_or_raises_its_error(self, p, n0, v, tau, r, alpha):
         got = _raw_or_error(_velocity_raw, p, n0, v, tau, r, alpha)
         want = _raw_or_error(lambda *a: velocity_secrecy(*a).raw, p, n0, v, tau, r, alpha)
-        if isinstance(want, float) and math.isnan(want):
-            # p/(n0*d^2a) and p/(n0*r^2a) can both overflow to inf, and inf - inf is nan
-            assert isinstance(got, float) and math.isnan(got)
-        else:
-            assert got == want
+        assert got == want
 
 
 class TestRelaySecrecy:

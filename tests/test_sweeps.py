@@ -311,8 +311,10 @@ class TestBadAxisPoint:
     @pytest.mark.parametrize(
         "kwargs",
         [{"pn0_db": 4000.0}, {"alpha": 300.0}, {"start": 1e200, "stop": 1e200},
-         {"start": 1e-200, "stop": 1e-200}],
-        ids=["power-overflow", "path-loss-overflow", "distance-overflow", "distance-underflow"],
+         {"start": 1e-200, "stop": 1e-200},
+         {"start": 1e-4, "stop": 1e-4, "alpha": 4.0, "tau": 0.01, "r": 10.0, "pn0_db": 3000.0}],
+        ids=["power-overflow", "path-loss-overflow", "distance-overflow", "distance-underflow",
+             "snr-overflow"],
     )
     def test_out_of_range_floats_are_sweep_errors(self, kwargs):
         spec = SweepSpec(**{"axis": "speed", "start": 5.0, "stop": 6.0, "step": 1.0, **kwargs})
