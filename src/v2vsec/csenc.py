@@ -91,7 +91,8 @@ def decrypt(y: np.ndarray, key: CsKey, k: int) -> SparseSignal:
 
     Generates the key's matrix once and runs :func:`omp` on it, which owns
     the input rules (y of length m, 1 <= k <= m) and raises
-    :class:`RecoveryError` if the support goes rank-deficient.
+    :class:`RecoveryError` if the support goes rank-deficient or y has no
+    component in span(Phi).
     """
     return omp(keygen(key), y, k)
 
@@ -102,7 +103,12 @@ def omp(phi: np.ndarray, y: np.ndarray, k: int) -> SparseSignal:
     ``y`` must have length m and k must satisfy 1 <= k <= m (more atoms
     than measurements cannot be independent); otherwise ``ValueError``.
     Each iteration picks the column outside the support most correlated
-    with the residual, normalised by the column norm. The support's QR
+    with the residual, normalised by the column norm (an all-zero column
+    counts as 0); chosen atoms are marked -1, so they are never re-picked.
+    When the best correlation is exactly 0 the residual has nothing left
+    to explain, and the pursuit stops on the atoms chosen so far (a y
+    with no component in span(phi) has none and raises
+    :class:`RecoveryError`). The support's QR
     factors grow one column at a time: the new column gets one classical
     Gram-Schmidt pass against Q, and a second pass only when the first
     leaves less than 1/sqrt(2) of its norm ("twice is enough"), which
@@ -119,6 +125,8 @@ def omp(phi: np.ndarray, y: np.ndarray, k: int) -> SparseSignal:
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k!r}, m={m}")
     norms = np.sqrt(np.einsum("ij,ij->j", phi, phi))
+    # an all-zero column correlates 0 with every residual; dividing by 1 keeps that finite
+    scale = np.where(norms > 0.0, norms, 1.0)
     tol = np.finfo(np.float64).eps * m
     q = np.zeros((k, m))  # rows are the orthonormal basis vectors
     r = np.zeros((k, k))
@@ -128,9 +136,14 @@ def omp(phi: np.ndarray, y: np.ndarray, k: int) -> SparseSignal:
     for j in range(k):
         np.matmul(residual, phi, out=corr)
         np.abs(corr, out=corr)
-        np.divide(corr, norms, out=corr)
-        corr[support[:j]] = 0.0
+        np.divide(corr, scale, out=corr)
+        corr[support[:j]] = -1.0  # below every normalised correlation, so never re-picked
         atom = int(corr.argmax())
+        if corr[atom] == 0.0:  # the residual is orthogonal to every column
+            if j == 0:
+                raise RecoveryError("y has no component in span(phi)")
+            support, q, r = support[:j], q[:j], r[:j, :j]
+            break
         support[j] = atom
         basis, column = q[:j], phi[:, atom]
         c = basis @ column

@@ -16,6 +16,13 @@ breaks a line at (``LINE_BREAKS``), so a message is always one line.
 fields are an optional '-', digits, and optionally a '.' radix point
 followed by 1-4 digits. Nothing else is a number on the wire: no
 exponent, sign '+', digit separator, surrounding whitespace, or nan/inf.
+
+:class:`CsiMessage` and :class:`LinkDecision`, built once per direct
+report, are immutable named tuples: besides field access they unpack,
+index, and compare equal to tuples of equal values. ``CsiMessage``
+validates in ``__new__``, which its ``_make`` and ``_replace`` go
+through. The other records (schedules, relay candidates and selections,
+link and protocol configuration) stay frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .channel import PowerBudget, db_to_linear
 from .secrecy import (
@@ -108,10 +116,7 @@ class NoRelayError(ValueError):
     """Relay selection was invoked with no candidates."""
 
 
-@dataclass(frozen=True)
-class CsiMessage:
-    """One channel-state report; snr_db is always exactly rx - noise."""
-
+class _CsiFields(NamedTuple):
     sender_id: str
     seq: int
     timestamp_ms: int
@@ -121,34 +126,60 @@ class CsiMessage:
     snr_db: float
     speed_mps: float
 
-    def __post_init__(self) -> None:
-        if not self.sender_id:
+
+class CsiMessage(_CsiFields):
+    """One channel-state report; snr_db is always exactly rx - noise.
+
+    An immutable named tuple whose ``__new__`` validates; ``_make`` and
+    ``_replace`` go through it, so every construction path is checked.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        sender_id: str,
+        seq: int,
+        timestamp_ms: int,
+        tx_power_dbm: float,
+        rx_power_dbm: float,
+        noise_floor_dbm: float,
+        snr_db: float,
+        speed_mps: float,
+    ) -> "CsiMessage":
+        if not sender_id:
             raise ValueError("sender_id must be nonempty")
-        if "|" in self.sender_id:
-            raise ValueError(f"sender_id must not contain '|', got {self.sender_id!r}")
-        if not LINE_BREAKS.isdisjoint(self.sender_id):
-            raise ValueError(f"sender_id must not contain a line break, got {self.sender_id!r}")
-        if self.seq < 0:
-            raise ValueError(f"seq must be >= 0, got {self.seq!r}")
-        if self.timestamp_ms < 0:
-            raise ValueError(f"timestamp_ms must be >= 0, got {self.timestamp_ms!r}")
+        if "|" in sender_id:
+            raise ValueError(f"sender_id must not contain '|', got {sender_id!r}")
+        if not LINE_BREAKS.isdisjoint(sender_id):
+            raise ValueError(f"sender_id must not contain a line break, got {sender_id!r}")
+        if seq < 0:
+            raise ValueError(f"seq must be >= 0, got {seq!r}")
+        if timestamp_ms < 0:
+            raise ValueError(f"timestamp_ms must be >= 0, got {timestamp_ms!r}")
         if not (
-            math.isfinite(self.tx_power_dbm)
-            and math.isfinite(self.rx_power_dbm)
-            and math.isfinite(self.noise_floor_dbm)
-            and math.isfinite(self.snr_db)
+            math.isfinite(tx_power_dbm)
+            and math.isfinite(rx_power_dbm)
+            and math.isfinite(noise_floor_dbm)
+            and math.isfinite(snr_db)
         ):
             raise ValueError(
-                f"power fields must be finite, got tx={self.tx_power_dbm!r} "
-                f"rx={self.rx_power_dbm!r} noise={self.noise_floor_dbm!r} snr={self.snr_db!r}"
+                f"power fields must be finite, got tx={tx_power_dbm!r} "
+                f"rx={rx_power_dbm!r} noise={noise_floor_dbm!r} snr={snr_db!r}"
             )
-        if self.snr_db != self.rx_power_dbm - self.noise_floor_dbm:
+        if snr_db != rx_power_dbm - noise_floor_dbm:
             raise ValueError(
-                f"snr_db={self.snr_db!r} must equal rx - noise = "
-                f"{self.rx_power_dbm - self.noise_floor_dbm!r}"
+                f"snr_db={snr_db!r} must equal rx - noise = "
+                f"{rx_power_dbm - noise_floor_dbm!r}"
             )
-        if not (math.isfinite(self.speed_mps) and self.speed_mps >= 0):
-            raise ValueError(f"speed_mps must be >= 0, got {self.speed_mps!r}")
+        if not (math.isfinite(speed_mps) and speed_mps >= 0):
+            raise ValueError(f"speed_mps must be >= 0, got {speed_mps!r}")
+        return tuple.__new__(cls, (sender_id, seq, timestamp_ms, tx_power_dbm, rx_power_dbm,
+                                   noise_floor_dbm, snr_db, speed_mps))
+
+    @classmethod
+    def _make(cls, iterable) -> "CsiMessage":
+        return cls(*iterable)
 
     @classmethod
     def build(
@@ -229,16 +260,7 @@ def parse_csi(line: str) -> CsiMessage:
             f"carried snr_db={snr!r} disagrees with rx - noise = {rx - noise!r}"
         )
     try:
-        return CsiMessage(
-            sender_id=sender_id,
-            seq=seq,
-            timestamp_ms=timestamp_ms,
-            tx_power_dbm=tx,
-            rx_power_dbm=rx,
-            noise_floor_dbm=noise,
-            snr_db=rx - noise,
-            speed_mps=speed,
-        )
+        return CsiMessage(sender_id, seq, timestamp_ms, tx, rx, noise, rx - noise, speed)
     except ValueError as exc:
         raise CsiMalformedFieldError(str(exc)) from None
 
@@ -350,8 +372,7 @@ class ProtocolConfig:
             raise ValueError(f"freshness_ms must be > 0, got {self.freshness_ms!r}")
 
 
-@dataclass(frozen=True)
-class LinkDecision:
+class LinkDecision(NamedTuple):
     """Outcome of one protocol pass over a CSI message.
 
     ``mode`` is one of direct, relay, power_boost, v2i_fallback.
@@ -500,7 +521,7 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
     v, tau, r, alpha = csi.speed_mps, scenario.tau, scenario.r, scenario.alpha
     base = max(0.0, _velocity_raw(p, n0, v, tau, r, alpha))
     if base >= threshold:
-        return LinkDecision(mode="direct", cs_achieved=base, threshold_used=threshold)
+        return LinkDecision("direct", base, threshold)
 
     for strategy in config.strategy_order:
         if strategy == "relay":
@@ -535,7 +556,7 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
         else:  # v2i_fallback is terminal
             break
 
-    return LinkDecision(mode="v2i_fallback", cs_achieved=base, threshold_used=threshold)
+    return LinkDecision("v2i_fallback", base, threshold)
 
 
 def _check_seq_increases(last_seq: dict[str, int], csi: CsiMessage) -> None:

@@ -36,8 +36,8 @@ from .secrecy import (
     LinkGeometry,
     RelayConfig,
     _fading_raw,
-    _geometric_raw,
     _relay_raw,
+    _velocity_raw,
     geometric_secrecy,
     relay_secrecy,  # noqa: F401  no longer called here; perfbench's tracer wraps it by this name
     velocity_secrecy,
@@ -195,33 +195,27 @@ def _public_raw(
 def _vtau_rows(spec: SweepSpec, points: list[float]) -> list[SweepRow]:
     """The d = v*tau rows, on plain floats through secrecy's own formula.
 
-    A point whose v, tau, alpha, r, d = v*tau and p = 10^(dB/10) are all
-    positive and finite is evaluated directly. Any other point goes
-    through the public ``velocity_secrecy``, which raises the error that
-    secrecy owns.
+    Each point is ``_velocity_raw`` at p = 10^(dB/10), which owns the
+    validity guard. A point it or the power conversion refuses goes
+    through the public ``velocity_secrecy``, whose error is reported
+    with the axis point.
     """
     axis, r = spec.axis, spec.r
 
     def column(name: str, fixed: float) -> list[float]:
         return points if axis == name else [fixed] * len(points)
 
-    inf = math.inf
     rows = []
     for value, v, tau, alpha, pn0_db in zip(
         points, column("speed", spec.v_mps), column("tau", spec.tau),
         column("alpha", spec.alpha), column("power_db", spec.pn0_db),
     ):
-        d = v * tau
         try:
-            p = 10.0 ** (pn0_db / 10.0)  # db_to_linear, whose checks the guard repeats
-            valid = (0 < v < inf and 0 < tau < inf and 0 < alpha < inf and 0 < r < inf
-                     and 0 < d < inf and 0 < p < inf)
-            raw = _geometric_raw(p, 1.0, d, r, alpha) if valid else None
+            # 10^(dB/10) is db_to_linear; a power it refuses fails _velocity_raw's guard
+            raw = _velocity_raw(10.0 ** (pn0_db / 10.0), 1.0, v, tau, r, alpha)
         except (OverflowError, ValueError):
-            raw = None
-        if raw is None:
             raw = _public_raw(axis, value, pn0_db, v, tau, r, alpha)
-        # v * 3.6 is ms_to_kmh on a speed the guard has checked
+        # v * 3.6 is ms_to_kmh on a speed _velocity_raw has accepted
         rows.append(SweepRow(axis, value, v, v * 3.6, alpha, tau, r, pn0_db, raw,
                              max(0.0, raw), VARIANT_VTAU))
     return rows

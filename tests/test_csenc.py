@@ -124,6 +124,33 @@ class TestOmpInputRules:
             omp(keygen(KEY), np.ones(y_len), k)
 
 
+class TestOmpDegenerateInputs:
+    @pytest.mark.parametrize("order", [range(8), [0, 4, 1, 2, 3, 5, 6, 7]])
+    def test_exact_fit_stops_on_the_atoms_chosen(self, order):
+        # After e1 the residual is exactly zero, so every correlation is 0;
+        # neither e1 again nor the dependent 2*e1 (the lowest unchosen index
+        # in the second order) may be picked next.
+        phi = np.hstack([np.eye(4), 2 * np.eye(4)])[:, list(order)]
+        expected = np.zeros(8)
+        expected[0] = 1.0
+        np.testing.assert_array_equal(omp(phi, [1, 0, 0, 0], 2).values, expected)
+
+    def test_zero_measurement_has_nothing_to_recover(self):
+        with pytest.raises(RecoveryError, match="no component in span"):
+            decrypt(encrypt(np.zeros(KEY.n), KEY), KEY, 3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_all_zero_column_is_never_picked(self):
+        rng = np.random.default_rng(3)
+        phi = rng.standard_normal((6, 10))
+        phi[:, 3] = 0.0
+        x = np.zeros(10)
+        x[[1, 7]] = [1.3, -0.7]
+        recovered = omp(phi, phi @ x, 2).values
+        assert list(np.flatnonzero(recovered)) == [1, 7]
+        assert np.max(np.abs(recovered - x)) <= 1e-12
+
+
 def _lstsq_omp(phi, y, k):
     """Reference OMP: a full least-squares solve on the support after every atom."""
     norms = np.linalg.norm(phi, axis=0)
@@ -132,7 +159,7 @@ def _lstsq_omp(phi, y, k):
     coef = np.zeros(0)
     for _ in range(k):
         corr = np.abs(phi.T @ residual) / norms
-        corr[support] = 0.0
+        corr[support] = -1.0
         support.append(int(np.argmax(corr)))
         sub = phi[:, support]
         coef, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)

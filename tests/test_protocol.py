@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from v2vsec.protocol import (
     CsiVersionError,
     DEFAULT_THRESHOLDS,
     LINE_BREAKS,
+    LinkDecision,
     LinkScenario,
     NoRelayError,
     ProtocolConfig,
@@ -93,8 +95,13 @@ class TestCsiCodec:
             parse_csi("CSI1|B|one|0|23|-60|-90|30|22.22")
 
     def test_negative_speed_rejected(self):
-        with pytest.raises(CsiMalformedFieldError):
+        # the grammar admits "-5"; CsiMessage's ValueError becomes the parse error
+        with pytest.raises(CsiMalformedFieldError, match="speed_mps must be >= 0"):
             parse_csi("CSI1|B|1|0|23|-60|-90|30|-5")
+
+    def test_empty_sender_rejected(self):
+        with pytest.raises(CsiMalformedFieldError, match="sender_id must be nonempty"):
+            parse_csi("CSI1||1|0|23|-60|-90|30|22.22")
 
     def test_non_finite_power_rejected(self):
         # abs(inf - inf) is NaN, which no tolerance comparison catches
@@ -158,6 +165,52 @@ class TestCsiCodec:
                 sender_id="B", seq=1, timestamp_ms=0, tx_power_dbm=23.0,
                 rx_power_dbm=-60.0, noise_floor_dbm=-90.0, snr_db=29.0, speed_mps=1.0,
             )
+
+
+class TestPerMessageRecords:
+    """CsiMessage and LinkDecision are immutable named tuples."""
+
+    def test_link_decision_repr_is_pinned(self):
+        # benchmark records hash repr() of decisions, so its text is part of the contract
+        assert repr(LinkDecision("direct", 1.5, 1.0)) == (
+            "LinkDecision(mode='direct', cs_achieved=1.5, threshold_used=1.0, "
+            "boost_iterations=0, relay_id=None, relay_power=None, new_power=None)"
+        )
+
+    @pytest.mark.parametrize("record, name", [
+        (make_csi(), "speed_mps"),
+        (LinkDecision("direct", 1.5, 1.0), "mode"),
+    ])
+    def test_fields_cannot_be_assigned(self, record, name):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+
+    def test_records_are_tuples_of_their_fields(self):
+        decision = LinkDecision("power_boost", 2.5, 2.0, 1, None, None, 7.0)
+        assert decision == ("power_boost", 2.5, 2.0, 1, None, None, 7.0)
+        mode, cs, threshold, *_ = decision
+        assert (mode, cs, threshold) == ("power_boost", 2.5, 2.0)
+        assert tuple(make_csi()) == ("B", 1, 0, 23.0, -60.0, -90.0, 30.0, 30.0)
+
+    def test_replace_validates(self):
+        msg = make_csi()
+        assert msg._replace(speed_mps=5.0) == make_csi(speed=5.0)
+        assert type(msg._replace(speed_mps=5.0)) is CsiMessage
+        with pytest.raises(ValueError, match="speed_mps must be >= 0"):
+            msg._replace(speed_mps=-1.0)
+
+    def test_make_validates(self):
+        msg = make_csi()
+        assert CsiMessage._make(tuple(msg)) == msg
+        with pytest.raises(ValueError, match="snr_db=29.0 must equal rx - noise"):
+            CsiMessage._make(("B", 1, 0, 23.0, -60.0, -90.0, 29.0, 1.0))
+        with pytest.raises(TypeError):
+            CsiMessage._make(tuple(msg)[:-1])
+
+    def test_pickle_round_trip_keeps_the_type(self):
+        msg = make_csi()
+        again = pickle.loads(pickle.dumps(msg))
+        assert again == msg and type(again) is CsiMessage
 
 
 def _wire_decimal(min_value=-10**9):
