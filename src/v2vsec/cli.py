@@ -35,9 +35,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _csv_floats(text: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
+        if values := [float(p) for p in text.split(",") if p.strip() != ""]:
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
 def _write_output(text: str, out: str | None) -> None:

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .channel import PowerBudget, db_to_linear
 from .secrecy import (
-    RelayConfig,
+    _path_loss_range_error,
     _relay_raw,
     _velocity_raw,
     relay_secrecy,  # noqa: F401  no longer called here; perfbench's tracer wraps it by this name
@@ -234,7 +234,7 @@ def parse_csi(line: str) -> CsiMessage:
     The carried snr_db must agree with rx - noise to within 0.01 dB; the
     stored value is the recomputed one so the message invariant is exact.
     Sequence order is a property of a stream, checked by
-    :class:`ProtocolSession` and by the scenario loader.
+    :class:`ProtocolSession`, through which the scenario loader checks too.
     """
     line = line.rstrip("\r\n")
     match = _WIRE_LINE.fullmatch(line)
@@ -356,10 +356,11 @@ class ProtocolConfig:
             raise ValueError(f"boost_step_db must be > 0, got {self.boost_step_db!r}")
         if not (math.isfinite(self.boost_cap_db) and self.boost_cap_db >= 0):
             raise ValueError(f"boost_cap_db must be >= 0, got {self.boost_cap_db!r}")
-        if self.max_boost_iterations < 1:
-            raise ValueError(
-                f"max_boost_iterations must be >= 1, got {self.max_boost_iterations!r}"
-            )
+        n = self.max_boost_iterations
+        if isinstance(n, bool) or not hasattr(n, "__index__"):  # int, numpy integers
+            raise ValueError(f"max_boost_iterations must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"max_boost_iterations must be >= 1, got {n!r}")
         valid = {"relay", "power_boost", "v2i_fallback"}
         if not self.strategy_order:
             raise ValueError("strategy_order must be nonempty")
@@ -425,18 +426,22 @@ def optimize_relay_power(
     point ever evaluated, so the result dominates all probes by
     construction. Capacity ties prefer the lower relay power.
 
-    The link is validated once per call, by one :class:`RelayConfig` at
-    p_r = p_max; every probe power lies in [0, p_max], so each probe is
-    ``max(0.0, _relay_raw(...))`` on plain floats, which equals
-    ``relay_secrecy(cfg).clamped`` at that power bit for bit.
+    Every probe is ``max(0.0, _relay_raw(...))`` on plain floats, which
+    equals ``relay_secrecy(RelayConfig(...)).clamped`` at that power bit
+    for bit. ``RelayConfig``'s checks are not repeated: ``PowerBudget``,
+    ``RelayCandidate`` and ``LinkScenario`` already hold them for their
+    fields, and the two path-loss gains, computed once per call, lie in
+    [0, max float] or raise ``_geometric_raw``'s path-loss ``ValueError``.
     """
     if not (math.isfinite(speed_mps) and speed_mps > 0):
         raise ValueError(f"speed_mps must be > 0, got {speed_mps!r}")
-    d = speed_mps * scenario.tau
-    exp = 2.0 * scenario.alpha
+    d, exp = speed_mps * scenario.tau, 2.0 * scenario.alpha
+    try:
+        h_ab, h_ae = d**-exp, scenario.r**-exp
+    except (OverflowError, ZeroDivisionError):
+        raise _path_loss_range_error(d, scenario.r, scenario.alpha) from None
     p_a, n0 = scenario.budget.p_linear, scenario.budget.n0_linear
-    h_ab, h_rb, h_ae, h_re = d**-exp, candidate.h_rb, scenario.r**-exp, candidate.h_re
-    RelayConfig(p_a, candidate.p_max, h_ab, h_rb, h_ae, h_re, n0, n0, 1.0)
+    h_rb, h_re = candidate.h_rb, candidate.h_re
 
     def capacity(p_r: float) -> float:
         return max(0.0, _relay_raw(p_a, p_r, h_ab, h_rb, h_ae, h_re, n0, n0, 1.0))
@@ -559,33 +564,15 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
     return LinkDecision("v2i_fallback", base, threshold)
 
 
-def _check_seq_increases(last_seq: dict[str, int], csi: CsiMessage) -> None:
-    """Raise CsiSeqRegressionError unless csi.seq exceeds its sender's last seq."""
-    last = last_seq.get(csi.sender_id)
-    if last is not None and csi.seq <= last:
-        raise CsiSeqRegressionError(
-            f"seq {csi.seq} from {csi.sender_id!r} does not increase past {last}"
-        )
-
-
-def _check_fresh(newest_ts: dict[str, int], csi: CsiMessage, freshness_ms: float) -> None:
-    """Raise StaleCsiError if csi lags its sender's newest timestamp by over freshness_ms."""
-    newest = newest_ts.get(csi.sender_id, csi.timestamp_ms)
-    if csi.timestamp_ms < newest - freshness_ms:
-        raise StaleCsiError(
-            f"timestamp {csi.timestamp_ms} ms from {csi.sender_id!r} is older than the "
-            f"freshness window ({freshness_ms} ms behind {newest} ms)"
-        )
-
-
 @dataclass
 class ProtocolSession:
     """Per-link session enforcing CSI ordering and freshness around decide().
 
     Per sender, sequence numbers must strictly increase, and a message whose
     timestamp lags the newest one seen from that sender by more than the
-    freshness window is rejected. ``last_seq`` and ``newest_ts`` map each
-    sender_id to the values of its accepted messages.
+    freshness window is rejected; the scenario loader checks ``[csi]`` by
+    these rules too. ``last_seq`` and ``newest_ts`` map each sender_id to
+    the values of its accepted messages.
     """
 
     scenario: LinkScenario
@@ -593,11 +580,30 @@ class ProtocolSession:
     last_seq: dict[str, int] = field(default_factory=dict, init=False)
     newest_ts: dict[str, int] = field(default_factory=dict, init=False)
 
-    def process(self, csi: CsiMessage) -> LinkDecision:
-        _check_seq_increases(self.last_seq, csi)
-        _check_fresh(self.newest_ts, csi, self.config.freshness_ms)
-        decision = decide(csi, self.scenario, self.config)
+    def check(self, csi: CsiMessage) -> None:
+        """Raise CsiSeqRegressionError or StaleCsiError unless csi may come next."""
+        sender = csi.sender_id
+        last = self.last_seq.get(sender)
+        if last is not None and csi.seq <= last:
+            raise CsiSeqRegressionError(
+                f"seq {csi.seq} from {sender!r} does not increase past {last}"
+            )
+        newest = self.newest_ts.get(sender, csi.timestamp_ms)
+        if csi.timestamp_ms < newest - self.config.freshness_ms:
+            raise StaleCsiError(
+                f"timestamp {csi.timestamp_ms} ms from {sender!r} is older than the "
+                f"freshness window ({self.config.freshness_ms} ms behind {newest} ms)"
+            )
+
+    def accept(self, csi: CsiMessage) -> None:
+        """Record csi as its sender's latest message; ``check`` it first."""
         sender = csi.sender_id
         self.last_seq[sender] = csi.seq
         self.newest_ts[sender] = max(self.newest_ts.get(sender, csi.timestamp_ms), csi.timestamp_ms)
+
+    def process(self, csi: CsiMessage) -> LinkDecision:
+        """check, decide, then accept: a message whose decision raises is not recorded."""
+        self.check(csi)
+        decision = decide(csi, self.scenario, self.config)
+        self.accept(csi)
         return decision

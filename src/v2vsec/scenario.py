@@ -51,8 +51,6 @@ from .protocol import (
     RelayCandidate,
     StaleCsiError,
     ThresholdSchedule,
-    _check_fresh,
-    _check_seq_increases,
     parse_csi,
 )
 from .secrecy import _velocity_raw
@@ -239,19 +237,15 @@ def load_scenario(path: str | Path) -> Scenario:
     if not parser.has_section("csi"):
         raise ScenarioError("csi: missing section")
     messages = []
-    last_seq: dict[str, int] = {}  # per sender_id, as ProtocolSession keeps them
-    newest_ts: dict[str, int] = {}
+    session = ProtocolSession(link, config)  # owns the stream-order rules
     for i, line in enumerate(_indexed_values(parser["csi"], "csi", "line")):
         try:
             msg = parse_csi(line)
-            _check_seq_increases(last_seq, msg)
-            _check_fresh(newest_ts, msg, config.freshness_ms)
+            session.check(msg)
         except (CsiParseError, StaleCsiError) as exc:
             raise ScenarioError(f"csi.line.{i}: {exc}") from None
+        session.accept(msg)
         messages.append(msg)
-        sender = msg.sender_id
-        last_seq[sender] = msg.seq
-        newest_ts[sender] = max(newest_ts.get(sender, msg.timestamp_ms), msg.timestamp_ms)
     if not messages:
         raise ScenarioError("csi: needs at least one line")
 

@@ -11,12 +11,12 @@ float-level helpers ``_fading_raw``, ``_geometric_raw`` and
 through them. ``_velocity_raw`` is ``velocity_secrecy``'s raw value on
 plain floats: one positive-and-finite guard, then ``_geometric_raw``,
 and the public function's own error for any input the guard refuses.
-Callers that have already checked their inputs use the helpers directly:
-the sweep engine (``_geometric_raw``), protocol's ``decide`` for the
-direct link and each power-boost step and the scenario trace for its
-direct-capacity column (``_velocity_raw``), and protocol's relay-power
-search (``_relay_raw``). So a sweep cell, a decision's capacity or a
-relay-power probe and the public function agree bit for bit.
+``_velocity_raw`` serves the sweep engine's d = v*tau rows, protocol's
+``decide`` and the scenario trace's direct-capacity column. ``_relay_raw``
+serves protocol's relay-power search and, with ``_fading_raw``, the
+relay-compare table; both hold inputs that ``RelayConfig`` accepts. So
+a sweep cell, a decision's capacity or a relay-power probe and the
+public function agree bit for bit.
 """
 
 from __future__ import annotations
@@ -49,6 +49,11 @@ def _fading_raw(p: float, n0: float, h_ab: float, h_ae: float) -> float:
     return _log2_1p(p * (h_ab * h_ab) / n0) - _log2_1p(p * (h_ae * h_ae) / n0)
 
 
+def _path_loss_range_error(d: float, r: float, alpha: float) -> ValueError:
+    """The error for a path-loss power d**(2*alpha) or r**(2*alpha) beyond the float range."""
+    return ValueError(f"path-loss power out of float range: d={d!r}, r={r!r}, alpha={alpha!r}")
+
+
 def _geometric_raw(p: float, n0: float, d: float, r: float, alpha: float) -> float:
     """Raw geometric secrecy capacity on validated positive finite floats.
 
@@ -60,9 +65,7 @@ def _geometric_raw(p: float, n0: float, d: float, r: float, alpha: float) -> flo
         raw = _log2_1p(p / (n0 * d**exp)) - _log2_1p(p / (n0 * r**exp))
     except (OverflowError, ZeroDivisionError):
         # a path-loss power d**(2*alpha) or r**(2*alpha) left the float range
-        raise ValueError(
-            f"path-loss power out of float range: d={d!r}, r={r!r}, alpha={alpha!r}"
-        ) from None
+        raise _path_loss_range_error(d, r, alpha) from None
     if -_INF < raw < _INF:
         return raw
     # an SNR quotient overflowed to inf, so raw is inf or inf - inf = nan
@@ -98,7 +101,7 @@ def _relay_raw(
     sigma_e2: float,
     w: float,
 ) -> float:
-    """Raw relay-model secrecy capacity on the fields of a valid :class:`RelayConfig`."""
+    """Raw relay-model secrecy capacity on floats that :class:`RelayConfig` would accept."""
     snr_b = p_a * h_ab / (p_r * h_rb + sigma_b2)
     snr_e = p_a * h_ae / (p_r * h_re + sigma_e2)
     return w * (_log2_1p(snr_b) - _log2_1p(snr_e))

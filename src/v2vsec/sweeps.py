@@ -9,10 +9,12 @@ byte-identical.
 The sweep and relay-compare tables are evaluated on plain Python floats
 through the private formula helpers in :mod:`v2vsec.secrecy`, the same
 ones the public functions return through, so every cell equals the
-public function's value bit for bit. Each point passes one cheap
-positive-and-finite guard; a point that fails it is handed to the public
-function (or to ``RelayConfig``'s checks), whose error names the field,
-and is reported as ``axis point <axis>=<value>: ...``. Rows are
+public function's value bit for bit. A sweep point takes one path:
+``_velocity_raw``, whose guard hands a bad point to ``velocity_secrecy``
+for its error. A relay-compare point passes one positive-and-finite
+guard on the swept power, and one that fails goes through
+``RelayConfig``'s checks. Either error names the field and is reported
+as ``axis point <axis>=<value>: ...``. Rows are
 :class:`SweepRow` named tuples, and each CSV line is one ``%``-format
 string with fmt_num's ``%.6g`` per numeric cell.
 """
@@ -40,7 +42,7 @@ from .secrecy import (
     _velocity_raw,
     geometric_secrecy,
     relay_secrecy,  # noqa: F401  no longer called here; perfbench's tracer wraps it by this name
-    velocity_secrecy,
+    velocity_secrecy,  # noqa: F401  not called here; perfbench's tracer wraps it by this name
 )
 
 __all__ = [
@@ -182,23 +184,12 @@ def axis_points(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(_point_count(start, stop, step))]
 
 
-def _public_raw(
-    axis: str, value: float, pn0_db: float, v: float, tau: float, r: float, alpha: float
-) -> float:
-    """Raw capacity by the public formula; its error, named by the axis point, if it refuses."""
-    try:
-        return velocity_secrecy(db_to_linear(pn0_db), 1.0, v, tau, r, alpha).raw
-    except ValueError as exc:
-        raise SweepError(f"axis point {axis}={fmt_num(value)}: {exc}") from None
-
-
 def _vtau_rows(spec: SweepSpec, points: list[float]) -> list[SweepRow]:
     """The d = v*tau rows, on plain floats through secrecy's own formula.
 
-    Each point is ``_velocity_raw`` at p = 10^(dB/10), which owns the
-    validity guard. A point it or the power conversion refuses goes
-    through the public ``velocity_secrecy``, whose error is reported
-    with the axis point.
+    Each point is ``_velocity_raw`` at p = ``db_to_linear(pn0_db)``. The
+    error of a point either refuses (``_velocity_raw`` raises
+    ``velocity_secrecy``'s) is reported with the axis point.
     """
     axis, r = spec.axis, spec.r
 
@@ -211,10 +202,9 @@ def _vtau_rows(spec: SweepSpec, points: list[float]) -> list[SweepRow]:
         column("alpha", spec.alpha), column("power_db", spec.pn0_db),
     ):
         try:
-            # 10^(dB/10) is db_to_linear; a power it refuses fails _velocity_raw's guard
-            raw = _velocity_raw(10.0 ** (pn0_db / 10.0), 1.0, v, tau, r, alpha)
-        except (OverflowError, ValueError):
-            raw = _public_raw(axis, value, pn0_db, v, tau, r, alpha)
+            raw = _velocity_raw(db_to_linear(pn0_db), 1.0, v, tau, r, alpha)
+        except ValueError as exc:
+            raise SweepError(f"axis point {axis}={fmt_num(value)}: {exc}") from None
         # v * 3.6 is ms_to_kmh on a speed _velocity_raw has accepted
         rows.append(SweepRow(axis, value, v, v * 3.6, alpha, tau, r, pn0_db, raw,
                              max(0.0, raw), VARIANT_VTAU))

@@ -108,6 +108,15 @@ class TestSweepCommand:
         assert main(["sweep", "--axis", "alpha", "--from", "1", "--to", "2", "--step", "0.5",
                      "--alpha", "1,2"]) == 1
 
+    @pytest.mark.parametrize("flag,value", [("--alpha", ""), ("--tau-ms", ""), ("--pn0-db", ",")])
+    def test_empty_float_list_is_usage_error(self, capsys, flag, value):
+        assert main(["sweep", "--from", "5", "--to", "6", "--step", "1", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"v2vsec: error: argument {flag}: not a comma-separated float list: {value!r}\n"
+        )
+
     def test_missing_range_for_non_speed_axis(self):
         assert main(["sweep", "--axis", "tau"]) == 1
 

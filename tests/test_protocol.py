@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2vsec import protocol
 from v2vsec.channel import PowerBudget, db_to_linear
 from v2vsec.protocol import (
     COARSE_GRID_POINTS,
@@ -600,26 +599,33 @@ class TestRelayPowerExactness:
                 got = optimize_relay_power(scenario, cand, speed)
                 assert got == per_probe_relay_power(scenario, cand, speed)
 
-    def test_validates_once_per_call(self, monkeypatch):
-        built = []
 
-        class CountingRelayConfig(RelayConfig):
-            def __post_init__(self):
-                built.append(self)
-                super().__post_init__()
+class TestRelaySearchErrors:
+    """A path-loss gain beyond the float range is a ValueError, not a bare float error."""
 
-        monkeypatch.setattr(protocol, "RelayConfig", CountingRelayConfig)
-        cand = RelayCandidate("jam", h_rb=0.01, h_re=2.0, p_max=20.0)
-        optimize_relay_power(NEAR_EVE, cand, 30.0)
-        assert len(built) == 1
-        assert built[0].p_r == cand.p_max
+    # (speed, r): d = speed * tau overflows d**-2.8, d underflows to 0, r overflows r**-2.8
+    OUT_OF_RANGE = [(1e-300, 1000.0), (5e-324, 1000.0), (30.0, 1e-200)]
 
-    def test_invalid_link_raises_before_any_probe(self):
-        # a negative gain slipped past RelayCandidate still fails RelayConfig's check
-        cand = RelayCandidate("x", h_rb=0.1, h_re=0.1, p_max=1.0)
-        object.__setattr__(cand, "h_re", -1.0)
-        with pytest.raises(ValueError, match="h_re must be >= 0"):
-            optimize_relay_power(NEAR_EVE, cand, 30.0)
+    @staticmethod
+    def case(speed, r):
+        scenario = LinkScenario(r=r, alpha=1.4, tau=0.2, budget=PowerBudget.from_db(70.0))
+        cand = RelayCandidate("a", h_rb=1e-3, h_re=1e-3, p_max=1.0)
+        message = f"path-loss power out of float range: d={speed * 0.2!r}, r={r!r}, alpha=1.4"
+        return scenario, cand, message
+
+    @pytest.mark.parametrize("speed,r", OUT_OF_RANGE)
+    def test_optimize_relay_power(self, speed, r):
+        scenario, cand, message = self.case(speed, r)
+        with pytest.raises(ValueError) as info:
+            optimize_relay_power(scenario, cand, speed)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("speed,r", OUT_OF_RANGE)
+    def test_select_relay(self, speed, r):
+        scenario, cand, message = self.case(speed, r)
+        with pytest.raises(ValueError) as info:
+            select_relay([cand], scenario, speed)
+        assert str(info.value) == message
 
 
 class TestCoarseGrid:
@@ -704,6 +710,9 @@ class TestConfigValidation:
         [
             dict(boost_step_db=0.0),
             dict(max_boost_iterations=0),
+            dict(max_boost_iterations=2.5),
+            dict(max_boost_iterations=True),
+            dict(max_boost_iterations=math.inf),
             dict(strategy_order=("relay", "relay")),
             dict(strategy_order=("warp",)),
             dict(freshness_ms=0.0),

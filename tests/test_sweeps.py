@@ -321,6 +321,34 @@ class TestBadAxisPoint:
         with pytest.raises(SweepError, match=r"^axis point speed="):
             run_sweep(spec)
 
+    @pytest.mark.parametrize(
+        "axis,value,fixed",
+        [
+            ("speed", 5.0, {"pn0_db": math.nan}),
+            ("speed", 5.0, {"pn0_db": math.inf}),
+            ("speed", 5.0, {"pn0_db": -math.inf}),
+            ("power_db", -4000.0, {}),
+            ("power_db", 4000.0, {}),
+            ("speed", 0.0, {}),
+            ("tau", 0.0, {}),
+            ("alpha", 0.0, {}),
+            ("speed", 5.0, {"r": 0.0}),
+            # p = 1e300 over r**8 = 1e-24 overflows the eavesdropper's SNR
+            ("power_db", 3000.0, {"alpha": 4.0, "r": 1e-3}),
+        ],
+        ids=["pn0-nan", "pn0-inf", "pn0-minus-inf", "pn0-minus-4000", "pn0-4000", "v-0",
+             "tau-0", "alpha-0", "r-0", "snr-overflow"],
+    )
+    def test_message_is_the_public_formulas(self, axis, value, fixed):
+        spec = SweepSpec(axis=axis, start=value, stop=value, step=1.0, **fixed)
+        point = {"speed": "v_mps", "power_db": "pn0_db", "tau": "tau", "alpha": "alpha"}[axis]
+        at = replace(spec, **{point: value})
+        with pytest.raises(ValueError) as public:
+            velocity_secrecy(db_to_linear(at.pn0_db), 1.0, at.v_mps, at.tau, at.r, at.alpha)
+        with pytest.raises(SweepError) as info:
+            run_sweep(spec)
+        assert str(info.value) == f"axis point {axis}={fmt_num(value)}: {public.value}"
+
     @pytest.mark.parametrize("start,stop", [(5.0, math.inf), (math.nan, 5.0), (5.0, math.nan),
                                             (-math.inf, 5.0)])
     def test_non_finite_range_is_rejected(self, start, stop):
