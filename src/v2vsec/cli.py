@@ -167,7 +167,6 @@ def _cmd_relay_compare(args) -> str:
 
 
 def _cmd_ergodic_compare(args) -> str:
-    from .ergodic import DEFAULT_SEED
     from .sweeps import axis_points, run_ergodic_compare
 
     eaves = FadingModel.rayleigh() if args.eaves == "rayleigh" else None
@@ -176,22 +175,23 @@ def _cmd_ergodic_compare(args) -> str:
         legit_fading=FadingModel.rayleigh(),
         eaves_fading=eaves,
         n_samples=args.samples,
-        seed=DEFAULT_SEED if args.seed is None else args.seed,
+        seed=args.seed,
     )
     return "\n".join(lines) + "\n"
 
 
 def _cmd_protocol_trace(args) -> str:
     scenario = load_scenario(args.scenario)
-    return trace_to_csv(run_protocol_trace(scenario))
+    try:  # the file loaded, so a ValueError now is the replay's own failure (exit 2)
+        return trace_to_csv(run_protocol_trace(scenario))
+    except ValueError as exc:
+        raise ComputationError(str(exc)) from exc
 
 
 def _cmd_cs_demo(args) -> str:
-    from .ergodic import DEFAULT_SEED
     from .sweeps import run_cs_demo
 
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    lines = run_cs_demo(n=args.n, m=args.m, k=args.k, trials=args.trials, seed=seed)
+    lines = run_cs_demo(n=args.n, m=args.m, k=args.k, trials=args.trials, seed=args.seed)
     return "\n".join(lines) + "\n"
 
 

@@ -34,6 +34,7 @@ from typing import NamedTuple
 
 from .channel import PowerBudget, db_to_linear
 from .secrecy import (
+    _check_positive,
     _path_loss_range_error,
     _relay_raw,
     _velocity_raw,
@@ -431,11 +432,14 @@ def optimize_relay_power(
     for bit. ``RelayConfig``'s checks are not repeated: ``PowerBudget``,
     ``RelayCandidate`` and ``LinkScenario`` already hold them for their
     fields, and the two path-loss gains, computed once per call, lie in
-    [0, max float] or raise ``_geometric_raw``'s path-loss ``ValueError``.
+    [0, max float] or raise ``_geometric_raw``'s path-loss ``ValueError``;
+    an overflowing d = speed*tau raises ``velocity_secrecy``'s error for d.
     """
     if not (math.isfinite(speed_mps) and speed_mps > 0):
         raise ValueError(f"speed_mps must be > 0, got {speed_mps!r}")
     d, exp = speed_mps * scenario.tau, 2.0 * scenario.alpha
+    if d == math.inf:
+        _check_positive("d", d)  # raises, with the message velocity_secrecy gives
     try:
         h_ab, h_ae = d**-exp, scenario.r**-exp
     except (OverflowError, ZeroDivisionError):
@@ -514,11 +518,12 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
     order; v2i_fallback is the terminal outcome when everything fails.
 
     The direct link and each power-boost step are evaluated on plain floats
-    as ``max(0.0, _velocity_raw(...))``, which equals
-    ``velocity_secrecy(...).clamped`` bit for bit; an input that function
-    refuses (a standstill report, whose d = v*tau is 0, a boosted power
-    that overflows, or an SNR p/(n0*d^(2*alpha)) beyond the float range)
-    raises its own ``ValueError``.
+    as ``max(0.0, _velocity_raw(...))``, which is
+    ``velocity_secrecy(...).clamped``. A direct link it refuses (a
+    standstill report, whose d = v*tau is 0, or an SNR p/(n0*d^(2*alpha))
+    beyond the float range) raises its ``ValueError``. A boost step it
+    refuses (the boosted power or its SNR left the float range) ends the
+    power-boost strategy, and the ladder goes on to the next one.
     """
     threshold = derive_threshold(csi.speed_mps, config.thresholds)
     p = scenario.budget.p_linear
@@ -549,7 +554,10 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
                 if total_db > config.boost_cap_db + 1e-12:
                     break
                 boosted = p * db_to_linear(total_db)
-                cs = max(0.0, _velocity_raw(boosted, n0, v, tau, r, alpha))
+                try:
+                    cs = max(0.0, _velocity_raw(boosted, n0, v, tau, r, alpha))
+                except ValueError:  # boosted or its SNR left the float range; so would later steps
+                    break
                 if cs >= threshold:
                     return LinkDecision(
                         mode="power_boost",

@@ -53,7 +53,7 @@ from .protocol import (
     ThresholdSchedule,
     parse_csi,
 )
-from .secrecy import _velocity_raw
+from .secrecy import velocity_secrecy
 
 __all__ = [
     "ScenarioError",
@@ -259,15 +259,15 @@ def run_protocol_trace(scenario: Scenario) -> list[TraceRecord]:
     session = ProtocolSession(scenario=link, config=scenario.config)
     records = []
     for msg in scenario.messages:
-        direct = _velocity_raw(p, n0, msg.speed_mps, link.tau, link.r, link.alpha)
+        direct = velocity_secrecy(p, n0, msg.speed_mps, link.tau, link.r, link.alpha)
         decision = session.process(msg)
         records.append(
             TraceRecord(
                 seq=msg.seq,
                 timestamp_ms=msg.timestamp_ms,
                 speed_mps=msg.speed_mps,
-                cs_raw=direct,
-                cs_clamped=max(0.0, direct),
+                cs_raw=direct.raw,
+                cs_clamped=direct.clamped,
                 decision=decision,
             )
         )

@@ -8,15 +8,13 @@ protocol decisions use the clamped one.
 The fading, geometric and relay formulas live once, in the private
 float-level helpers ``_fading_raw``, ``_geometric_raw`` and
 ``_relay_raw``. The public functions validate their inputs and return
-through them. ``_velocity_raw`` is ``velocity_secrecy``'s raw value on
-plain floats: one positive-and-finite guard, then ``_geometric_raw``,
-and the public function's own error for any input the guard refuses.
-``_velocity_raw`` serves the sweep engine's d = v*tau rows, protocol's
-``decide`` and the scenario trace's direct-capacity column. ``_relay_raw``
-serves protocol's relay-power search and, with ``_fading_raw``, the
-relay-compare table; both hold inputs that ``RelayConfig`` accepts. So
-a sweep cell, a decision's capacity or a relay-power probe and the
-public function agree bit for bit.
+through them. ``_velocity_raw`` owns the velocity rule: one guard, then
+``_geometric_raw`` or the first failing field's error. It serves
+``velocity_secrecy``, the sweep engine's d = v*tau rows and protocol's
+``decide``. ``_relay_raw`` serves protocol's relay-power search and,
+with ``_fading_raw``, the relay-compare table; both hold inputs that
+``RelayConfig`` accepts. So a sweep cell, a decision's capacity or a
+relay-power probe and the public function agree bit for bit.
 """
 
 from __future__ import annotations
@@ -76,18 +74,18 @@ def _geometric_raw(p: float, n0: float, d: float, r: float, alpha: float) -> flo
 
 
 def _velocity_raw(p: float, n0: float, v: float, tau: float, r: float, alpha: float) -> float:
-    """``velocity_secrecy(p, n0, v, tau, r, alpha).raw`` bit for bit, on plain floats.
+    """Raw secrecy capacity at speed v, with separation d = v*tau, on plain floats.
 
-    When all six inputs and d = v*tau are positive and finite this is
-    ``_geometric_raw(p, n0, v * tau, r, alpha)``, the value the public
-    function returns through. Any other input goes to ``velocity_secrecy``,
-    which raises its own error.
+    When all six inputs and d are positive and finite this is
+    ``_geometric_raw(p, n0, v * tau, r, alpha)``. Otherwise the first of
+    v, tau, r, d, p, n0, alpha that is not raises ``_check_positive``'s error.
     """
     d = v * tau
-    if (0.0 < p < _INF and 0.0 < n0 < _INF and 0.0 < v < _INF and 0.0 < tau < _INF
+    if not (0.0 < p < _INF and 0.0 < n0 < _INF and 0.0 < v < _INF and 0.0 < tau < _INF
             and 0.0 < r < _INF and 0.0 < alpha < _INF and 0.0 < d < _INF):
-        return _geometric_raw(p, n0, d, r, alpha)
-    return velocity_secrecy(p, n0, v, tau, r, alpha).raw
+        for name, value in zip("v tau r d p n0 alpha".split(), (v, tau, r, d, p, n0, alpha)):
+            _check_positive(name, value)
+    return _geometric_raw(p, n0, d, r, alpha)
 
 
 def _relay_raw(
@@ -237,9 +235,7 @@ def velocity_secrecy(
     v must be strictly positive: a stationary host gives d = 0, the
     singular point of the path-loss model.
     """
-    _check_positive("v", v)
-    _check_positive("tau", tau)
-    return geometric_secrecy(p, n0, LinkGeometry(r=r, d=v * tau), alpha)
+    return SecrecyResult.from_raw(_velocity_raw(p, n0, v, tau, r, alpha))
 
 
 def relay_secrecy(cfg: RelayConfig) -> SecrecyResult:

@@ -10,10 +10,11 @@ The sweep and relay-compare tables are evaluated on plain Python floats
 through the private formula helpers in :mod:`v2vsec.secrecy`, the same
 ones the public functions return through, so every cell equals the
 public function's value bit for bit. A sweep point takes one path:
-``_velocity_raw``, whose guard hands a bad point to ``velocity_secrecy``
-for its error. A relay-compare point passes one positive-and-finite
-guard on the swept power, and one that fails goes through
-``RelayConfig``'s checks. Either error names the field and is reported
+``_velocity_raw``, which owns the velocity rule and raises the first
+failing field's error. A relay-compare point takes one path too: a
+``pa_db`` point goes through ``db_to_linear``, the swept power passes
+one positive-and-finite guard, and ``RelayConfig`` owns the error of a
+power the guard refuses. Either error names the field and is reported
 as ``axis point <axis>=<value>: ...``. Rows are
 :class:`SweepRow` named tuples, and each CSV line is one ``%``-format
 string with fmt_num's ``%.6g`` per numeric cell.
@@ -188,8 +189,7 @@ def _vtau_rows(spec: SweepSpec, points: list[float]) -> list[SweepRow]:
     """The d = v*tau rows, on plain floats through secrecy's own formula.
 
     Each point is ``_velocity_raw`` at p = ``db_to_linear(pn0_db)``. The
-    error of a point either refuses (``_velocity_raw`` raises
-    ``velocity_secrecy``'s) is reported with the axis point.
+    error of a point either refuses is reported with the axis point.
     """
     axis, r = spec.axis, spec.r
 
@@ -310,9 +310,10 @@ def run_relay_compare(
 
     ``axis`` is ``pa_db`` (sweeps p_a in dB over sigma_b2) or ``pr``
     (sweeps p_r linearly). Returns formatted CSV lines including header.
-    ``base`` is a validated :class:`RelayConfig`, so only the swept powers
-    are checked per point; a point that fails goes through
-    ``dataclasses.replace``, whose checks name the field.
+    ``base`` is a validated :class:`RelayConfig`, so only the swept power
+    is checked per point, by one guard; ``db_to_linear`` owns the error of
+    an overflowing dB value, and ``RelayConfig`` the field-named error of
+    a power the guard refuses.
     """
     if axis not in ("pa_db", "pr"):
         raise SweepError(f"axis must be pa_db or pr, got {axis!r}")
@@ -327,21 +328,13 @@ def run_relay_compare(
     for value in axis_points(start, stop, step):
         try:
             if axis == "pa_db":
-                p_a = sigma_b2 * 10.0 ** (value / 10.0)  # db_to_linear; the guard checks it
+                p_a = sigma_b2 * db_to_linear(value)
             else:
                 p_r = value
-            valid = 0 < p_a < inf and 0 <= p_r < inf
-        except OverflowError:
-            valid = False
-        if not valid:
-            try:
-                if axis == "pa_db":
-                    cfg = replace(base, p_a=sigma_b2 * db_to_linear(value))
-                else:
-                    cfg = replace(base, p_r=value)
-            except ValueError as exc:
-                raise SweepError(f"axis point {axis}={fmt_num(value)}: {exc}") from None
-            p_a, p_r = cfg.p_a, cfg.p_r
+            if not (0 < p_a < inf and 0 <= p_r < inf):
+                replace(base, p_a=p_a, p_r=p_r)  # raises RelayConfig's field-named error
+        except ValueError as exc:
+            raise SweepError(f"axis point {axis}={fmt_num(value)}: {exc}") from None
         on = _relay_raw(p_a, p_r, *gains, sigma_b2, sigma_e2, w)
         off = _relay_raw(p_a, 0.0, *gains, sigma_b2, sigma_e2, w)
         if sigma_b2 == sigma_e2:
@@ -418,10 +411,12 @@ def run_ergodic_compare(
     return lines
 
 
-def run_cs_demo(n: int, m: int, k: int, trials: int, seed: int) -> list[str]:
+def run_cs_demo(n: int, m: int, k: int, trials: int, seed: int | None = None) -> list[str]:
     """Correct-key and wrong-key recovery statistics over seeded trials."""
     if trials < 1:
         raise SweepError(f"trials must be >= 1, got {trials!r}")
+    if seed is None:
+        seed = DEFAULT_SEED
     rng = np.random.default_rng(seed)
     stats = {"correct_key": [0, 0.0], "wrong_key": [0, 0.0]}
     for t in range(trials):

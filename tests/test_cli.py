@@ -253,6 +253,26 @@ class TestOtherCommands:
                        "line.0 = CSI1|B|1|0|23|-60|-90|30|20\n", encoding="utf-8")
         assert main(["protocol-trace", "--scenario", str(scn)]) == 1
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (SCENARIO_TEXT.replace("|30|28", "|30|0"), "v must be positive and finite, got 0.0"),
+            ("[link]\nr_m = 10\nalpha = 4\ntau_s = 0.01\npn0_db = 3000\n[csi]\n"
+             "line.0 = CSI1|B|1|0|23|-60|-90|30|0.0001\n",
+             "signal-to-noise ratio out of float range"),
+        ],
+        ids=["standstill", "snr-overflow"],
+    )
+    def test_replay_failure_exits_2(self, tmp_path, capsys, text, message):
+        # the file loads; the failure comes while replaying it, so nothing is written
+        scn = tmp_path / "s.ini"
+        scn.write_text(text, encoding="utf-8")
+        out = tmp_path / "trace.csv"
+        assert main(["protocol-trace", "--scenario", str(scn), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("v2vsec: assertion failure: " + message), err
+        assert not out.exists()
+
     def test_cs_demo_runs(self, tmp_path):
         out = tmp_path / "cs.csv"
         assert main(["cs-demo", "--n", "64", "--m", "32", "--k", "4",

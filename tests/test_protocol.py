@@ -425,6 +425,20 @@ class TestDecideMatchesPublicFormula:
             decide(make_csi(speed=0.0), SCENARIO, ProtocolConfig())
         assert (type(exc.value), str(exc.value)) == want
 
+    def test_boost_step_beyond_float_range_falls_back(self):
+        # d = 1e-302 m/s * 0.01 s = 1e-304 m: the direct link is finite (~1009.87 bits),
+        # and the 2-8 dB boosts gain under 0.001 bits; the 10 dB boost puts p/(n0*d)
+        # beyond the float range
+        scenario = LinkScenario(r=1.0, alpha=0.5, tau=0.01, budget=PowerBudget.from_db(33.0))
+        p = scenario.budget.p_linear
+        base = velocity_secrecy(p, 1.0, 1e-302, 0.01, 1.0, 0.5).clamped
+        assert math.isfinite(base)
+        with pytest.raises(ValueError, match="signal-to-noise ratio out of float range"):
+            velocity_secrecy(p * db_to_linear(10.0), 1.0, 1e-302, 0.01, 1.0, 0.5)
+        config = ProtocolConfig(thresholds=single_band(base + 1.0))
+        decision = decide(make_csi(speed=1e-302), scenario, config)
+        assert decision == LinkDecision("v2i_fallback", base, base + 1.0)
+
     @pytest.mark.parametrize("r", [1e-3, 10.0], ids=["both-snrs-overflow", "direct-snr-overflows"])
     def test_overflowing_snr_raises(self, r):
         # d = 1e-4 m/s * 0.01 s = 1e-6 m, so p/(n0*d^8) = 1e300/1e-48 leaves the float
@@ -626,6 +640,21 @@ class TestRelaySearchErrors:
         with pytest.raises(ValueError) as info:
             select_relay([cand], scenario, speed)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("search", [
+        optimize_relay_power,
+        lambda scenario, cand, speed: select_relay([cand], scenario, speed),
+    ], ids=["optimize_relay_power", "select_relay"])
+    def test_overflowing_separation(self, search):
+        # d = 1e300 * 1e10 overflows to inf, whose path-loss gain would read 0
+        scenario = LinkScenario(r=1000.0, alpha=1.4, tau=1e10, budget=PowerBudget.from_db(70.0))
+        cand = RelayCandidate("a", h_rb=1e-3, h_re=1e-3, p_max=1.0)
+        with pytest.raises(ValueError) as info:
+            search(scenario, cand, 1e300)
+        assert str(info.value) == "d must be positive and finite, got inf"
+        with pytest.raises(ValueError) as public:
+            velocity_secrecy(1e7, 1.0, 1e300, 1e10, 1000.0, 1.4)
+        assert str(public.value) == str(info.value)
 
 
 class TestCoarseGrid:

@@ -11,6 +11,7 @@ from v2vsec.secrecy import (
     RelayConfig,
     SecrecyResult,
     WiretapNoise,
+    _check_positive,
     _velocity_raw,
     fading_secrecy,
     gaussian_wiretap,
@@ -184,14 +185,23 @@ def _raw_or_error(fn, *args):
         return type(exc), str(exc)
 
 
+def _velocity_chain_raw(p, n0, v, tau, r, alpha):
+    """The velocity rule as the public functions compose it: v and tau checked,
+    then the geometric formula at d = v*tau."""
+    _check_positive("v", v)
+    _check_positive("tau", tau)
+    return geometric_secrecy(p, n0, LinkGeometry(r=r, d=v * tau), alpha).raw
+
+
 class TestVelocityRaw:
     @settings(max_examples=500)
     @given(p=EDGE_FLOATS, n0=EDGE_FLOATS, v=EDGE_FLOATS, tau=EDGE_FLOATS, r=EDGE_FLOATS,
            alpha=EDGE_FLOATS)
     def test_equals_public_value_or_raises_its_error(self, p, n0, v, tau, r, alpha):
         got = _raw_or_error(_velocity_raw, p, n0, v, tau, r, alpha)
-        want = _raw_or_error(lambda *a: velocity_secrecy(*a).raw, p, n0, v, tau, r, alpha)
+        want = _raw_or_error(_velocity_chain_raw, p, n0, v, tau, r, alpha)
         assert got == want
+        assert _raw_or_error(lambda *a: velocity_secrecy(*a).raw, p, n0, v, tau, r, alpha) == got
 
 
 class TestRelaySecrecy:

@@ -535,3 +535,9 @@ class TestCsDemo:
     def test_rejects_zero_trials(self):
         with pytest.raises(SweepError):
             run_cs_demo(n=64, m=32, k=4, trials=0, seed=1)
+
+    def test_seed_defaults_to_ergodic_default(self):
+        from v2vsec.ergodic import DEFAULT_SEED
+
+        assert run_cs_demo(n=32, m=16, k=2, trials=2) == run_cs_demo(
+            n=32, m=16, k=2, trials=2, seed=DEFAULT_SEED)
