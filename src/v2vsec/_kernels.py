@@ -6,12 +6,20 @@
 Called with arrays alone, a kernel accepts any states and allocates its
 result; ``gamma_allocation`` then skips the unfavourable states (a <= b)
 with ufunc ``where=`` masks. The estimator instead passes keyword-only
-``out`` (receives the result) and ``work`` (scratch), both float64 and
-shaped like ``a``: the kernel then writes through ufunc ``out=`` and
-allocates nothing. ``gamma_allocation`` on that path requires every state
-to be favourable (a > b), where the closed form is defined everywhere, so
-it runs without masks and clamps at zero. Either kernel takes ``b=None``
-for an absent eavesdropper (zero gain in every state) on that path.
+``out`` (receives the result) and ``work`` (scratch), float64 rows shaped
+like the states, one for ``secrecy_rate`` and two for ``gamma_allocation``:
+the kernel then writes through ufunc ``out=`` and allocates nothing. On
+that path every state must be favourable (a > b), where the closed form
+is defined everywhere, so it runs without masks and clamps at zero.
+Either kernel takes ``b=None`` for an absent eavesdropper (zero gain in
+every state) on that path.
+
+With an eavesdropper ``gamma_allocation`` takes the states on that path
+in invariant form: the rows d = a - b, s = a + b and 4ab do not depend on
+the multiplier, so :func:`invariant_form` computes them once per estimate
+and every multiplier trial reads them. The kernel then leaves the closed form's
+root R = sqrt(mu*d*(mu*d + 4ab)) in its first work row, from which the
+estimator takes its Newton slope.
 """
 
 import numpy as np
@@ -19,9 +27,26 @@ import numpy as np
 _LN2 = 0.6931471805599453
 
 
+def invariant_form(
+    a: np.ndarray, b: np.ndarray, *, out: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The multiplier-free rows (d, (s, 4ab)) of the closed form, written into ``out``.
+
+    ``out`` holds three rows shaped like ``a``. The products round in the
+    masked path's operation order, 4ab as (a*4)*b, so an allocation from
+    them is bit-identical to :func:`_gamma_masked`.
+    """
+    d, s, q = out
+    np.subtract(a, b, out=d)
+    np.add(a, b, out=s)
+    np.multiply(a, 4.0, out=q)
+    np.multiply(q, b, out=q)
+    return d, (s, q)
+
+
 def gamma_allocation(
     a: np.ndarray,
-    b: np.ndarray | None,
+    b: np.ndarray | tuple[np.ndarray, np.ndarray] | None,
     mu: float,
     *,
     out: np.ndarray | None = None,
@@ -33,45 +58,44 @@ def gamma_allocation(
     log2(1+g*a) - log2(1+g*b) - (mu/ln2)*g is a quadratic in g whose
     positive root is
 
-        g = 2*(a - b - mu) / (sqrt(mu*(a-b)*(mu*(a-b) + 4ab)) + mu*(a+b))
+        g = 2*(d - mu) / (R + mu*s),  R = sqrt(mu*d*(mu*d + 4ab)),
 
-    clamped at zero; the allocation is positive exactly when a - b > mu.
-    States outside the favorable set (a <= b) get zero power.
+    with d = a - b and s = a + b, clamped at zero; the allocation is
+    positive exactly when d > mu. States outside the favorable set
+    (a <= b) get zero power.
 
-    With ``out`` and ``work`` every state must be favourable. There, with
-    ``b=None``, the root is the water-filling form g = (a - mu)/(mu*a). It
-    equals the general form bit for bit wherever (mu*a)^2 neither
+    With ``out`` and ``work`` (two rows) every state must be favourable.
+    With ``b=None`` the root is the water-filling form g = (a - mu)/(mu*a).
+    It equals the general form bit for bit wherever (mu*a)^2 neither
     overflows nor underflows, and stays correct where the general form's
     square overflows (a = 1e300 there gets zero power).
+    Otherwise ``a`` and ``b`` are the invariant form ``(d, (s, 4ab))``
+    from :func:`invariant_form`, and R is left in ``work[0]``.
     """
     if out is None:
         return _gamma_masked(a, b, mu)
+    root, den = work
     if b is None:
         np.subtract(a, mu, out=out)
-        np.multiply(a, mu, out=work)
+        np.multiply(a, mu, out=den)
     else:
         # the general form in the masked path's operation order, so each
-        # state rounds the same; out holds mu*(a-b), then mu*(a+b), then
-        # the numerator 2*(a-b-mu)
-        np.subtract(a, b, out=out)
-        np.multiply(out, mu, out=out)
-        np.multiply(a, 4.0, out=work)
-        np.multiply(work, b, out=work)
-        np.add(work, out, out=work)
-        np.multiply(work, out, out=work)
-        np.sqrt(work, out=work)
-        np.add(a, b, out=out)
-        np.multiply(out, mu, out=out)
-        np.add(work, out, out=work)
-        np.subtract(a, b, out=out)
-        np.subtract(out, mu, out=out)
+        # state rounds the same
+        d, (s, q) = a, b
+        np.multiply(d, mu, out=den)
+        np.add(den, q, out=root)
+        np.multiply(root, den, out=root)
+        np.sqrt(root, out=root)
+        np.multiply(s, mu, out=den)
+        np.add(root, den, out=den)
+        np.subtract(d, mu, out=out)
         np.multiply(out, 2.0, out=out)
-    # An inactive state (a - b <= mu) whose denominator underflows gives
+    # An inactive state (d <= mu) whose denominator underflows gives
     # -inf or 0/0 here, which fmax clamps to zero like any other negative
     # quotient. An active state whose quotient overflows gets inf power,
     # which the estimator's budget check never accepts.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        np.divide(out, work, out=out)
+        np.divide(out, den, out=out)
     return np.fmax(out, 0.0, out=out)
 
 

@@ -1,8 +1,8 @@
 """Primitive radio-link quantities: capacities, path loss, dB scales, fading.
 
-All capacities are in bits (base-2 logarithms). Fading amplitudes are
-normalized to unit mean power, E[|h|^2] = 1, so that fading and the
-deterministic path-loss gain compose multiplicatively.
+All capacities are in bits (base-2 logarithms). The fading samplers
+return power gains |h|^2 with unit mean, E[|h|^2] = 1, so that fading and
+the deterministic path-loss gain compose multiplicatively.
 """
 
 from __future__ import annotations
@@ -119,27 +119,28 @@ def db_to_linear(x: float) -> float:
 
 
 def sample_fading(model: FadingModel, rng: np.random.Generator, size: int | None = None):
-    """Draw fading amplitudes |h| >= 0 with E[|h|^2] = 1 from the model.
+    """Draw fading power gains |h|^2 >= 0 with E[|h|^2] = 1 from the model.
 
-    Deterministic for a given generator state. Returns a scalar when
-    ``size`` is None, otherwise an array of that length. This is the one
-    function of the module that computes on arrays, so it imports numpy
-    itself and importing :mod:`v2vsec.channel` does not load numpy.
+    Deterministic for a given generator state, and the same random stream
+    as an amplitude draw: numpy's Rayleigh sampler is
+    scale*sqrt(2*standard_exponential), so the Rayleigh power gain is the
+    standard exponential itself. Returns a scalar when ``size`` is None,
+    otherwise an array of that length. This is the one function of the
+    module that computes on arrays; it computes with the generator's own
+    arrays, so importing :mod:`v2vsec.channel` does not load numpy.
     """
-    import numpy as np
-
     n = 1 if size is None else int(size)
-    if model.kind == "rayleigh":
-        out = rng.rayleigh(scale=1.0 / math.sqrt(2.0), size=n)
+    if model.kind == "rayleigh":  # |h|^2 ~ Exp(1)
+        out = rng.standard_exponential(n)
     elif model.kind == "rician":
         k = model.k_factor
         los = math.sqrt(k / (k + 1.0))
         sigma = math.sqrt(1.0 / (2.0 * (k + 1.0)))
         i = los + sigma * rng.standard_normal(n)
         q = sigma * rng.standard_normal(n)
-        out = np.hypot(i, q)
+        out = i * i + q * q
     else:  # nakagami: |h|^2 ~ Gamma(m, 1/m)
-        out = np.sqrt(rng.gamma(shape=model.m, scale=1.0 / model.m, size=n))
+        out = rng.gamma(shape=model.m, scale=1.0 / model.m, size=n)
     if size is None:
         return float(out[0])
     return out

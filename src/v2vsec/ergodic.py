@@ -7,15 +7,21 @@ powers subject to an average-power budget. The per-state optimum is
 closed-form given the budget multiplier (``v2vsec._kernels``); the
 multiplier itself is found on a log scale by safeguarded Newton on the
 log of the total allocated power, over the favorable states only. With
-no eavesdropper the allocation is water-filling, whose multiplier follows
-exactly from the sorted gains, so the search starts at the root and its
-first kernel call confirms it.
+no eavesdropper the allocation is water-filling, and its multiplier
+follows from rounds over an active set: the level that spends the budget
+on the states kept, then dropping the states at or below it, until none
+drops. The search starts at that root and its first kernel call confirms
+it. With an eavesdropper each Newton step takes its slope from the root R
+of the kernel's quadratic: on allocated states 1/(x + y) = d/R, so the
+step costs one divide per state.
 
-Each estimate allocates one workspace block, which also holds the
-favorable states when some are dropped. Every kernel call (through its
-``out``/``work`` arguments), every Newton step and the final rates write
-into it, so the search allocates no per-call temporaries. Since every
-state left is favorable, the kernels run there without masks.
+Each estimate gathers the favorable states when some are dropped, and
+allocates one workspace block. With an eavesdropper the block also holds
+the multiplier-free rows d = a - b, s = a + b and 4ab, computed once.
+Every kernel call (through its ``out``/``work`` arguments), every Newton
+step and the final rates write into the block, so the search allocates
+no per-call temporaries beyond a byte mask per water-level round. Since
+every state left is favorable, the kernels run there without masks.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ DEFAULT_SEED = 12345
 # Multiplier search policy: relative power tolerance and kernel-call cap.
 _POWER_RTOL = 1e-9
 _MAX_ITER = 100
+# Rounds of the no-eavesdropper water level before the search takes over.
+_WATER_ROUNDS = 16
 
 
 class ErgodicConvergenceError(ComputationError):
@@ -70,8 +78,11 @@ class ErgodicSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p_budget) and self.p_budget > 0):
             raise ValueError(f"p_budget must be > 0, got {self.p_budget!r}")
-        if self.n_samples < 1_000:
-            raise ValueError(f"n_samples must be >= 1000, got {self.n_samples!r}")
+        n = self.n_samples
+        if isinstance(n, bool) or not hasattr(n, "__index__"):  # int, numpy integers
+            raise ValueError(f"n_samples must be an integer, got {n!r}")
+        if n < 1_000:
+            raise ValueError(f"n_samples must be >= 1000, got {n!r}")
         for name in ("sigma_b2", "sigma_e2"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
@@ -98,15 +109,13 @@ def draw_channel_states(spec: ErgodicSpec) -> tuple[np.ndarray, np.ndarray]:
     the draw is reproducible and the links stay independent.
     """
     legit_ss, eaves_ss = np.random.SeedSequence(spec.seed).spawn(2)
-    # each |h| array is fresh, so it is squared and scaled in place
+    # each power-gain array is fresh, so it is scaled in place
     a = sample_fading(spec.legit_fading, np.random.default_rng(legit_ss), spec.n_samples)
-    np.multiply(a, a, out=a)
     np.divide(a, spec.sigma_b2, out=a)
     if spec.eaves_fading is None:
         b = np.zeros(spec.n_samples)
     else:
         b = sample_fading(spec.eaves_fading, np.random.default_rng(eaves_ss), spec.n_samples)
-        np.multiply(b, b, out=b)
         np.divide(b, spec.sigma_e2, out=b)
     return a, b
 
@@ -133,51 +142,40 @@ def estimate_on_states(a: np.ndarray, b: np.ndarray, p_budget: float) -> Ergodic
     n_active = int(np.count_nonzero(favorable))
     if n_active == 0:
         return ErgodicResult(0.0, 0.0, 0.0, math.inf, 0, 0, 0.0)
-    # One block holds gamma, two scratch rows and, if some state is
-    # unfavorable, the favorable states' a and b. Every kernel call and
-    # Newton step below writes into it; the caller's a and b are only read.
-    gamma, w1, w2, *gathered = np.empty((3 if n_active == n else 5, n_active))
-    if gathered:
+    if n_active < n:
         # Only favorable states can ever get power; the rest add zeros.
         keep = np.flatnonzero(favorable)  # an index gather is faster than a mask
-        a = np.take(a, keep, out=gathered[0], mode="clip")
-        b = np.take(b, keep, out=gathered[1], mode="clip")
+        a, b = np.take(a, keep), np.take(b, keep)
     if not np.any(b):
         b = None  # no eavesdropper, as the kernels spell it
+    # One block holds gamma, two scratch rows and, with an eavesdropper, the
+    # invariant form (d, s, 4ab). Every kernel call and Newton step below
+    # writes into it; the caller's a and b are only read.
+    block = np.empty((3 if b is None else 6, n_active))
+    gamma, work = block[0], block[1:3]
+    gap, sums = (a, None) if b is None else _kernels.invariant_form(a, b, out=block[3:])
 
     # Newton on F(t) = ln P(e^t) - ln(n p), t = ln(mu), P the total allocated
-    # power. On allocated states the KKT condition x - y = mu, with
-    # x = a/(1+g*a) and y = b/(1+g*b), gives dg/dmu = 1/(y^2 - x^2) =
-    # -1/(mu*(x + y)), so dF/dt = -sum(1/(x + y)) / P from the same gamma.
-    # P falls from +inf as mu -> 0 to zero at mu = max(a - b), so each
-    # residual narrows the bracket (lo, hi); lo = 0 while no lower end is
-    # known. The iterate is mu itself, so the search can reach every double.
+    # power, with dF/dt = -_newton_slope(...) / P from the same gamma. P falls
+    # from +inf as mu -> 0 to zero at mu = max(d), so each residual narrows
+    # the bracket (lo, hi); lo = 0 while no lower end is known. The iterate
+    # is mu itself, so the search can reach every double.
     target = n * p_budget
     lo = 0.0
     # 1/a overflows to inf for a subnormal gain; the start then comes out 0,
     # and the search starts from the top of the bracket instead.
     with np.errstate(over="ignore"):
         if b is None:
-            # No eavesdropper: the allocation is water-filling, 1/mu - 1/a where
-            # a > mu. The allocated states are then the k strongest, and spending
-            # the budget on them fixes mu_k = k / (n p + sum of their 1/a); the
-            # true k is the largest with a_(k) > mu_k, so the start is the root.
-            np.copyto(w1, a)
-            w1.sort()
-            strongest = w1[::-1]
-            hi = float(strongest[0])
-            levels = np.cumsum(np.divide(1.0, strongest, out=w2), out=w2)
-            np.add(levels, target, out=levels)
-            np.divide(np.arange(1.0, n_active + 1.0), levels, out=levels)
-            start = float(levels[max(1, int(np.count_nonzero(strongest > levels))) - 1])
+            hi = float(np.max(a))
+            mu = _water_level(a, target, work)
         else:
-            hi = float(np.max(np.subtract(a, b, out=w1)))
-            # the same level as if every favorable state were allocated
-            start = n_active / (target + float(np.sum(np.divide(1.0, a, out=w1))))
-    mu = min(start, hi) if start > 0 else hi
+            hi = float(np.max(gap))
+            # the water level as if every favorable state were allocated
+            mu = n_active / (target + float(np.sum(np.divide(1.0, a, out=work[0]))))
+    mu = min(mu, hi) if mu > 0 else hi
     step = 1.0
     for iterations in range(1, _MAX_ITER + 1):
-        gamma = _kernels.gamma_allocation(a, b, mu, out=gamma, work=w1)
+        gamma = _kernels.gamma_allocation(gap, sums, mu, out=gamma, work=work)
         power = float(np.sum(gamma))
         residual = power / target - 1.0
         if abs(residual) <= _POWER_RTOL:
@@ -188,17 +186,7 @@ def estimate_on_states(a: np.ndarray, b: np.ndarray, p_budget: float) -> Ergodic
             hi = mu
         nxt = math.nan
         if power > 0:
-            # 1/(x + y) on allocated states; sign(gamma) is 0 on the rest
-            np.multiply(gamma, a, out=w1)
-            np.add(w1, 1.0, out=w1)
-            np.divide(a, w1, out=w1)
-            if b is not None:
-                np.multiply(gamma, b, out=w2)
-                np.add(w2, 1.0, out=w2)
-                np.divide(b, w2, out=w2)
-                np.add(w1, w2, out=w1)
-            np.divide(np.sign(gamma, out=w2), w1, out=w2)
-            dt = math.log(power / target) * power / float(np.sum(w2))
+            dt = math.log(power / target) * power / _newton_slope(gap, sums, mu, gamma, work)
             nxt = mu * math.exp(min(dt, 709.0))  # exp() overflows past 709
         if not lo < nxt < hi:
             if lo == 0.0:
@@ -216,13 +204,60 @@ def estimate_on_states(a: np.ndarray, b: np.ndarray, p_budget: float) -> Ergodic
             f"{iterations} iterations (p_budget={p_budget!r}, n_active={n_active})"
         )
 
-    rates = _kernels.secrecy_rate(a, b, gamma, out=w1, work=w2)
+    # the rows the last kernel call wrote, still in cache
+    rates = _kernels.secrecy_rate(a, b, gamma, out=work[1], work=work[0])
     capacity = float(np.sum(rates)) / n
     # Spread over all n states; the n - n_active unfavorable ones have rate 0.
     deviation = np.square(np.subtract(rates, capacity, out=rates), out=rates)
     var = (float(np.sum(deviation)) + (n - n_active) * capacity**2) / n
     ci = 1.96 * math.sqrt(var / n)
     return ErgodicResult(capacity, power / n, ci, mu, n_active, iterations, residual)
+
+
+def _water_level(a: np.ndarray, target: float, work: np.ndarray) -> float:
+    """The multiplier that water-filling spends ``target`` with, from two scratch rows.
+
+    With no eavesdropper the allocation is 1/mu - 1/a where a > mu. Spending
+    the budget on a set K of states fixes mu = |K| / (target + sum over K of
+    1/a). Starting from every state, each round drops the states at or below
+    that level and raises the level again, until no state drops; the kept
+    states are then exactly those above mu, and mu is the root. A bound of
+    ``_WATER_ROUNDS`` rounds hands a level below the root to the search.
+    """
+    inv = np.divide(1.0, a, out=work[1])
+    k = a.shape[0]
+    mu = k / (target + float(np.sum(inv)))
+    for _ in range(_WATER_ROUNDS):
+        kept = a > mu
+        count = int(np.count_nonzero(kept))
+        if count in (k, 0):
+            break
+        k = count
+        mask = work[0]
+        np.copyto(mask, kept)  # a float mask multiplies faster than a bool one
+        mu = k / (target + float(np.sum(np.multiply(mask, inv, out=mask))))
+    return mu
+
+
+def _newton_slope(gap: np.ndarray, sums, mu: float, gamma: np.ndarray, work: np.ndarray) -> float:
+    """Sum of 1/(x + y) over the allocated states, from one kernel call's results.
+
+    On allocated states the KKT condition x - y = mu holds, with
+    x = a/(1 + g*a) and y = b/(1 + g*b), so dg/dmu = 1/(y^2 - x^2) =
+    -1/(mu*(x + y)). The other arguments are the kernel call's. With no
+    eavesdropper (``sums`` None) x = mu on every allocated state. Otherwise
+    the root R = sqrt(mu*d*(mu*d + 4ab)) left in ``work[0]`` satisfies
+    R = mu*(s + 2ab*g), and x + y = R/d, so each term costs one divide.
+    """
+    if sums is None:
+        return np.count_nonzero(gamma) / mu
+    w = work[1]
+    # R underflows to 0 on a subnormal state, which never gets power: its
+    # inf * 0 is nan, which fmax clears.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(gap, work[0], out=w)
+        np.multiply(w, np.greater(gamma, 0.0, out=work[0]), out=w)
+    return float(np.sum(np.fmax(w, 0.0, out=w)))
 
 
 def ergodic_secrecy(spec: ErgodicSpec) -> ErgodicResult:

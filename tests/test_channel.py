@@ -71,11 +71,27 @@ class TestPowerBudget:
             PowerBudget(p_linear=p, n0_linear=n0)
 
 
+def _amplitude_sampler(model, rng, n):
+    """The earlier sampler, which drew amplitudes |h|: the power draw's oracle."""
+    if model.kind == "rayleigh":
+        return rng.rayleigh(scale=1.0 / math.sqrt(2.0), size=n)
+    if model.kind == "rician":
+        k = model.k_factor
+        los = math.sqrt(k / (k + 1.0))
+        sigma = math.sqrt(1.0 / (2.0 * (k + 1.0)))
+        i = los + sigma * rng.standard_normal(n)
+        q = sigma * rng.standard_normal(n)
+        return np.hypot(i, q)
+    return np.sqrt(rng.gamma(shape=model.m, scale=1.0 / model.m, size=n))
+
+
 class TestFadingSamplers:
+    """The samplers return power gains |h|^2 with unit mean."""
+
     def test_rayleigh_mean_power(self):
         rng = np.random.default_rng(101)
-        h = sample_fading(FadingModel.rayleigh(), rng, size=10**6)
-        assert np.mean(h * h) == pytest.approx(1.0, abs=0.01)
+        g = sample_fading(FadingModel.rayleigh(), rng, size=10**6)
+        assert np.mean(g) == pytest.approx(1.0, abs=0.01)
 
     @pytest.mark.parametrize(
         "model",
@@ -84,20 +100,34 @@ class TestFadingSamplers:
     )
     def test_unit_mean_power(self, model):
         rng = np.random.default_rng(55)
-        h = sample_fading(model, rng, size=10**5)
-        assert np.all(h >= 0)
-        assert np.mean(h * h) == pytest.approx(1.0, rel=0.02)
+        g = sample_fading(model, rng, size=10**5)
+        assert np.all(g >= 0)
+        assert np.mean(g) == pytest.approx(1.0, rel=0.02)
 
     def test_rician_large_k_degenerates_to_unity(self):
+        # |h| within 0.01 of 1, so |h|^2 within 0.0201
         rng = np.random.default_rng(9)
-        h = sample_fading(FadingModel.rician(1e6), rng, size=1000)
-        assert np.all(np.abs(h - 1.0) < 0.01)
+        g = sample_fading(FadingModel.rician(1e6), rng, size=1000)
+        assert np.all(np.abs(g - 1.0) < 0.0201)
 
     def test_nakagami_one_matches_rayleigh(self):
         rng = np.random.default_rng(33)
         nak = sample_fading(FadingModel.nakagami(1.0), rng, size=10**4)
         ray = sample_fading(FadingModel.rayleigh(), rng, size=10**4)
-        assert stats.ks_2samp(nak**2, ray**2).pvalue > 0.01
+        assert stats.ks_2samp(nak, ray).pvalue > 0.01
+
+    @pytest.mark.parametrize(
+        "model",
+        [FadingModel.rayleigh(), FadingModel.rician(0.0), FadingModel.rician(3.0),
+         FadingModel.rician(1e6), FadingModel.nakagami(0.5), FadingModel.nakagami(2.5)],
+        ids=["rayleigh", "rician0", "rician3", "rician1e6", "nakagami0.5", "nakagami2.5"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_power_is_the_squared_amplitude_draw(self, model, seed):
+        # same generator stream as the amplitude sampler, rounded differently
+        g = sample_fading(model, np.random.default_rng(seed), size=10**5)
+        h = _amplitude_sampler(model, np.random.default_rng(seed), 10**5)
+        np.testing.assert_allclose(g, h * h, rtol=1e-15, atol=0.0)
 
     def test_reproducible_for_fixed_seed(self):
         for model in (FadingModel.rayleigh(), FadingModel.rician(2.0), FadingModel.nakagami(1.5)):
@@ -106,8 +136,9 @@ class TestFadingSamplers:
             assert np.array_equal(a, b)
 
     def test_scalar_draw(self):
-        h = sample_fading(FadingModel.rayleigh(), np.random.default_rng(1))
-        assert isinstance(h, float) and h >= 0
+        g = sample_fading(FadingModel.rayleigh(), np.random.default_rng(1))
+        assert isinstance(g, float) and g >= 0
+        assert g == sample_fading(FadingModel.rayleigh(), np.random.default_rng(1), size=1)[0]
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize, special
 
 from v2vsec import _kernels, ergodic
 from v2vsec.channel import FadingModel, PowerBudget, awgn_capacity, db_to_linear
@@ -95,6 +96,19 @@ class TestSpecValidation:
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
             ErgodicSpec(legit_fading=RAYLEIGH, p_budget=0.0)
+
+    @pytest.mark.parametrize("eaves", [None, RAYLEIGH], ids=["no_eaves", "rayleigh_eaves"])
+    @pytest.mark.parametrize("n", [5000.0, 5000.5, True, "5000"])
+    def test_rejects_non_integer_sample_count(self, eaves, n):
+        # 5000.0 used to fail inside numpy with no eavesdropper and run with
+        # one; 5000.5 with one quietly drew 5,000 states
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            ErgodicSpec(legit_fading=RAYLEIGH, p_budget=1.0, eaves_fading=eaves, n_samples=n)
+
+    def test_accepts_numpy_integer_sample_count(self):
+        spec = ErgodicSpec(legit_fading=RAYLEIGH, p_budget=1.0, n_samples=np.int64(1500))
+        a, _ = draw_channel_states(spec)
+        assert a.shape == (1500,)
 
 
 class TestDrawChannelStates:
@@ -396,9 +410,12 @@ class TestWorkspaceKernels:
     @pytest.mark.parametrize("mu", [1e-3, 0.05, 0.4, 2.0])
     def test_gamma_allocation_bit_identical(self, eaves, mu):
         a, b = self._favorable_states(eaves)
-        out, work = np.empty_like(a), np.empty_like(a)
-        gamma = _kernels.gamma_allocation(a, None if eaves is None else b, mu,
-                                          out=out, work=work)
+        if eaves is None:
+            gap, sums = a, None
+        else:
+            gap, sums = _kernels.invariant_form(a, b, out=np.empty((3, a.shape[0])))
+        out, work = np.empty_like(a), np.empty((2, a.shape[0]))
+        gamma = _kernels.gamma_allocation(gap, sums, mu, out=out, work=work)
         assert gamma is out
         assert gamma.tobytes() == _kernels.gamma_allocation(a, b, mu).tobytes()
 
@@ -440,3 +457,166 @@ class TestDiagnostics:
         assert res.power_residual == pytest.approx(
             res.achieved_avg_power / spec.p_budget - 1.0, abs=1e-15
         )
+
+
+def _sorted_water_level(a, target):
+    """The earlier water-level start, from the sorted gains: the oracle for the rounds.
+
+    Returns (mu, k): mu_k = k / (target + sum of 1/a over the k strongest
+    states), with k the largest count whose weakest state has a > mu_k.
+    """
+    strongest = np.sort(a)[::-1]
+    levels = np.cumsum(1.0 / strongest) + target
+    levels = np.arange(1.0, a.shape[0] + 1.0) / levels
+    k = max(1, int(np.count_nonzero(strongest > levels)))
+    return float(levels[k - 1]), k
+
+
+@st.composite
+def _water_states(draw):
+    """1-2000 gains log-uniform in [1e-6, 1e6], maybe from a pool of 5 (ties), some 1e300."""
+    n = draw(st.integers(1, 2000))
+    lo_exp = draw(st.floats(-6.0, 6.0))
+    hi_exp = draw(st.floats(lo_exp, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = 10.0 ** rng.uniform(lo_exp, hi_exp, n)
+    if draw(st.booleans()):
+        a = rng.choice(a[:5], n)
+    a[rng.random(n) < draw(st.floats(0.0, 0.1))] = 1e300
+    return a, n * 10.0 ** draw(st.floats(-3.0, 6.0))
+
+
+@st.composite
+def _favorable_states(draw):
+    """1-2000 states with a > b (some b = 0, some near ties), a multiplier, maybe subnormals."""
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    b[rng.random(n) < draw(st.floats(0.0, 1.0))] = 0.0
+    a = b + np.maximum(b, 1e-6) * 10.0 ** rng.uniform(-9.0, 3.0, n)
+    mu = float(np.quantile(a - b, draw(st.floats(0.0, 1.0))))
+    if draw(st.booleans()):  # R underflows to 0 on these, and they get no power
+        a = np.concatenate([a, [2e-320, 5e-324, 1e-310]])
+        b = np.concatenate([b, [1e-320, 0.0, 0.0]])
+    return a, b, mu
+
+
+class TestWaterLevel:
+    """The active-set rounds against the sorted-gains start they replace."""
+
+    @staticmethod
+    def _check(a, target):
+        mu = ergodic._water_level(a, target, np.empty((2, a.shape[0])))
+        mu_sorted, k = _sorted_water_level(a, target)
+        assert int(np.count_nonzero(a > mu)) == k
+        assert mu == pytest.approx(mu_sorted, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "a,target",
+        [
+            ([0.5], 1.0),
+            ([2.0] * 7, 3.5),
+            ([0.01, 0.03], 2.0),
+            ([1e300, 1.0], 2.0),
+            ([1e300, 1e300, 1e-6], 1e-3),
+            ([3.0, 3.0, 1.0, 1.0, 1e-4, 1e-4], 6.0),
+        ],
+    )
+    def test_edge_cases_match_the_sorted_level(self, a, target):
+        self._check(np.array(a), target)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_water_states())
+    def test_matches_the_sorted_level(self, case):
+        self._check(*case)
+
+    def test_round_bound_hands_over_to_the_search(self, monkeypatch):
+        # one round stops at the all-states level, below the root at 0 dB,
+        # so the Newton search finishes from there
+        spec = ErgodicSpec(legit_fading=RAYLEIGH, p_budget=1.0, n_samples=20_000, seed=4)
+        a, b = draw_channel_states(spec)
+        exact = estimate_on_states(a, b, spec.p_budget)
+        monkeypatch.setattr(ergodic, "_WATER_ROUNDS", 1)
+        res = estimate_on_states(a, b, spec.p_budget)
+        assert exact.iterations == 1 < res.iterations
+        assert abs(res.power_residual) <= ergodic._POWER_RTOL
+        assert res.multiplier == pytest.approx(exact.multiplier, rel=1e-8)
+        assert res.capacity == pytest.approx(exact.capacity, rel=1e-9)
+
+
+class TestNewtonSlope:
+    """The slope from the kernel's results against sum(1/(x + y)) from gamma."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_favorable_states(), st.booleans())
+    def test_matches_the_kkt_form(self, case, water_filling):
+        a, b, mu = case
+        n = a.shape[0]
+        if water_filling:
+            b = np.zeros(n)
+            gap, sums = a, None
+        else:
+            gap, sums = _kernels.invariant_form(a, b, out=np.empty((3, n)))
+        work = np.empty((2, n))
+        gamma = _kernels.gamma_allocation(gap, sums, mu, out=np.empty(n), work=work)
+        slope = ergodic._newton_slope(gap, sums, mu, gamma, work)
+        on = gamma > 0
+        x = a[on] / (1.0 + gamma[on] * a[on])
+        y = b[on] / (1.0 + gamma[on] * b[on])
+        assert math.isfinite(slope)
+        assert slope == pytest.approx(float(np.sum(1.0 / (x + y))), rel=1e-12)
+
+
+class TestExactReference:
+    """The estimator against exact values for Rayleigh fading (Exp(1) power gains).
+
+    The rule was fixed before running: seeds 0-4 at 200,000 states each,
+    every estimate within 3 of its own ci_halfwidth of the exact capacity,
+    and the multiplier within 1% of the exact one.
+    """
+
+    SEEDS = range(5)
+    N_SAMPLES = 200_000
+    # Rayleigh eavesdropper, unit means, p = 1: 2-D quadrature (scipy dblquad,
+    # epsrel 1e-12) of the closed-form allocation and its rate, with the
+    # multiplier solved (brentq) so that the allocation's mean is 1.
+    EAVES_CAPACITY = 0.529818298881
+    EAVES_MULTIPLIER = 0.132473882235
+
+    @staticmethod
+    def _cutoff(p):
+        """Water-filling cutoff g0 for Exp(1) gains: e^(-g0)/g0 - E1(g0) = p."""
+        return optimize.brentq(
+            lambda g: math.exp(-g) / g - special.exp1(g) - p, 1e-9, 50.0, xtol=1e-15, rtol=1e-15
+        )
+
+    @pytest.mark.parametrize("p,capacity", [(0.1, 0.241185), (1.0, 1.028539), (10.0, 2.979422)])
+    def test_no_eavesdropper_is_exact_water_filling(self, p, capacity):
+        g0 = self._cutoff(p)
+        exact = special.exp1(g0) / math.log(2.0)
+        assert exact == pytest.approx(capacity, abs=5e-7)
+        for seed in self.SEEDS:
+            spec = ErgodicSpec(legit_fading=RAYLEIGH, p_budget=p, n_samples=self.N_SAMPLES,
+                               seed=seed)
+            res = ergodic_secrecy(spec)
+            assert abs(res.capacity - exact) <= 3.0 * res.ci_halfwidth
+            assert res.multiplier == pytest.approx(g0, rel=0.01)
+
+    @pytest.mark.parametrize("p", [0.1, 1.0, 10.0])
+    def test_constant_power_capacity_is_exact(self, p):
+        # E[log2(1 + p g)] for g ~ Exp(1)
+        exact = math.exp(1.0 / p) * special.exp1(1.0 / p) / math.log(2.0)
+        for seed in self.SEEDS:
+            spec = ErgodicSpec(legit_fading=RAYLEIGH, p_budget=p, n_samples=self.N_SAMPLES,
+                               seed=seed)
+            a, b = draw_channel_states(spec)
+            ci = 1.96 * float(np.std(np.log2(1.0 + p * a))) / math.sqrt(self.N_SAMPLES)
+            assert abs(constant_power_capacity(a, b, p) - exact) <= 3.0 * ci
+
+    def test_rayleigh_eavesdropper_matches_quadrature(self):
+        for seed in self.SEEDS:
+            spec = ErgodicSpec(legit_fading=RAYLEIGH, p_budget=1.0, eaves_fading=RAYLEIGH,
+                               n_samples=self.N_SAMPLES, seed=seed)
+            res = ergodic_secrecy(spec)
+            assert abs(res.capacity - self.EAVES_CAPACITY) <= 3.0 * res.ci_halfwidth
+            assert res.multiplier == pytest.approx(self.EAVES_MULTIPLIER, rel=0.01)
