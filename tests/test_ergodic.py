@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from v2vsec.channel import FadingModel, PowerBudget, awgn_capacity, db_to_linear
 from v2vsec.ergodic import (
     DEFAULT_SEED,
     ErgodicConvergenceError,
+    ErgodicResult,
     ErgodicSpec,
     constant_power_capacity,
     draw_channel_states,
@@ -19,6 +21,39 @@ from v2vsec.ergodic import (
 )
 
 RAYLEIGH = FadingModel.rayleigh()
+# the smallest favorable count that starts the search from a subsample
+WARM_START_STATES = ergodic._SUBSAMPLE_STRIDE * ergodic._SUBSAMPLE_MIN
+
+
+def _record_kernel_calls(monkeypatch):
+    """Wrap gamma_allocation; returns the list it fills with (mu, number of states) per call."""
+    calls = []
+    gamma_allocation = _kernels.gamma_allocation
+
+    def recording(a, b, mu, **kwargs):
+        calls.append((mu, a.shape[0]))
+        return gamma_allocation(a, b, mu, **kwargs)
+
+    monkeypatch.setattr(_kernels, "gamma_allocation", recording)
+    return calls
+
+
+def _all_favorable_start(a, b, p_budget):
+    """The earlier eavesdropper start at every size: the oracle for the subsample start.
+
+    Runs the estimator's search from the water level that allocates every
+    favorable state and returns (capacity, power residual).
+    """
+    n = a.shape[0]
+    keep = a > b
+    a, b = a[keep], b[keep]
+    k = a.shape[0]
+    gap, sums = _kernels.invariant_form(a, b, out=np.empty((3, k)))
+    target = n * p_budget
+    mu = k / (target + float(np.sum(1.0 / a)))
+    gamma, work = np.empty(k), np.empty((2, k))
+    _, _, residual, _ = ergodic._multiplier_search(gap, sums, target, mu, gamma, work)
+    return float(np.sum(_kernels.secrecy_rate(a, b, gamma))) / n, residual
 
 
 def _bisection_oracle(a, b, p_budget, rtol=1e-9):
@@ -127,11 +162,13 @@ class TestDrawChannelStates:
         assert np.all(b == 0.0)
 
     def test_noise_scaling(self):
-        spec1 = ErgodicSpec(legit_fading=RAYLEIGH, p_budget=5.0, n_samples=1500, sigma_b2=1.0)
-        spec4 = ErgodicSpec(legit_fading=RAYLEIGH, p_budget=5.0, n_samples=1500, sigma_b2=4.0)
-        a1, _ = draw_channel_states(spec1)
-        a4, _ = draw_channel_states(spec4)
-        np.testing.assert_allclose(a4, a1 / 4.0, rtol=1e-12)
+        # a unit variance skips the divide, and any other still divides, bit for bit
+        unit = ErgodicSpec(legit_fading=RAYLEIGH, p_budget=5.0, eaves_fading=RAYLEIGH,
+                           n_samples=1500)
+        a1, b1 = draw_channel_states(unit)
+        a4, b2 = draw_channel_states(dataclasses.replace(unit, sigma_b2=4.0, sigma_e2=2.0))
+        assert a4.tobytes() == (a1 / 4.0).tobytes()
+        assert b2.tobytes() == (b1 / 2.0).tobytes()
 
 
 class TestEstimator:
@@ -215,6 +252,17 @@ class TestEstimator:
         expected = (math.log2(1.0 + 1.5e300) + math.log2(1.5)) / 2.0
         assert res.capacity == pytest.approx(expected, rel=1e-12)
 
+    def test_eavesdropper_only_on_dropped_states_is_absent(self):
+        # b > 0 only where a <= b: once that state is dropped the two kept
+        # states water-fill, 1/mu - 1e-300 + 1/mu - 1 = 3p at mu = 1/2, and the
+        # strong state's (mu*d)^2 never gets to overflow
+        a, b = np.array([1e300, 1.0, 0.5]), np.array([0.0, 0.0, 1.0])
+        res = estimate_on_states(a, b, 1.0)
+        assert res.multiplier == 0.5 and res.n_active == 2
+        assert abs(res.power_residual) <= ergodic._POWER_RTOL
+        expected = (math.log2(1.0 + 2e300) + math.log2(2.0)) / 3.0
+        assert res.capacity == pytest.approx(expected, rel=1e-12)
+
     @pytest.mark.parametrize("eaves", [None, RAYLEIGH], ids=["no_eaves", "rayleigh_eaves"])
     def test_caller_states_are_not_written(self, eaves):
         # every state favorable, so the estimate works on the caller's arrays
@@ -254,6 +302,39 @@ class TestEstimator:
         bad[3] = np.nan
         with pytest.raises(ValueError):
             estimate_on_states(bad, np.zeros(1000), 1.0)
+
+    @pytest.mark.parametrize(
+        "a_bad,b_bad,message",
+        [
+            *[(bad, None, "finite") for bad in (math.nan, math.inf, -math.inf)],
+            *[(None, bad, "finite") for bad in (math.nan, math.inf, -math.inf)],
+            *[(bad, bad, "finite") for bad in (math.nan, math.inf, -math.inf)],
+            (-1.0, None, ">= 0"),
+            (None, -1.0, ">= 0"),
+            (-1.0, -1.0, ">= 0"),
+            (-1.0, math.nan, "finite"),  # the finite check comes first
+            (math.inf, -1.0, "finite"),
+        ],
+    )
+    def test_bad_states_name_the_fault(self, a_bad, b_bad, message):
+        a, b = np.full(1000, 2.0), np.ones(1000)
+        if a_bad is not None:
+            a[3] = a_bad
+        if b_bad is not None:
+            b[7] = b_bad
+        with pytest.raises(ValueError, match=f"^gain ratios must be {message}$"):
+            estimate_on_states(a, b, 1.0)
+
+    def test_negative_zero_eavesdropper_is_absent(self):
+        spec = ErgodicSpec(legit_fading=RAYLEIGH, p_budget=10.0, n_samples=5000, seed=9)
+        a, zeros = draw_channel_states(spec)
+        res = estimate_on_states(a, np.full(a.shape[0], -0.0), spec.p_budget)
+        assert res == estimate_on_states(a, zeros, spec.p_budget)
+        assert res.iterations == 1  # the water-filling start
+
+    def test_empty_arrays_give_the_zero_result(self):
+        res = estimate_on_states(np.array([]), np.array([]), 1.0)
+        assert res == ErgodicResult(0.0, 0.0, 0.0, math.inf, 0, 0, 0.0)
 
     def test_allocation_satisfies_kkt_conditions(self):
         # independent optimality witness: on allocated states the rate
@@ -302,17 +383,29 @@ class TestMultiplierSearch:
         assert res.capacity >= constant_power_capacity(a, b, spec.p_budget)
         assert abs(res.achieved_avg_power / spec.p_budget - 1.0) <= 1e-9
 
-    @pytest.mark.parametrize("cap", ["_MAX_ITER"])
-    def test_iteration_cap_raises(self, monkeypatch, cap):
+    @pytest.mark.parametrize(
+        "cap,n_samples", [("_MAX_ITER", 5000), ("_MAX_ITER", 100_000)],
+        ids=["_MAX_ITER", "_MAX_ITER-subsample_start"],
+    )
+    def test_iteration_cap_raises(self, monkeypatch, cap, n_samples):
         spec = ErgodicSpec(
-            legit_fading=RAYLEIGH, p_budget=1e4, eaves_fading=RAYLEIGH, n_samples=5000, seed=7
+            legit_fading=RAYLEIGH, p_budget=1e4, eaves_fading=RAYLEIGH, n_samples=n_samples,
+            seed=7,
         )
         a, b = draw_channel_states(spec)
-        needed = estimate_on_states(a, b, spec.p_budget).iterations
+        calls = _record_kernel_calls(monkeypatch)
+        res = estimate_on_states(a, b, spec.p_budget)
+        needed = [size for _, size in calls].count(res.n_active)  # the full search's calls
         assert needed > 1
+        assert (res.n_active >= WARM_START_STATES) == (len(calls) > needed)
+        calls.clear()
+        # the cap stops the full search, whose residual alone decides, and the
+        # message counts every kernel call, the subsample's included
         monkeypatch.setattr(ergodic, cap, needed - 1)
-        with pytest.raises(ErgodicConvergenceError, match=f"after {needed - 1} iterations"):
+        with pytest.raises(ErgodicConvergenceError) as err:
             estimate_on_states(a, b, spec.p_budget)
+        assert [size for _, size in calls].count(res.n_active) == needed - 1
+        assert f"after {len(calls)} iterations" in str(err.value)
 
     def test_convergence_error_names_the_point(self, monkeypatch):
         monkeypatch.setattr(ergodic, "_MAX_ITER", 1)
@@ -337,17 +430,10 @@ class TestMultiplierSearch:
     @staticmethod
     def _recorded_multipliers(monkeypatch, a, b, p):
         """The estimate and the multiplier of each gamma_allocation call it made."""
-        mus = []
-        gamma_allocation = _kernels.gamma_allocation
-
-        def recording(a_, b_, mu, **kwargs):
-            mus.append(mu)
-            return gamma_allocation(a_, b_, mu, **kwargs)
-
-        monkeypatch.setattr(_kernels, "gamma_allocation", recording)
+        calls = _record_kernel_calls(monkeypatch)
         res = estimate_on_states(a, b, p)
         monkeypatch.undo()
-        return res, mus
+        return res, [mu for mu, _ in calls]
 
     def test_newton_step_leaving_the_bracket_is_bisected(self, monkeypatch):
         # only a = 0.031 is allocated at the root, but the start counts both
@@ -370,6 +456,28 @@ class TestMultiplierSearch:
         assert res.iterations == len(mus) == 1
         assert res.multiplier == 1.0 / (2.0 * p + 1.0 / 0.03)
         assert abs(res.power_residual) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "eaves",
+        [RAYLEIGH, FadingModel.rician(3.0), FadingModel.nakagami(2.0)],
+        ids=["rayleigh", "rician3", "nakagami2"],
+    )
+    @pytest.mark.parametrize("p_db", [0, 8, 16, 24, 32, 40])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n_samples", [30_000, 100_000])  # 13-15k favorable states, 44-50k
+    def test_subsample_start_matches_the_all_favorable_start(self, monkeypatch, eaves, p_db,
+                                                             seed, n_samples):
+        spec = ErgodicSpec(legit_fading=RAYLEIGH, p_budget=db_to_linear(p_db),
+                           eaves_fading=eaves, n_samples=n_samples, seed=seed)
+        a, b = draw_channel_states(spec)
+        capacity, residual = _all_favorable_start(a, b, spec.p_budget)
+        calls = _record_kernel_calls(monkeypatch)
+        res = estimate_on_states(a, b, spec.p_budget)
+        full = [size for _, size in calls].count(res.n_active)
+        assert res.n_active >= WARM_START_STATES
+        assert full <= 4 and full < len(calls) == res.iterations
+        assert res.capacity == pytest.approx(capacity, rel=1e-9)
+        assert abs(res.power_residual) <= 1e-9 and abs(residual) <= 1e-9
 
     @settings(max_examples=150, deadline=None)
     @given(_state_sets())
@@ -432,20 +540,20 @@ class TestWorkspaceKernels:
 
 class TestDiagnostics:
     def test_iterations_count_kernel_calls(self, monkeypatch):
-        calls = []
-        gamma_allocation = _kernels.gamma_allocation
-
-        def counting(a, b, mu, **kwargs):
-            calls.append(mu)
-            return gamma_allocation(a, b, mu, **kwargs)
-
-        monkeypatch.setattr(_kernels, "gamma_allocation", counting)
-        spec = ErgodicSpec(
-            legit_fading=RAYLEIGH, p_budget=100.0, eaves_fading=RAYLEIGH, n_samples=20_000
-        )
-        res = ergodic_secrecy(spec)
-        assert res.iterations == len(calls) > 0
-        assert res.multiplier == calls[-1]
+        calls = _record_kernel_calls(monkeypatch)
+        # the second size starts from a subsample, whose calls count too
+        for n_samples in (20_000, 100_000):
+            calls.clear()
+            spec = ErgodicSpec(
+                legit_fading=RAYLEIGH, p_budget=100.0, eaves_fading=RAYLEIGH,
+                n_samples=n_samples,
+            )
+            res = ergodic_secrecy(spec)
+            assert res.iterations == len(calls) > 0
+            assert res.multiplier == calls[-1][0]
+            subsample = [size for _, size in calls if size < res.n_active]
+            assert bool(subsample) == (res.n_active >= WARM_START_STATES)
+        assert subsample  # the 1e5-sample estimate took the subsample start
 
     @pytest.mark.parametrize("eaves", [None, RAYLEIGH], ids=["no_eaves", "rayleigh_eaves"])
     def test_power_residual_is_final_relative_residual(self, eaves):
