@@ -8,7 +8,9 @@ the deterministic path-loss gain compose multiplicatively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from ._common import ValidatedRecord
 
 __all__ = [
     "PowerBudget",
@@ -29,14 +31,17 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class PowerBudget:
-    """Transmit power and noise variance on a common linear scale."""
-
+class _PowerBudget(NamedTuple):
     p_linear: float
     n0_linear: float
 
-    def __post_init__(self) -> None:
+
+class PowerBudget(ValidatedRecord, _PowerBudget):
+    """Transmit power and noise variance on a common linear scale."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not (math.isfinite(self.p_linear) and self.p_linear > 0):
             raise ValueError(f"p_linear must be positive and finite, got {self.p_linear!r}")
         if not (math.isfinite(self.n0_linear) and self.n0_linear > 0):
@@ -52,19 +57,22 @@ class PowerBudget:
         return cls(p_linear=n0_linear * db_to_linear(pn0_db), n0_linear=n0_linear)
 
 
-@dataclass(frozen=True)
-class FadingModel:
+class _FadingModel(NamedTuple):
+    kind: str
+    k_factor: float = 0.0
+    m: float = 1.0
+
+
+class FadingModel(ValidatedRecord, _FadingModel):
     """One of the three small-scale fading families, unit mean power.
 
     ``kind`` is ``"rayleigh"``, ``"rician"`` (with ``k_factor`` >= 0) or
     ``"nakagami"`` (with shape ``m`` >= 0.5).
     """
 
-    kind: str
-    k_factor: float = 0.0
-    m: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind not in ("rayleigh", "rician", "nakagami"):
             raise ValueError(f"unknown fading kind {self.kind!r}")
         if self.kind == "rician" and not (math.isfinite(self.k_factor) and self.k_factor >= 0):

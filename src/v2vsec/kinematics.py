@@ -7,7 +7,9 @@ CLI boundary via the conversion helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from ._common import ValidatedRecord
 
 __all__ = [
     "VehicleState",
@@ -17,14 +19,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VehicleState:
-    """Speed and usable braking deceleration of one vehicle."""
-
+class _VehicleState(NamedTuple):
     speed: float
     accel: float
 
-    def __post_init__(self) -> None:
+
+class VehicleState(ValidatedRecord, _VehicleState):
+    """Speed and usable braking deceleration of one vehicle."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not (math.isfinite(self.speed) and self.speed >= 0):
             raise ValueError(f"speed must be >= 0, got {self.speed!r}")
         if not (math.isfinite(self.accel) and self.accel > 0):

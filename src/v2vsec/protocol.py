@@ -17,21 +17,25 @@ fields are an optional '-', digits, and optionally a '.' radix point
 followed by 1-4 digits. Nothing else is a number on the wire: no
 exponent, sign '+', digit separator, surrounding whitespace, or nan/inf.
 
-:class:`CsiMessage` and :class:`LinkDecision`, built once per direct
-report, are immutable named tuples: besides field access they unpack,
-index, and compare equal to tuples of equal values. ``CsiMessage``
-validates in ``__new__``, which its ``_make`` and ``_replace`` go
-through. The other records (schedules, relay candidates and selections,
-link and protocol configuration) stay frozen dataclasses.
+Every record here (messages, decisions, schedules, relay candidates and
+selections, link and protocol configuration) is an immutable named
+tuple: besides field access it unpacks, indexes, orders and compares
+equal to tuples of equal values. A record with rules validates in
+``__new__``, which its ``_make`` and ``_replace`` go through:
+``CsiMessage``, built once per report, inline, and the configuration
+records through ``ValidatedRecord``. A named tuple costs less to create
+than a frozen dataclass, class and instance alike, and keeps
+``dataclasses`` out of the import. :class:`ProtocolSession`, which
+changes as messages arrive, is a plain class.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from ._common import ValidatedRecord
 from .channel import PowerBudget, db_to_linear
 from .secrecy import (
     _check_positive,
@@ -266,16 +270,19 @@ def parse_csi(line: str) -> CsiMessage:
         raise CsiMalformedFieldError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class ThresholdSchedule:
+class _ThresholdSchedule(NamedTuple):
+    bands: tuple[tuple[float, float, float], ...]
+
+
+class ThresholdSchedule(ValidatedRecord, _ThresholdSchedule):
     """Speed bands [low, high) mapped to secrecy-capacity thresholds.
 
     Bands must partition [0, inf) with no gap or overlap.
     """
 
-    bands: tuple[tuple[float, float, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.bands:
             raise ValueError("schedule needs at least one band")
         expected_low = 0.0
@@ -304,16 +311,19 @@ def derive_threshold(speed: float, schedule: ThresholdSchedule) -> float:
     raise AssertionError("schedule bands do not cover the speed axis")
 
 
-@dataclass(frozen=True)
-class RelayCandidate:
-    """A relay node's power-domain gains toward target and eavesdropper."""
-
+class _RelayCandidate(NamedTuple):
     relay_id: str
     h_rb: float
     h_re: float
     p_max: float
 
-    def __post_init__(self) -> None:
+
+class RelayCandidate(ValidatedRecord, _RelayCandidate):
+    """A relay node's power-domain gains toward target and eavesdropper."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.relay_id:
             raise ValueError("relay_id must be nonempty")
         for name in ("h_rb", "h_re"):
@@ -324,26 +334,26 @@ class RelayCandidate:
             raise ValueError(f"p_max must be >= 0, got {self.p_max!r}")
 
 
-@dataclass(frozen=True)
-class LinkScenario:
-    """Static link parameters the decision engine needs besides the CSI."""
-
+class _LinkScenario(NamedTuple):
     r: float
     alpha: float
     tau: float
     budget: PowerBudget
 
-    def __post_init__(self) -> None:
+
+class LinkScenario(ValidatedRecord, _LinkScenario):
+    """Static link parameters the decision engine needs besides the CSI."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for name in ("r", "alpha", "tau"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be > 0, got {v!r}")
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Thresholds, boost policy, relay candidates and strategy ordering."""
-
+class _ProtocolConfig(NamedTuple):
     thresholds: ThresholdSchedule = DEFAULT_THRESHOLDS
     boost_step_db: float = 2.0
     boost_cap_db: float = 10.0
@@ -352,7 +362,13 @@ class ProtocolConfig:
     strategy_order: tuple[str, ...] = ("relay", "power_boost", "v2i_fallback")
     freshness_ms: float = 500.0
 
-    def __post_init__(self) -> None:
+
+class ProtocolConfig(ValidatedRecord, _ProtocolConfig):
+    """Thresholds, boost policy, relay candidates and strategy ordering."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not (math.isfinite(self.boost_step_db) and self.boost_step_db > 0):
             raise ValueError(f"boost_step_db must be > 0, got {self.boost_step_db!r}")
         if not (math.isfinite(self.boost_cap_db) and self.boost_cap_db >= 0):
@@ -392,8 +408,7 @@ class LinkDecision(NamedTuple):
     new_power: float | None = None
 
 
-@dataclass(frozen=True)
-class RelaySelection:
+class RelaySelection(NamedTuple):
     relay_id: str
     relay_power: float
     capacity: float
@@ -433,27 +448,30 @@ def optimize_relay_power(
     ``RelayCandidate`` and ``LinkScenario`` already hold them for their
     fields, and the two path-loss gains, computed once per call, lie in
     [0, max float] or raise ``_geometric_raw``'s path-loss ``ValueError``;
-    an overflowing d = speed*tau raises ``velocity_secrecy``'s error for d.
+    a d = speed*tau that underflows to 0 or overflows raises
+    ``velocity_secrecy``'s error for d.
     """
     if not (math.isfinite(speed_mps) and speed_mps > 0):
         raise ValueError(f"speed_mps must be > 0, got {speed_mps!r}")
     d, exp = speed_mps * scenario.tau, 2.0 * scenario.alpha
-    if d == math.inf:
+    if not 0.0 < d < math.inf:  # the product underflowed to 0 or overflowed
         _check_positive("d", d)  # raises, with the message velocity_secrecy gives
     try:
         h_ab, h_ae = d**-exp, scenario.r**-exp
     except (OverflowError, ZeroDivisionError):
         raise _path_loss_range_error(d, scenario.r, scenario.alpha) from None
-    p_a, n0 = scenario.budget.p_linear, scenario.budget.n0_linear
-    h_rb, h_re = candidate.h_rb, candidate.h_re
+    budget = scenario.budget
+    p_a, n0 = budget.p_linear, budget.n0_linear
+    # locals, since a named tuple's field is a descriptor lookup on every read
+    h_rb, h_re, p_max = candidate.h_rb, candidate.h_re, candidate.p_max
 
     def capacity(p_r: float) -> float:
         return max(0.0, _relay_raw(p_a, p_r, h_ab, h_rb, h_ae, h_re, n0, n0, 1.0))
 
-    if candidate.p_max == 0.0:
+    if p_max == 0.0:
         return 0.0, capacity(0.0)
 
-    grid = _coarse_grid(candidate.p_max)
+    grid = _coarse_grid(p_max)
     values = [capacity(p) for p in grid]
     best_p, best_c = 0.0, values[0]
     for p, c in zip(grid[1:], values[1:]):
@@ -471,7 +489,7 @@ def optimize_relay_power(
         x2 = lo + _GOLDEN * (hi - lo)
         f1 = capacity(x1)
         f2 = capacity(x2)
-        while hi - lo > 1e-10 * candidate.p_max:
+        while hi - lo > 1e-10 * p_max:
             if f1 < f2:
                 lo, x1, f1 = x1, x2, f2
                 x2 = lo + _GOLDEN * (hi - lo)
@@ -526,8 +544,8 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
     power-boost strategy, and the ladder goes on to the next one.
     """
     threshold = derive_threshold(csi.speed_mps, config.thresholds)
-    p = scenario.budget.p_linear
-    n0 = scenario.budget.n0_linear
+    budget = scenario.budget
+    p, n0 = budget.p_linear, budget.n0_linear
     v, tau, r, alpha = csi.speed_mps, scenario.tau, scenario.r, scenario.alpha
     base = max(0.0, _velocity_raw(p, n0, v, tau, r, alpha))
     if base >= threshold:
@@ -572,7 +590,6 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
     return LinkDecision("v2i_fallback", base, threshold)
 
 
-@dataclass
 class ProtocolSession:
     """Per-link session enforcing CSI ordering and freshness around decide().
 
@@ -583,10 +600,11 @@ class ProtocolSession:
     the values of its accepted messages.
     """
 
-    scenario: LinkScenario
-    config: ProtocolConfig
-    last_seq: dict[str, int] = field(default_factory=dict, init=False)
-    newest_ts: dict[str, int] = field(default_factory=dict, init=False)
+    def __init__(self, scenario: LinkScenario, config: ProtocolConfig) -> None:
+        self.scenario = scenario
+        self.config = config
+        self.last_seq: dict[str, int] = {}
+        self.newest_ts: dict[str, int] = {}
 
     def check(self, csi: CsiMessage) -> None:
         """Raise CsiSeqRegressionError or StaleCsiError unless csi may come next."""

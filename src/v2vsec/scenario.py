@@ -36,8 +36,8 @@ rejected at load time, and names are case-sensitive):
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from ._common import fmt_num
 from .channel import PowerBudget
@@ -75,8 +75,7 @@ class ScenarioError(ValueError):
     """Schema violation, reported with the offending field path."""
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     link: LinkScenario
     config: ProtocolConfig
     messages: tuple[CsiMessage, ...]
@@ -84,8 +83,7 @@ class Scenario:
     seed: int = 0  # stored, but nothing reads it
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One decision with the direct-link capacity context it was made in."""
 
     seq: int
@@ -141,7 +139,7 @@ def _read_section(parser, section_name: str, required: bool = False) -> dict:
     """Converted values of one section, in schema order.
 
     A key absent from the file is an error when ``required``; otherwise it
-    is left out, so the dataclass default applies.
+    is left out, so the record's default applies.
     """
     schema = _SCHEMA[section_name.partition(".")[0]]
     section = parser[section_name] if parser.has_section(section_name) else {}

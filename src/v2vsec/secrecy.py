@@ -20,7 +20,9 @@ relay-power probe and the public function agree bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from ._common import ValidatedRecord
 
 __all__ = [
     "SecrecyResult",
@@ -112,8 +114,7 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class SecrecyResult:
+class SecrecyResult(NamedTuple):
     """Raw secrecy capacity and its clamp at zero, in the caller's rate unit."""
 
     raw: float
@@ -124,53 +125,64 @@ class SecrecyResult:
         return cls(raw=raw, clamped=max(0.0, raw))
 
 
-@dataclass(frozen=True)
-class WiretapNoise:
-    """Noise variances at the legitimate receiver and at the eavesdropper."""
-
+class _WiretapNoise(NamedTuple):
     n_m: float
     n_w: float
 
-    def __post_init__(self) -> None:
+
+class WiretapNoise(ValidatedRecord, _WiretapNoise):
+    """Noise variances at the legitimate receiver and at the eavesdropper."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         _check_positive("n_m", self.n_m)
         _check_positive("n_w", self.n_w)
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Host/target/eavesdropper placement: r to the eavesdropper, d = r*theta
-    between the legitimate pair.
-
-    Exactly one of ``theta`` and ``d`` may be omitted; the other is derived.
-    When both are given they must satisfy d = r*theta.
-    """
-
+class _LinkGeometry(NamedTuple):
     r: float
     theta: float | None = None
     d: float | None = None
 
-    def __post_init__(self) -> None:
-        _check_positive("r", self.r)
-        if self.theta is None and self.d is None:
+
+class LinkGeometry(_LinkGeometry):
+    """Host/target/eavesdropper placement: r to the eavesdropper, d = r*theta
+    between the legitimate pair.
+
+    Exactly one of ``theta`` and ``d`` may be omitted; ``__new__`` derives
+    the other, and ``_make`` and ``_replace`` go through it. When both are
+    given they must satisfy d = r*theta.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, r: float, theta: float | None = None, d: float | None = None
+    ) -> "LinkGeometry":
+        _check_positive("r", r)
+        if theta is None and d is None:
             raise ValueError("one of theta or d is required")
-        if self.d is None:
-            _check_positive("theta", self.theta)
-            object.__setattr__(self, "d", self.r * self.theta)
-        elif self.theta is None:
-            _check_positive("d", self.d)
-            object.__setattr__(self, "theta", self.d / self.r)
+        if d is None:
+            _check_positive("theta", theta)
+            d = r * theta
+        elif theta is None:
+            _check_positive("d", d)
+            theta = d / r
         else:
-            _check_positive("theta", self.theta)
-            _check_positive("d", self.d)
-            expect = self.r * self.theta
-            if abs(self.d - expect) > 1e-9 * max(abs(self.d), abs(expect)):
-                raise ValueError(f"inconsistent geometry: d={self.d!r} but r*theta={expect!r}")
+            _check_positive("theta", theta)
+            _check_positive("d", d)
+            expect = r * theta
+            if abs(d - expect) > 1e-9 * max(abs(d), abs(expect)):
+                raise ValueError(f"inconsistent geometry: d={d!r} but r*theta={expect!r}")
+        return tuple.__new__(cls, (r, theta, d))
+
+    @classmethod
+    def _make(cls, iterable) -> "LinkGeometry":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RelayConfig:
-    """Powers, power-domain channel gains, and noises of the four-link relay model."""
-
+class _RelayConfig(NamedTuple):
     p_a: float
     p_r: float
     h_ab: float
@@ -181,7 +193,13 @@ class RelayConfig:
     sigma_e2: float
     w: float = 1.0
 
-    def __post_init__(self) -> None:
+
+class RelayConfig(ValidatedRecord, _RelayConfig):
+    """Powers, power-domain channel gains, and noises of the four-link relay model."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         _check_positive("p_a", self.p_a)
         if not (math.isfinite(self.p_r) and self.p_r >= 0):
             raise ValueError(f"p_r must be >= 0, got {self.p_r!r}")

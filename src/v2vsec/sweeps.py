@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -332,7 +332,7 @@ def run_relay_compare(
             else:
                 p_r = value
             if not (0 < p_a < inf and 0 <= p_r < inf):
-                replace(base, p_a=p_a, p_r=p_r)  # raises RelayConfig's field-named error
+                base._replace(p_a=p_a, p_r=p_r)  # raises RelayConfig's field-named error
         except ValueError as exc:
             raise SweepError(f"axis point {axis}={fmt_num(value)}: {exc}") from None
         on = _relay_raw(p_a, p_r, *gains, sigma_b2, sigma_e2, w)

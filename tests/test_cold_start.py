@@ -1,7 +1,9 @@
-"""numpy stays out of the package import and of the CSI decision path.
+"""numpy and dataclasses stay out of the package import and of the CSI decision path.
 
-Each check runs in a fresh interpreter, because this test process has
-numpy loaded already.
+numpy is the array layers' dependency. The decision path's records are
+named tuples, so it needs no ``dataclasses`` either (which would bring in
+``inspect``). Each check runs in a fresh interpreter, because this test
+process has both modules loaded already.
 """
 
 import os
@@ -39,10 +41,14 @@ line.1 = CSI1|B|2|100|23|-60|-90|30|20
 """
 
 
-def _numpy_loaded_after(code: str) -> bool:
+LIGHT_PATH_AVOIDS = pytest.mark.parametrize("module", ["numpy", "dataclasses"])
+
+
+def _loaded_after(module: str, code: str) -> bool:
+    """Whether a fresh interpreter has imported ``module`` once it has run ``code``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    probe = code + "\nimport sys\nprint('numpy' in sys.modules)\n"
+    probe = code + f"\nimport sys\nprint({module!r} in sys.modules)\n"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     return done.stdout.splitlines()[-1] == "True"
@@ -55,11 +61,18 @@ def scenario_path(tmp_path):
     return path
 
 
-def test_package_import():
-    assert not _numpy_loaded_after("import v2vsec")
+@LIGHT_PATH_AVOIDS
+def test_package_import(module):
+    assert not _loaded_after(module, "import v2vsec")
 
 
-def test_scenario_and_decisions(scenario_path):
+@LIGHT_PATH_AVOIDS
+def test_cli_import(module):
+    assert not _loaded_after(module, "import v2vsec.cli")
+
+
+@LIGHT_PATH_AVOIDS
+def test_scenario_and_decisions(module, scenario_path):
     code = f"""
 from v2vsec.protocol import ProtocolSession
 from v2vsec.scenario import load_scenario
@@ -68,21 +81,22 @@ session = ProtocolSession(scenario=scenario.link, config=scenario.config)
 modes = [session.process(msg).mode for msg in scenario.messages]
 assert modes == ["direct", "relay"], modes
 """
-    assert not _numpy_loaded_after(code)
+    assert not _loaded_after(module, code)
 
 
-def test_protocol_trace_command(scenario_path, tmp_path):
+@LIGHT_PATH_AVOIDS
+def test_protocol_trace_command(module, scenario_path, tmp_path):
     out = tmp_path / "trace.csv"
     code = f"""
 from v2vsec.cli import main
 assert main(["protocol-trace", "--scenario", {str(scenario_path)!r}, "--out", {str(out)!r}]) == 0
 """
-    assert not _numpy_loaded_after(code)
+    assert not _loaded_after(module, code)
     assert out.read_text(encoding="utf-8").count("\n") == 3
 
 
 def test_array_layers_still_load_numpy():
-    assert _numpy_loaded_after("import v2vsec.ergodic")
+    assert _loaded_after("numpy", "import v2vsec.ergodic")
 
 
 class TestLazyNamespace:

@@ -617,8 +617,8 @@ class TestRelayPowerExactness:
 class TestRelaySearchErrors:
     """A path-loss gain beyond the float range is a ValueError, not a bare float error."""
 
-    # (speed, r): d = speed * tau overflows d**-2.8, d underflows to 0, r overflows r**-2.8
-    OUT_OF_RANGE = [(1e-300, 1000.0), (5e-324, 1000.0), (30.0, 1e-200)]
+    # (speed, r): d = speed * tau overflows d**-2.8, r overflows r**-2.8
+    OUT_OF_RANGE = [(1e-300, 1000.0), (30.0, 1e-200)]
 
     @staticmethod
     def case(speed, r):
@@ -654,6 +654,21 @@ class TestRelaySearchErrors:
         assert str(info.value) == "d must be positive and finite, got inf"
         with pytest.raises(ValueError) as public:
             velocity_secrecy(1e7, 1.0, 1e300, 1e10, 1000.0, 1.4)
+        assert str(public.value) == str(info.value)
+
+    @pytest.mark.parametrize("search", [
+        optimize_relay_power,
+        lambda scenario, cand, speed: select_relay([cand], scenario, speed),
+    ], ids=["optimize_relay_power", "select_relay"])
+    def test_underflowing_separation(self, search):
+        # d = 5e-324 * 0.2 underflows to 0.0, the path-loss singularity
+        scenario = LinkScenario(r=1000.0, alpha=1.4, tau=0.2, budget=PowerBudget.from_db(70.0))
+        cand = RelayCandidate("a", h_rb=1e-3, h_re=1e-3, p_max=1.0)
+        with pytest.raises(ValueError) as info:
+            search(scenario, cand, 5e-324)
+        assert str(info.value) == "d must be positive and finite, got 0.0"
+        with pytest.raises(ValueError) as public:
+            velocity_secrecy(1e7, 1.0, 5e-324, 0.2, 1000.0, 1.4)
         assert str(public.value) == str(info.value)
 
 

@@ -1,0 +1,222 @@
+"""The numpy-free records are immutable named tuples with a pinned contract.
+
+A record with rules refuses each invalid field with the same ValueError
+text on every construction path: the constructor, ``_make`` and
+``_replace``. Every record keeps the repr it had as a frozen dataclass,
+hashes by value, survives pickling and refuses field assignment.
+"""
+
+import math
+import pickle
+
+import pytest
+
+from v2vsec.channel import FadingModel, PowerBudget
+from v2vsec.kinematics import VehicleState
+from v2vsec.protocol import (
+    DEFAULT_THRESHOLDS,
+    CsiMessage,
+    LinkDecision,
+    LinkScenario,
+    ProtocolConfig,
+    ProtocolSession,
+    RelayCandidate,
+    RelaySelection,
+    ThresholdSchedule,
+)
+from v2vsec.scenario import Scenario, TraceRecord
+from v2vsec.secrecy import LinkGeometry, RelayConfig, SecrecyResult, WiretapNoise
+
+BUDGET = PowerBudget(p_linear=1000000.0, n0_linear=1.0)
+LINK = LinkScenario(r=150.0, alpha=1.4, tau=0.2, budget=BUDGET)
+CANDIDATE = RelayCandidate(relay_id="a", h_rb=2e-09, h_re=8e-06, p_max=3000000000.0)
+SCHEDULE = ThresholdSchedule(bands=((0.0, 25.0, 14.0), (25.0, math.inf, 10.9)))
+CONFIG = ProtocolConfig(thresholds=SCHEDULE, relay_candidates=(CANDIDATE,))
+MESSAGE = CsiMessage.build("B", 1, 0, 23.0, -60.0, -90.0, 5.0)
+RELAY = RelayConfig(p_a=1.0, p_r=0.5, h_ab=1.0, h_rb=0.1, h_ae=0.5, h_re=1.0,
+                    sigma_b2=1.0, sigma_e2=2.0)
+
+# (valid record, fields to change, the ValueError text the change must raise)
+INVALID = [
+    (BUDGET, {"p_linear": 0.0}, "p_linear must be positive and finite, got 0.0"),
+    (BUDGET, {"p_linear": math.nan}, "p_linear must be positive and finite, got nan"),
+    (BUDGET, {"n0_linear": math.inf}, "n0_linear must be positive and finite, got inf"),
+    (FadingModel.rician(3.0), {"kind": "weibull"}, "unknown fading kind 'weibull'"),
+    (FadingModel.rician(3.0), {"k_factor": -1.0}, "Rician K-factor must be >= 0, got -1.0"),
+    (FadingModel.nakagami(2.0), {"m": 0.25}, "Nakagami shape m must be >= 0.5, got 0.25"),
+    (VehicleState(speed=20.0, accel=5.0), {"speed": -1.0}, "speed must be >= 0, got -1.0"),
+    (VehicleState(speed=20.0, accel=5.0), {"accel": 0.0}, "accel must be > 0, got 0.0"),
+    (WiretapNoise(n_m=1.0, n_w=2.0), {"n_m": 0.0}, "n_m must be positive and finite, got 0.0"),
+    (WiretapNoise(n_m=1.0, n_w=2.0), {"n_w": -math.inf},
+     "n_w must be positive and finite, got -inf"),
+    (LinkGeometry(r=100.0, theta=0.5), {"r": 0.0}, "r must be positive and finite, got 0.0"),
+    (LinkGeometry(r=100.0, theta=0.5), {"theta": None, "d": None},
+     "one of theta or d is required"),
+    (LinkGeometry(r=100.0, theta=0.5), {"theta": -1.0, "d": None},
+     "theta must be positive and finite, got -1.0"),
+    (LinkGeometry(r=100.0, theta=0.5), {"theta": None, "d": math.nan},
+     "d must be positive and finite, got nan"),
+    (LinkGeometry(r=100.0, theta=0.5), {"d": 60.0},
+     "inconsistent geometry: d=60.0 but r*theta=50.0"),
+    (RELAY, {"p_a": 0.0}, "p_a must be positive and finite, got 0.0"),
+    (RELAY, {"p_r": -1.0}, "p_r must be >= 0, got -1.0"),
+    (RELAY, {"h_ab": -1.0}, "h_ab must be >= 0, got -1.0"),
+    (RELAY, {"h_rb": math.inf}, "h_rb must be >= 0, got inf"),
+    (RELAY, {"h_ae": math.nan}, "h_ae must be >= 0, got nan"),
+    (RELAY, {"h_re": -0.5}, "h_re must be >= 0, got -0.5"),
+    (RELAY, {"sigma_b2": 0.0}, "sigma_b2 must be positive and finite, got 0.0"),
+    (RELAY, {"sigma_e2": math.inf}, "sigma_e2 must be positive and finite, got inf"),
+    (RELAY, {"w": -1.0}, "w must be positive and finite, got -1.0"),
+    (SCHEDULE, {"bands": ()}, "schedule needs at least one band"),
+    (SCHEDULE, {"bands": ((1.0, math.inf, 1.0),)}, "band 0 starts at 1.0, expected 0.0"),
+    (SCHEDULE, {"bands": ((0.0, 0.0, 1.0),)}, "band 0 is empty: [0.0, 0.0)"),
+    (SCHEDULE, {"bands": ((0.0, math.inf, -1.0),)}, "band 0 threshold must be >= 0, got -1.0"),
+    (SCHEDULE, {"bands": ((0.0, 25.0, 1.0),)}, "last band must extend to infinity"),
+    (CANDIDATE, {"relay_id": ""}, "relay_id must be nonempty"),
+    (CANDIDATE, {"h_rb": -1.0}, "h_rb must be >= 0, got -1.0"),
+    (CANDIDATE, {"h_re": math.nan}, "h_re must be >= 0, got nan"),
+    (CANDIDATE, {"p_max": math.inf}, "p_max must be >= 0, got inf"),
+    (LINK, {"r": 0.0}, "r must be > 0, got 0.0"),
+    (LINK, {"alpha": -1.4}, "alpha must be > 0, got -1.4"),
+    (LINK, {"tau": math.inf}, "tau must be > 0, got inf"),
+    (CONFIG, {"boost_step_db": 0.0}, "boost_step_db must be > 0, got 0.0"),
+    (CONFIG, {"boost_cap_db": -1.0}, "boost_cap_db must be >= 0, got -1.0"),
+    (CONFIG, {"max_boost_iterations": 2.5}, "max_boost_iterations must be an integer, got 2.5"),
+    (CONFIG, {"max_boost_iterations": True},
+     "max_boost_iterations must be an integer, got True"),
+    (CONFIG, {"max_boost_iterations": 0}, "max_boost_iterations must be >= 1, got 0"),
+    (CONFIG, {"strategy_order": ()}, "strategy_order must be nonempty"),
+    (CONFIG, {"strategy_order": ("relay", "relay")}, "strategy_order must not repeat strategies"),
+    (CONFIG, {"strategy_order": ("relay", "teleport")}, "unknown strategy 'teleport'"),
+    (CONFIG, {"freshness_ms": 0.0}, "freshness_ms must be > 0, got 0.0"),
+]
+
+
+def _build(record, changes):
+    return type(record)(**{**record._asdict(), **changes})
+
+
+def _make(record, changes):
+    return type(record)._make({**record._asdict(), **changes}.values())
+
+
+def _replace(record, changes):
+    return record._replace(**changes)
+
+
+@pytest.mark.parametrize("path", [_build, _make, _replace], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "record, changes, message", INVALID,
+    ids=[f"{type(r).__name__}-{'-'.join(c)}" for r, c, _ in INVALID],
+)
+def test_every_path_refuses_an_invalid_field(path, record, changes, message):
+    with pytest.raises(ValueError) as info:
+        path(record, changes)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("path", [_build, _make, _replace], ids=lambda f: f.__name__)
+def test_every_path_returns_the_record_type(path):
+    for record, changes, _ in INVALID:
+        field = next(iter(changes))
+        rebuilt = path(record, {field: getattr(record, field)})
+        assert type(rebuilt) is type(record) and rebuilt == record
+
+
+# The reprs of the frozen dataclasses these records replaced.
+REPRS = [
+    (BUDGET, "PowerBudget(p_linear=1000000.0, n0_linear=1.0)"),
+    (FadingModel.rician(3.0), "FadingModel(kind='rician', k_factor=3.0, m=1.0)"),
+    (VehicleState(speed=20.0, accel=5.0), "VehicleState(speed=20.0, accel=5.0)"),
+    (SecrecyResult.from_raw(-0.5), "SecrecyResult(raw=-0.5, clamped=0.0)"),
+    (WiretapNoise(n_m=1.0, n_w=2.0), "WiretapNoise(n_m=1.0, n_w=2.0)"),
+    (LinkGeometry(r=100.0, d=20.0), "LinkGeometry(r=100.0, theta=0.2, d=20.0)"),
+    (RELAY, "RelayConfig(p_a=1.0, p_r=0.5, h_ab=1.0, h_rb=0.1, h_ae=0.5, h_re=1.0, "
+            "sigma_b2=1.0, sigma_e2=2.0, w=1.0)"),
+    (DEFAULT_THRESHOLDS, "ThresholdSchedule(bands=((0.0, 25.0, 2.0), (25.0, inf, 1.0)))"),
+    (CANDIDATE, "RelayCandidate(relay_id='a', h_rb=2e-09, h_re=8e-06, p_max=3000000000.0)"),
+    (LINK, "LinkScenario(r=150.0, alpha=1.4, tau=0.2, "
+           "budget=PowerBudget(p_linear=1000000.0, n0_linear=1.0))"),
+    (ProtocolConfig(), "ProtocolConfig(thresholds=ThresholdSchedule(bands=((0.0, 25.0, 2.0), "
+                       "(25.0, inf, 1.0))), boost_step_db=2.0, boost_cap_db=10.0, "
+                       "max_boost_iterations=5, relay_candidates=(), "
+                       "strategy_order=('relay', 'power_boost', 'v2i_fallback'), "
+                       "freshness_ms=500.0)"),
+    (RelaySelection(relay_id="a", relay_power=0.5, capacity=1.25),
+     "RelaySelection(relay_id='a', relay_power=0.5, capacity=1.25)"),
+    (Scenario(link=LINK, config=ProtocolConfig(), messages=(MESSAGE,)),
+     "Scenario(link=LinkScenario(r=150.0, alpha=1.4, tau=0.2, "
+     "budget=PowerBudget(p_linear=1000000.0, n0_linear=1.0)), "
+     "config=ProtocolConfig(thresholds=ThresholdSchedule(bands=((0.0, 25.0, 2.0), "
+     "(25.0, inf, 1.0))), boost_step_db=2.0, boost_cap_db=10.0, max_boost_iterations=5, "
+     "relay_candidates=(), strategy_order=('relay', 'power_boost', 'v2i_fallback'), "
+     "freshness_ms=500.0), messages=(CsiMessage(sender_id='B', seq=1, timestamp_ms=0, "
+     "tx_power_dbm=23.0, rx_power_dbm=-60.0, noise_floor_dbm=-90.0, snr_db=30.0, "
+     "speed_mps=5.0),), name='scenario', seed=0)"),
+    (TraceRecord(seq=1, timestamp_ms=0, speed_mps=5.0, cs_raw=3.5, cs_clamped=3.5,
+                 decision=LinkDecision("direct", 3.5, 2.0)),
+     "TraceRecord(seq=1, timestamp_ms=0, speed_mps=5.0, cs_raw=3.5, cs_clamped=3.5, "
+     "decision=LinkDecision(mode='direct', cs_achieved=3.5, threshold_used=2.0, "
+     "boost_iterations=0, relay_id=None, relay_power=None, new_power=None))"),
+]
+RECORDS = [record for record, _ in REPRS]
+RECORD_IDS = [type(record).__name__ for record in RECORDS]
+
+
+@pytest.mark.parametrize("record, text", REPRS, ids=RECORD_IDS)
+def test_repr_is_pinned(record, text):
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+def test_equal_records_hash_equal(record):
+    twin = type(record)(**record._asdict())
+    assert twin == record and twin is not record
+    assert hash(twin) == hash(record)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+def test_pickle_round_trip(record):
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+def test_fields_cannot_be_assigned(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+    with pytest.raises(AttributeError):
+        record.extra = 0.0  # no instance __dict__ either
+
+
+def test_records_are_tuples_of_their_fields():
+    assert BUDGET == (1000000.0, 1.0)
+    r, alpha, tau, budget = LINK
+    assert (r, alpha, tau, budget.p_linear) == (150.0, 1.4, 0.2, 1000000.0)
+    assert LINK[3] is BUDGET
+    assert PowerBudget(1.0, 2.0) < PowerBudget(2.0, 1.0)
+
+
+class TestProtocolSession:
+    def test_keyword_constructor_and_attributes(self):
+        session = ProtocolSession(scenario=LINK, config=CONFIG)
+        assert session.scenario is LINK and session.config is CONFIG
+        assert session.last_seq == {} and session.newest_ts == {}
+
+    def test_sessions_keep_their_own_state(self):
+        first, second = ProtocolSession(LINK, CONFIG), ProtocolSession(LINK, CONFIG)
+        assert first.process(MESSAGE).mode == "direct"
+        assert first.last_seq == {"B": 1} and first.newest_ts == {"B": 0}
+        assert second.last_seq == {} and second.newest_ts == {}
+
+    def test_process_can_be_wrapped_on_the_class(self, monkeypatch):
+        calls = []
+        process = ProtocolSession.process
+
+        def traced(self, csi):
+            calls.append(csi.seq)
+            return process(self, csi)
+
+        monkeypatch.setattr(ProtocolSession, "process", traced)
+        ProtocolSession(LINK, CONFIG).process(MESSAGE)
+        assert calls == [1]

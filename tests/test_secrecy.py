@@ -99,6 +99,10 @@ class TestLinkGeometry:
         with pytest.raises(ValueError):
             LinkGeometry(r=1000.0)
 
+    def test_make_and_replace_derive_too(self):
+        assert LinkGeometry._make([1000.0, None, 250.0]) == (1000.0, 0.25, 250.0)
+        assert LinkGeometry(r=1000.0, theta=0.1)._replace(theta=None, d=250.0).theta == 0.25
+
 
 class TestGeometricSecrecy:
     def test_unit_angle_is_exactly_zero(self):

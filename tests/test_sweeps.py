@@ -464,16 +464,16 @@ class TestRelayCompare:
     @pytest.mark.parametrize("axis,start,stop,step", [("pa_db", -40.0, 60.0, 0.25),
                                                       ("pr", 0.0, 40.0, 0.125)])
     def test_cells_are_the_public_relay_formula(self, axis, start, stop, step, sigma_e2):
-        base = replace(self.BASE, sigma_e2=sigma_e2, h_rb=0.3)
+        base = self.BASE._replace(sigma_e2=sigma_e2, h_rb=0.3)
         lines = run_relay_compare(axis, start, stop, step, base)
         points = axis_points(start, stop, step)
         assert len(lines) == len(points) + 1
         for value, line in zip(points, lines[1:]):
             if axis == "pa_db":
-                cfg = replace(base, p_a=base.sigma_b2 * db_to_linear(value))
+                cfg = base._replace(p_a=base.sigma_b2 * db_to_linear(value))
             else:
-                cfg = replace(base, p_r=value)
-            on, off = relay_secrecy(cfg), relay_secrecy(replace(cfg, p_r=0.0))
+                cfg = base._replace(p_r=value)
+            on, off = relay_secrecy(cfg), relay_secrecy(cfg._replace(p_r=0.0))
             cells = line.split(",")
             assert cells[2:4] == [fmt_num(cfg.p_a), fmt_num(cfg.p_r)]
             assert cells[11:] == [fmt_num(on.raw), fmt_num(on.clamped),
