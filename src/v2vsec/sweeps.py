@@ -16,15 +16,24 @@ failing field's error. A relay-compare point takes one path too: a
 one positive-and-finite guard, and ``RelayConfig`` owns the error of a
 power the guard refuses. Either error names the field and is reported
 as ``axis point <axis>=<value>: ...``. Rows are
-:class:`SweepRow` named tuples, and each CSV line is one ``%``-format
-string with fmt_num's ``%.6g`` per numeric cell.
+:class:`SweepRow` named tuples.
+
+Both tables are written column by column, through one formatter with
+fmt_num's rule: a constant column is one formatted cell, repeated; a
+column equal to an earlier one reuses that column's cells; any other
+column gets ``%.6g`` per cell. The reader works by column too: it checks
+the structure of the whole table at once and parses each distinct numeric
+column once. Only when that check fails does it walk the table line by
+line, to raise the first bad line's error.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -81,6 +90,7 @@ CS_DEMO_HEADER = "arm,n,m,k,trials,successes,success_rate,mean_rel_error"
 AXES = ("speed", "power_db", "tau", "alpha")
 VARIANT_VTAU = "vtau"
 VARIANT_THETA = "theta"
+VARIANTS = (VARIANT_VTAU, VARIANT_THETA)
 
 DEFAULT_SPEED_MPS = 80.0 / 3.6  # the most-swept operating point, 80 km/h
 
@@ -140,22 +150,57 @@ class SweepSpec:
             raise SweepError("theta variant applies to the speed axis only")
 
 
-# One sweep-table line: fmt_num's "%.6g" per numeric cell. Each number
-# gets + 0.0 first, which turns a negative zero into 0 as fmt_num does.
-_ROW_FORMAT = "%s" + ",%.6g" * 9 + ",%s"
-# One relay-compare line; the seven channel cells that no axis sweeps are
-# formatted once per table and enter as one "%s".
-_RELAY_ROW_FORMAT = "%s,%.6g,%.6g,%.6g,%s,%.6g,%.6g,%.6g,%.6g"
+def _map_columns(each, columns: Sequence[Sequence]) -> list[list]:
+    """``[each(column) for column in columns]``, working out each distinct column once.
+
+    A constant column maps its first cell and repeats the result, and a
+    column equal to an earlier one reuses that column's result, so
+    ``each`` must map cell by cell and map equal cells alike.
+    """
+    done: list[tuple[Sequence, list]] = []
+    out = []
+    for column in columns:
+        for earlier, result in done:
+            if column == earlier:
+                break
+        else:
+            n = len(column)
+            result = each(column[:1]) * n if column.count(column[0]) == n else each(column)
+            done.append((column, result))
+        out.append(result)
+    return out
+
+
+def _format_cells(column: Sequence[float]) -> list[str]:
+    """fmt_num per cell: ``%.6g``, after + 0.0 in a column that holds a zero.
+
+    The + 0.0 turns a negative zero into 0, as fmt_num does.
+    """
+    if 0.0 in column:
+        column = map(add, repeat(0.0), column)
+    return list(map("%.6g".__mod__, column))
+
+
+def _parse_cells(column: Sequence[str]) -> list[float]:
+    return list(map(float, column))
 
 
 def _csv_lines(rows: Iterable[SweepRow]) -> list[str]:
     """Sweep-table lines, one per 11-field row, without the header."""
-    return [
-        _ROW_FORMAT
-        % (axis, x + 0.0, v + 0.0, kmh + 0.0, alpha + 0.0, tau + 0.0, r + 0.0, db + 0.0,
-           raw + 0.0, clamped + 0.0, variant)
-        for axis, x, v, kmh, alpha, tau, r, db, raw, clamped, variant in rows
-    ]
+    columns = list(zip(*rows))
+    if not columns:
+        return []
+    return list(map(",".join, zip(columns[0], *_map_columns(_format_cells, columns[1:10]),
+                                  columns[10])))
+
+
+def _sweep_rows(*columns: Iterable) -> list[SweepRow]:
+    """Rows from the 11 columns, in SWEEP_HEADER's order, as long as the shortest.
+
+    ``tuple.__new__`` builds each row in C, without the named tuple's
+    Python-level ``__new__``; the caller supplies 11 columns.
+    """
+    return list(map(tuple.__new__, repeat(SweepRow), zip(*columns)))
 
 
 class SweepRow(NamedTuple):
@@ -188,27 +233,36 @@ def axis_points(start: float, stop: float, step: float) -> list[float]:
 def _vtau_rows(spec: SweepSpec, points: list[float]) -> list[SweepRow]:
     """The d = v*tau rows, on plain floats through secrecy's own formula.
 
-    Each point is ``_velocity_raw`` at p = ``db_to_linear(pn0_db)``. The
-    error of a point either refuses is reported with the axis point.
+    Each point is ``_velocity_raw`` at p = ``db_to_linear(pn0_db)``. A fixed
+    ``pn0_db`` is converted once per curve, and its error is reported with
+    the first point. The error of a point either refuses is reported with
+    the axis point.
     """
-    axis, r = spec.axis, spec.r
+    axis, r, n = spec.axis, spec.r, len(points)
 
     def column(name: str, fixed: float) -> list[float]:
-        return points if axis == name else [fixed] * len(points)
+        return points if axis == name else [fixed] * n
 
-    rows = []
-    for value, v, tau, alpha, pn0_db in zip(
-        points, column("speed", spec.v_mps), column("tau", spec.tau),
-        column("alpha", spec.alpha), column("power_db", spec.pn0_db),
-    ):
+    vs, taus = column("speed", spec.v_mps), column("tau", spec.tau)
+    alphas = column("alpha", spec.alpha)
+    per_point_power = axis == "power_db"
+    if not per_point_power:
         try:
-            raw = _velocity_raw(db_to_linear(pn0_db), 1.0, v, tau, r, alpha)
+            p = db_to_linear(spec.pn0_db)
+        except ValueError as exc:
+            raise SweepError(f"axis point {axis}={fmt_num(points[0])}: {exc}") from None
+    raws = []
+    for value, v, tau, alpha in zip(points, vs, taus, alphas):
+        try:
+            if per_point_power:
+                p = db_to_linear(value)
+            raws.append(_velocity_raw(p, 1.0, v, tau, r, alpha))
         except ValueError as exc:
             raise SweepError(f"axis point {axis}={fmt_num(value)}: {exc}") from None
-        # v * 3.6 is ms_to_kmh on a speed _velocity_raw has accepted
-        rows.append(SweepRow(axis, value, v, v * 3.6, alpha, tau, r, pn0_db, raw,
-                             max(0.0, raw), VARIANT_VTAU))
-    return rows
+    # v * 3.6 is ms_to_kmh on a speed _velocity_raw has accepted
+    return _sweep_rows(repeat(axis), points, vs, map((3.6).__rmul__, vs), alphas, taus,
+                       repeat(r), column("power_db", spec.pn0_db), raws,
+                       map(max, repeat(0.0), raws), repeat(VARIANT_VTAU))
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -229,7 +283,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             raise SweepError(f"axis point speed={fmt_num(points[0])}: {exc}") from None
         # every speed passed the vtau block's guard, so v * 3.6 is ms_to_kmh
         fixed = (spec.alpha, spec.tau, spec.r, spec.pn0_db, theta.raw, theta.clamped)
-        rows += [SweepRow("speed", v, v, v * 3.6, *fixed, VARIANT_THETA) for v in points]
+        rows += _sweep_rows(repeat("speed"), points, points, map((3.6).__rmul__, points),
+                            *map(repeat, fixed), repeat(VARIANT_THETA))
     return rows
 
 
@@ -266,6 +321,34 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join([SWEEP_HEADER, *_csv_lines(rows), ""])
 
 
+# A line break in a valid table sits between one line's variant and the
+# next line's axis; these map each such "<variant>\n<axis>" cell to its halves.
+_VARIANT_BEFORE = {f"{v}\n{a}": v for v in VARIANTS for a in AXES}
+_AXIS_AFTER = {f"{v}\n{a}": a for v in VARIANTS for a in AXES}
+
+
+def _first_bad_line(text: str) -> SweepFormatError | None:
+    """The error of the first body line that breaks the table contract.
+
+    The reader's one per-line walk, and the one place its line messages
+    live. :func:`read_sweep_csv` calls it only after its whole-table check
+    failed, so some line is bad.
+    """
+    for i, line in enumerate(text.split("\n")[1:-1], start=2):
+        parts = line.split(",")
+        if len(parts) != 11:
+            return SweepFormatError(f"line {i}: expected 11 fields, got {len(parts)}")
+        if parts[0] not in AXES:
+            return SweepFormatError(f"line {i}: unknown axis {parts[0]!r}")
+        if parts[10] not in VARIANTS:
+            return SweepFormatError(f"line {i}: unknown variant {parts[10]!r}")
+        try:
+            _parse_cells(parts[1:10])
+        except ValueError as exc:
+            return SweepFormatError(f"line {i}: {exc}")
+    return None
+
+
 def read_sweep_csv(text: str) -> list[SweepRow]:
     """Parse a sweep table, checking its structure.
 
@@ -276,27 +359,40 @@ def read_sweep_csv(text: str) -> list[SweepRow]:
     ``nan``, ``inf`` or a number with surrounding spaces. Re-encoding the
     rows gives back the identical bytes for a table that
     :func:`rows_to_csv` wrote, not for every table this accepts.
+
+    A bad header or a missing trailing LF is reported first. Otherwise the
+    error names the first bad line in file order, counting the header as
+    line 1, and within that line the first failing check: the field count,
+    the axis, the variant, then the numeric cells from left to right.
     """
-    lines = text.split("\n")
-    if not lines or lines[0] != SWEEP_HEADER:
-        raise SweepFormatError(f"bad header: {lines[0] if lines else ''!r}")
-    if lines[-1] != "":
+    header = text.partition("\n")[0]
+    if header != SWEEP_HEADER:
+        raise SweepFormatError(f"bad header: {header!r}")
+    if not text.endswith("\n"):
         raise SweepFormatError("missing trailing newline")
-    rows = []
-    for i, line in enumerate(lines[1:-1], start=2):
-        parts = line.split(",")
-        if len(parts) != 11:
-            raise SweepFormatError(f"line {i}: expected 11 fields, got {len(parts)}")
-        if parts[0] not in AXES:
-            raise SweepFormatError(f"line {i}: unknown axis {parts[0]!r}")
-        if parts[10] not in (VARIANT_VTAU, VARIANT_THETA):
-            raise SweepFormatError(f"line {i}: unknown variant {parts[10]!r}")
-        try:
-            parts[1:10] = map(float, parts[1:10])
-        except ValueError as exc:
-            raise SweepFormatError(f"line {i}: {exc}") from None
-        rows.append(SweepRow._make(parts))
-    return rows
+    if len(text) == len(SWEEP_HEADER) + 1:
+        return []
+    body = text[len(SWEEP_HEADER) + 1:-1]
+    n = body.count("\n") + 1
+    # Split at commas alone: in a valid table cell k of line j is
+    # parts[10 * j + k], and parts[10 * j] holds line j-1's variant, the
+    # line break and line j's axis. Lines of 11 fields are exactly the
+    # tables with 10 * n + 1 parts whose every tenth part is such a joint.
+    parts = body.split(",")
+    del body  # each step drops what the next no longer needs, to bound peak memory
+    joints = parts[10:-1:10]
+    if not (len(parts) == 10 * n + 1 and parts[0] in AXES
+            and parts[-1] in VARIANTS
+            and _AXIS_AFTER.keys() >= set(joints)):
+        raise _first_bad_line(text)
+    try:
+        numeric = _map_columns(_parse_cells, [parts[k::10] for k in range(1, 10)])
+    except ValueError:
+        raise _first_bad_line(text) from None
+    axes = [parts[0], *map(_AXIS_AFTER.__getitem__, joints)]
+    variants = [*map(_VARIANT_BEFORE.__getitem__, joints), parts[-1]]
+    del parts, joints
+    return _sweep_rows(axes, *numeric, variants)
 
 
 def run_relay_compare(
@@ -320,12 +416,12 @@ def run_relay_compare(
     p_a, p_r = base.p_a, base.p_r
     gains = (base.h_ab, base.h_rb, base.h_ae, base.h_re)
     sigma_b2, sigma_e2, w = base.sigma_b2, base.sigma_e2, base.w
-    fixed_cells = ",".join(fmt_num(x) for x in (*gains, sigma_b2, sigma_e2, w))
     # relay-off must reduce to the direct fading formula on amplitudes sqrt(h)
     direct_amplitudes = (math.sqrt(base.h_ab), math.sqrt(base.h_ae))
     inf = math.inf
-    lines = [RELAY_COMPARE_HEADER]
-    for value in axis_points(start, stop, step):
+    values = axis_points(start, stop, step)
+    p_as, p_rs, ons, offs = [], [], [], []
+    for value in values:
         try:
             if axis == "pa_db":
                 p_a = sigma_b2 * db_to_linear(value)
@@ -345,12 +441,15 @@ def run_relay_compare(
                     f"relay-off arm {off!r} deviates from the direct formula "
                     f"{direct!r} at {axis}={fmt_num(value)}"
                 )
-        lines.append(
-            _RELAY_ROW_FORMAT
-            % (axis, value + 0.0, p_a + 0.0, p_r + 0.0, fixed_cells, on + 0.0,
-               max(0.0, on) + 0.0, off + 0.0, max(0.0, off) + 0.0)
-        )
-    return lines
+        p_as.append(p_a)
+        p_rs.append(p_r)
+        ons.append(on)
+        offs.append(off)
+    fixed = [[x] * len(values) for x in (*gains, sigma_b2, sigma_e2, w)]
+    cells = _map_columns(_format_cells, [values, p_as, p_rs, *fixed, ons,
+                                         list(map(max, repeat(0.0), ons)), offs,
+                                         list(map(max, repeat(0.0), offs))])
+    return [RELAY_COMPARE_HEADER, *map(",".join, zip(repeat(axis), *cells))]
 
 
 def run_ergodic_compare(

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from v2vsec.channel import FadingModel, db_to_linear
 from v2vsec import sweeps
@@ -322,6 +323,41 @@ class TestBadAxisPoint:
             run_sweep(spec)
 
     @pytest.mark.parametrize(
+        "axis,start,stop,step",
+        [("speed", 5.0, 10.0, 1.0), ("tau", 0.1, 0.3, 0.1), ("alpha", 1.0, 2.0, 0.5)],
+    )
+    def test_fixed_power_overflow_names_the_first_point(self, axis, start, stop, step):
+        # --pn0-db 4000 on the CLI; the fixed power is converted once per curve
+        spec = SweepSpec(axis=axis, start=start, stop=stop, step=step, pn0_db=4000.0)
+        with pytest.raises(SweepError) as info:
+            run_sweep(spec)
+        assert str(info.value) == (
+            f"axis point {axis}={fmt_num(start)}: 4000.0 dB overflows a float power ratio"
+        )
+
+    def test_swept_power_overflow_names_its_point(self):
+        spec = SweepSpec(axis="power_db", start=0.0, stop=4000.0, step=1000.0)
+        with pytest.raises(SweepError) as info:
+            run_sweep(spec)
+        assert str(info.value) == (
+            "axis point power_db=4000: 4000.0 dB overflows a float power ratio"
+        )
+
+    @pytest.mark.parametrize("axis,calls", [("speed", 1), ("tau", 1), ("alpha", 1),
+                                            ("power_db", 3)])
+    def test_fixed_power_is_converted_once_per_curve(self, monkeypatch, axis, calls):
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return db_to_linear(x)
+
+        monkeypatch.setattr(sweeps, "db_to_linear", counted)
+        start = {"speed": 5.0, "tau": 0.1, "alpha": 1.0, "power_db": 60.0}[axis]
+        assert len(run_sweep(SweepSpec(axis=axis, start=start, stop=start + 1.0, step=0.5))) == 3
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize(
         "axis,value,fixed",
         [
             ("speed", 5.0, {"pn0_db": math.nan}),
@@ -371,6 +407,10 @@ class TestSweepRow:
         assert rows_to_csv([row]) == SWEEP_HEADER + "\n" + expected + "\n"
 
 
+# One well-formed table line, as rows_to_csv writes it.
+_LINE = "speed,5,5,18,1.4,0.2,1000,70,17.172,17.172,vtau"
+
+
 class TestCsvContract:
     def test_round_trip_is_byte_identical(self):
         spec = SweepSpec(axis="speed", start=5.0, stop=10.0, step=0.5, theta=0.1, alpha=3.5)
@@ -386,24 +426,179 @@ class TestCsvContract:
             SWEEP_HEADER + "\nspeed,5,10,3,nan,inf,1000,70,0,0,vtau\n"
         )
 
-    def test_rejects_bad_header(self):
-        with pytest.raises(SweepFormatError):
-            read_sweep_csv("axis,axis_value\nspeed,5\n")
+    def test_header_only_table(self):
+        assert rows_to_csv([]) == SWEEP_HEADER + "\n"
+        assert read_sweep_csv(SWEEP_HEADER + "\n") == []
 
-    def test_rejects_missing_trailing_newline(self):
-        text = rows_to_csv(run_sweep(SweepSpec(axis="speed", start=5.0, stop=6.0, step=1.0)))
-        with pytest.raises(SweepFormatError):
-            read_sweep_csv(text.rstrip("\n"))
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "bad header: ''"),
+            ("axis,axis_value\nspeed,5\n", "bad header: 'axis,axis_value'"),
+            (SWEEP_HEADER, "missing trailing newline"),
+            (SWEEP_HEADER + "\n" + _LINE, "missing trailing newline"),
+            # a bad header wins over a missing trailing newline
+            ("axis\n" + _LINE, "bad header: 'axis'"),
+            (SWEEP_HEADER + "\n\n", "line 2: expected 11 fields, got 1"),
+            (SWEEP_HEADER + "\nspeed,5,5\n", "line 2: expected 11 fields, got 3"),
+            (f"{SWEEP_HEADER}\n{_LINE}\n{_LINE},1\n", "line 3: expected 11 fields, got 12"),
+            (f"{SWEEP_HEADER}\n{_LINE}\r\n", "line 2: unknown variant 'vtau\\r'"),
+            (f"{SWEEP_HEADER}\n{_LINE}\nwarp{_LINE[5:]}\n", "line 3: unknown axis 'warp'"),
+            (f"{SWEEP_HEADER}\n{_LINE[:-4]}warp\n", "line 2: unknown variant 'warp'"),
+            (f"{SWEEP_HEADER}\n{_LINE.replace(',70,', ',x,')}\n",
+             "line 2: could not convert string to float: 'x'"),
+            (f"{SWEEP_HEADER}\n{_LINE.replace(',70,', ',,')}\n",
+             "line 2: could not convert string to float: ''"),
+            # within a line: the field count, the axis, the variant, then the cells
+            (f"{SWEEP_HEADER}\nwarp,x,warp\n", "line 2: expected 11 fields, got 3"),
+            (f"{SWEEP_HEADER}\nwarp{_LINE[5:-4]}warp\n", "line 2: unknown axis 'warp'"),
+            (f"{SWEEP_HEADER}\n{_LINE[:-4].replace(',70,', ',x,')}warp\n",
+             "line 2: unknown variant 'warp'"),
+            (f"{SWEEP_HEADER}\n{_LINE.replace(',5,5,', ',y,x,')}\n",
+             "line 2: could not convert string to float: 'y'"),
+            # the first bad line in file order wins, whatever its fault
+            (f"{SWEEP_HEADER}\nwarp{_LINE[5:]}\n{_LINE},1\n", "line 2: unknown axis 'warp'"),
+            (f"{SWEEP_HEADER}\n{_LINE}\n{_LINE.replace(',70,', ',x,')}\n{_LINE}\n"
+             f"{_LINE[:-4]}warp\n", "line 3: could not convert string to float: 'x'"),
+            # 21 fields, then 1: the cell count is that of two good lines
+            (f"{SWEEP_HEADER}\n{_LINE},{_LINE[:-5]}\nvtau\n", "line 2: expected 11 fields, got 21"),
+            # 10 fields, then 2: float() would take the "17.172\n" that spans them
+            (f"{SWEEP_HEADER}\n{_LINE[:-5]}\n,vtau\n", "line 2: expected 11 fields, got 10"),
+        ],
+        ids=["empty", "bad-header", "header-only-no-lf", "no-trailing-lf", "header-before-lf",
+             "empty-line", "three-fields", "twelve-fields", "crlf", "unknown-axis",
+             "unknown-variant", "bad-float", "empty-cell", "count-before-axis",
+             "axis-before-variant", "variant-before-cells", "cells-left-to-right",
+             "axis-line-2-before-count-line-3", "float-line-3-before-variant-line-5",
+             "lines-that-sum-to-two", "line-break-in-a-number"],
+    )
+    def test_error_names_the_first_bad_line(self, text, message):
+        with pytest.raises(SweepFormatError) as info:
+            read_sweep_csv(text)
+        assert str(info.value) == message
 
-    def test_rejects_wrong_field_count(self):
-        with pytest.raises(SweepFormatError):
-            read_sweep_csv(SWEEP_HEADER + "\nspeed,5,5\n")
 
-    def test_rejects_unknown_variant(self):
-        spec = SweepSpec(axis="speed", start=5.0, stop=5.0, step=1.0)
-        line = run_sweep(spec)[0].to_csv().rsplit(",", 1)[0] + ",warp"
-        with pytest.raises(SweepFormatError):
-            read_sweep_csv(SWEEP_HEADER + "\n" + line + "\n")
+# The per-row codec that the column-wise one replaced, kept as its oracle:
+# one %-format string per line, fmt_num's "%.6g" after + 0.0 per number,
+# and a reader that checks and parses line by line.
+_ROW_FORMAT = "%s" + ",%.6g" * 9 + ",%s"
+
+
+def _rows_to_csv_by_row(rows):
+    lines = [_ROW_FORMAT % (row[0], *(x + 0.0 for x in row[1:10]), row[10]) for row in rows]
+    return "\n".join([SWEEP_HEADER, *lines, ""])
+
+
+def _read_sweep_csv_by_row(text):
+    lines = text.split("\n")
+    if lines[0] != SWEEP_HEADER:
+        raise SweepFormatError(f"bad header: {lines[0]!r}")
+    if lines[-1] != "":
+        raise SweepFormatError("missing trailing newline")
+    rows = []
+    for i, line in enumerate(lines[1:-1], start=2):
+        parts = line.split(",")
+        if len(parts) != 11:
+            raise SweepFormatError(f"line {i}: expected 11 fields, got {len(parts)}")
+        if parts[0] not in sweeps.AXES:
+            raise SweepFormatError(f"line {i}: unknown axis {parts[0]!r}")
+        if parts[10] not in ("vtau", "theta"):
+            raise SweepFormatError(f"line {i}: unknown variant {parts[10]!r}")
+        try:
+            parts[1:10] = map(float, parts[1:10])
+        except ValueError as exc:
+            raise SweepFormatError(f"line {i}: {exc}") from None
+        rows.append(SweepRow._make(parts))
+    return rows
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, -2.5e-320,
+                     1.7976931348623157e308, 17.171980443434384]),
+    st.integers(-10**6, 10**6),
+)
+
+
+def _equal_copy(column):
+    """Cells equal to the column's, not the same objects: -0.0 and ints become 0.0 and floats."""
+    return [float(x) if isinstance(x, int) else 0.0 if x == 0 else x for x in column]
+
+
+@st.composite
+def _row_lists(draw, max_rows=6):
+    """Rows whose numeric columns are free, constant, or equal to an earlier column."""
+    n = draw(st.integers(0, max_rows))
+    columns = []
+    for _ in range(9):
+        kind = draw(st.sampled_from(["free", "constant", "copy", "equal"] if columns
+                                    else ["free", "constant"]))
+        if kind == "free":
+            columns.append(draw(st.lists(_NUMBERS, min_size=n, max_size=n)))
+        elif kind == "constant":
+            columns.append([draw(_NUMBERS)] * n)
+        else:
+            earlier = draw(st.sampled_from(columns))
+            columns.append(list(earlier) if kind == "copy" else _equal_copy(earlier))
+    axes = draw(st.lists(st.sampled_from(sweeps.AXES), min_size=n, max_size=n))
+    variants = draw(st.lists(st.sampled_from(["vtau", "theta"]), min_size=n, max_size=n))
+    return [SweepRow(a, *cells, v) for a, *cells, v in zip(axes, *columns, variants)]
+
+
+# Text that breaks a table when it replaces a cell or a separator.
+_DAMAGE = st.sampled_from(["x", "", ",", "\n", ",,", "\n\n", "vtau", "theta", "speed", "warp",
+                           "1e", "nan", " 5", "5,", ",5", "vtau\nspeed", "\r"])
+
+
+class TestColumnCodec:
+    """The column-wise writer and reader against the per-row oracle above."""
+
+    @given(_row_lists())
+    def test_writer_matches_the_per_row_writer(self, rows):
+        text = rows_to_csv(rows)
+        assert text == _rows_to_csv_by_row(rows)
+        assert rows_to_csv(read_sweep_csv(text)) == text
+        if rows:
+            assert rows[0].to_csv() == text.split("\n")[1]
+
+    def test_one_row_and_no_rows(self):
+        row = SweepRow("tau", 0.1, 22.2, 79.92, 1.4, 0.1, 1000.0, 70.0, -0.0, 0.0, "vtau")
+        assert rows_to_csv([row]) == _rows_to_csv_by_row([row])
+        assert rows_to_csv([]) == _rows_to_csv_by_row([]) == SWEEP_HEADER + "\n"
+
+    @given(_row_lists(max_rows=4), st.data())
+    def test_reader_matches_the_per_line_reader(self, rows, data):
+        text = rows_to_csv(rows)
+        damage = data.draw(st.sampled_from(["none", "field", "splice"] if rows else
+                                           ["none", "splice"]))
+        if damage == "field":  # one whole field of one line replaced
+            lines = text.split("\n")
+            i = data.draw(st.integers(1, len(rows)))
+            fields = lines[i].split(",")
+            fields[data.draw(st.integers(0, 10))] = data.draw(_DAMAGE)
+            lines[i] = ",".join(fields)
+            text = "\n".join(lines)
+        elif damage == "splice":  # up to 3 characters anywhere replaced
+            at = data.draw(st.integers(0, len(text)))
+            cut = data.draw(st.integers(0, 3))
+            text = text[:at] + data.draw(_DAMAGE) + text[at + cut:]
+        try:
+            expected = _read_sweep_csv_by_row(text)
+        except SweepFormatError as exc:
+            with pytest.raises(SweepFormatError) as info:
+                read_sweep_csv(text)
+            assert str(info.value) == str(exc)
+        else:
+            assert repr(read_sweep_csv(text)) == repr(expected)
+
+    def test_multi_curve_table_round_trips(self):
+        # columns repeat in runs rather than being constant
+        rows = [row for alpha in (1.4, 2.0) for tau in (0.1, 0.2)
+                for row in run_sweep(SweepSpec(axis="speed", start=5.0, stop=6.0, step=0.5,
+                                               alpha=alpha, tau=tau, theta=0.01))]
+        text = rows_to_csv(rows)
+        assert text == _rows_to_csv_by_row(rows)
+        assert rows_to_csv(read_sweep_csv(text)) == text
 
 
 class TestRelayCompare:
