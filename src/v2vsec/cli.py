@@ -4,8 +4,9 @@ Subcommands: sweep, relay-compare, ergodic-compare, protocol-trace,
 cs-demo. Exit codes: 0 success with all assertions passing, 1 for
 usage or configuration errors, 2 for computation or assertion failures.
 
-Each handler imports the array layer it runs, so protocol-trace, which
-runs on plain floats, never loads numpy.
+Each handler imports the layer it runs, so protocol-trace, which runs on
+plain floats, never loads numpy, and no other subcommand loads the CSI
+codec (``scenario``, and with it ``protocol``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from pathlib import Path
 
 from ._common import ComputationError
 from .channel import FadingModel, db_to_linear
-from .scenario import load_scenario, run_protocol_trace, trace_to_csv
 from .secrecy import RelayConfig
 
 __all__ = ["main"]
@@ -181,6 +181,8 @@ def _cmd_ergodic_compare(args) -> str:
 
 
 def _cmd_protocol_trace(args) -> str:
+    from .scenario import load_scenario, run_protocol_trace, trace_to_csv
+
     scenario = load_scenario(args.scenario)
     try:  # the file loaded, so a ValueError now is the replay's own failure (exit 2)
         return trace_to_csv(run_protocol_trace(scenario))

@@ -22,11 +22,18 @@ selections, link and protocol configuration) is an immutable named
 tuple: besides field access it unpacks, indexes, orders and compares
 equal to tuples of equal values. A record with rules validates in
 ``__new__``, which its ``_make`` and ``_replace`` go through:
-``CsiMessage``, built once per report, inline, and the configuration
-records through ``ValidatedRecord``. A named tuple costs less to create
-than a frozen dataclass, class and instance alike, and keeps
-``dataclasses`` out of the import. :class:`ProtocolSession`, which
-changes as messages arrive, is a plain class.
+``CsiMessage``, inline, and the configuration records through
+``ValidatedRecord``. The one other path to a ``CsiMessage`` is
+``parse_csi``, which builds one per report. It skips ``__new__`` only
+when the wire grammar has settled every rule but three and it has
+checked those three itself: a nonempty sender; finite tx, rx, noise,
+rx - noise and speed; speed >= 0. Otherwise it goes through ``__new__``.
+A Hypothesis test holds ``parse_csi`` to a reference parser that always
+calls ``__new__``. ``decide`` builds a direct ``LinkDecision``, which has no
+rules, the same way. A named tuple costs less to create than a frozen
+dataclass, class and instance alike, and keeps ``dataclasses`` out of
+the import. :class:`ProtocolSession`, which changes as messages arrive,
+is a plain class.
 """
 
 from __future__ import annotations
@@ -88,6 +95,10 @@ _WIRE_LINE = re.compile(
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 COARSE_GRID_POINTS = 32
 
+# Builds a record from its field values without the Python-level __new__;
+# used only where the values are known to satisfy the record's rules.
+_tuple_new = tuple.__new__
+
 
 class CsiParseError(ValueError):
     """Base class for wire-format rejections."""
@@ -136,7 +147,11 @@ class CsiMessage(_CsiFields):
     """One channel-state report; snr_db is always exactly rx - noise.
 
     An immutable named tuple whose ``__new__`` validates; ``_make`` and
-    ``_replace`` go through it, so every construction path is checked.
+    ``_replace`` go through it. ``parse_csi`` alone builds one without it,
+    and only after the wire grammar and its own checks of the three rules
+    the grammar leaves open (nonempty sender, finite fields, speed >= 0);
+    a parity test against a parser that always calls ``__new__`` pins
+    that. So every construction path is checked.
     """
 
     __slots__ = ()
@@ -260,12 +275,18 @@ def parse_csi(line: str) -> CsiMessage:
     except ValueError as exc:  # more digits than int() converts from text
         raise CsiMalformedFieldError(f"bad integer field: {exc}") from None
     tx, rx, noise, snr, speed = float(tx), float(rx), float(noise), float(snr), float(speed)
-    if abs(snr - (rx - noise)) > SNR_TOLERANCE_DB:
-        raise CsiConsistencyError(
-            f"carried snr_db={snr!r} disagrees with rx - noise = {rx - noise!r}"
-        )
+    snr_db = rx - noise
+    if abs(snr - snr_db) > SNR_TOLERANCE_DB:
+        raise CsiConsistencyError(f"carried snr_db={snr!r} disagrees with rx - noise = {snr_db!r}")
+    # The match settles every CsiMessage rule but three: seq and timestamp are
+    # digits, the sender holds no '|' or line break, and snr_db is rx - noise.
+    # The other three are checked here. A digit string past the float range
+    # parses to +-inf, so a finite sum means finite fields (a finite sum that
+    # overflows only takes the checked path).
+    if sender_id and speed >= 0.0 and math.isfinite(tx + rx + noise + snr_db + speed):
+        return _tuple_new(CsiMessage, (sender_id, seq, timestamp_ms, tx, rx, noise, snr_db, speed))
     try:
-        return CsiMessage(sender_id, seq, timestamp_ms, tx, rx, noise, rx - noise, speed)
+        return CsiMessage(sender_id, seq, timestamp_ms, tx, rx, noise, snr_db, speed)
     except ValueError as exc:
         raise CsiMalformedFieldError(str(exc)) from None
 
@@ -305,7 +326,12 @@ def derive_threshold(speed: float, schedule: ThresholdSchedule) -> float:
     """Threshold of the unique band containing the speed."""
     if not (math.isfinite(speed) and speed >= 0):
         raise ValueError(f"speed must be >= 0, got {speed!r}")
-    for low, high, threshold in schedule.bands:
+    return _band_threshold(schedule.bands, speed)
+
+
+def _band_threshold(bands: tuple[tuple[float, float, float], ...], speed: float) -> float:
+    """Threshold of the band [low, high) holding a finite speed >= 0."""
+    for low, high, threshold in bands:
         if low <= speed < high:
             return threshold
     raise AssertionError("schedule bands do not cover the speed axis")
@@ -543,19 +569,18 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
     refuses (the boosted power or its SNR left the float range) ends the
     power-boost strategy, and the ladder goes on to the next one.
     """
-    threshold = derive_threshold(csi.speed_mps, config.thresholds)
-    budget = scenario.budget
-    p, n0 = budget.p_linear, budget.n0_linear
-    v, tau, r, alpha = csi.speed_mps, scenario.tau, scenario.r, scenario.alpha
+    v = csi.speed_mps  # finite and >= 0 by CsiMessage's rule: derive_threshold's check holds
+    threshold = _band_threshold(config.thresholds.bands, v)
+    r, alpha, tau, (p, n0) = scenario
     base = max(0.0, _velocity_raw(p, n0, v, tau, r, alpha))
     if base >= threshold:
-        return LinkDecision("direct", base, threshold)
+        return _tuple_new(LinkDecision, ("direct", base, threshold, 0, None, None, None))
 
     for strategy in config.strategy_order:
         if strategy == "relay":
             if not config.relay_candidates:
                 continue
-            sel = select_relay(config.relay_candidates, scenario, csi.speed_mps)
+            sel = select_relay(config.relay_candidates, scenario, v)
             if sel.capacity >= threshold:
                 return LinkDecision(
                     mode="relay",
@@ -608,24 +633,23 @@ class ProtocolSession:
 
     def check(self, csi: CsiMessage) -> None:
         """Raise CsiSeqRegressionError or StaleCsiError unless csi may come next."""
-        sender = csi.sender_id
+        sender, seq, ts = csi.sender_id, csi.seq, csi.timestamp_ms
         last = self.last_seq.get(sender)
-        if last is not None and csi.seq <= last:
-            raise CsiSeqRegressionError(
-                f"seq {csi.seq} from {sender!r} does not increase past {last}"
-            )
-        newest = self.newest_ts.get(sender, csi.timestamp_ms)
-        if csi.timestamp_ms < newest - self.config.freshness_ms:
+        if last is not None and seq <= last:
+            raise CsiSeqRegressionError(f"seq {seq} from {sender!r} does not increase past {last}")
+        newest = self.newest_ts.get(sender, ts)
+        if ts < newest - self.config.freshness_ms:
             raise StaleCsiError(
-                f"timestamp {csi.timestamp_ms} ms from {sender!r} is older than the "
+                f"timestamp {ts} ms from {sender!r} is older than the "
                 f"freshness window ({self.config.freshness_ms} ms behind {newest} ms)"
             )
 
     def accept(self, csi: CsiMessage) -> None:
         """Record csi as its sender's latest message; ``check`` it first."""
-        sender = csi.sender_id
-        self.last_seq[sender] = csi.seq
-        self.newest_ts[sender] = max(self.newest_ts.get(sender, csi.timestamp_ms), csi.timestamp_ms)
+        sender, seq, ts = csi.sender_id, csi.seq, csi.timestamp_ms
+        self.last_seq[sender] = seq
+        if ts > self.newest_ts.get(sender, -1):  # timestamps are >= 0
+            self.newest_ts[sender] = ts
 
     def process(self, csi: CsiMessage) -> LinkDecision:
         """check, decide, then accept: a message whose decision raises is not recorded."""

@@ -18,6 +18,8 @@ from v2vsec.protocol import (
     CsiVersionError,
     DEFAULT_THRESHOLDS,
     LINE_BREAKS,
+    SNR_TOLERANCE_DB,
+    WIRE_VERSION,
     LinkDecision,
     LinkScenario,
     NoRelayError,
@@ -27,6 +29,8 @@ from v2vsec.protocol import (
     StaleCsiError,
     ThresholdSchedule,
     _GOLDEN,
+    _WIRE_FIELDS,
+    _WIRE_LINE,
     _coarse_grid,
     decide,
     derive_threshold,
@@ -36,6 +40,10 @@ from v2vsec.protocol import (
     select_relay,
 )
 from v2vsec.secrecy import RelayConfig, relay_secrecy, velocity_secrecy
+
+
+NINES = "9" * 400  # grammar-valid digits that parse to inf
+BIG = "1" + "0" * 308  # 1e308: finite, but the sum of two overflows
 
 
 def make_csi(speed=30.0, seq=1, ts=0, sender="B"):
@@ -158,6 +166,27 @@ class TestCsiCodec:
         assert LINE_BREAKS == {chr(c) for c in range(0x110000)
                                if len(f"a{chr(c)}b".splitlines()) == 2}
 
+    # A digit string past the float range is grammar-valid and parses to +-inf
+    @pytest.mark.parametrize("line, error, message", [
+        (f"CSI1|B|1|0|23|-{NINES}|-90|30|22.22", CsiConsistencyError,
+         "carried snr_db=30.0 disagrees with rx - noise = -inf"),
+        (f"CSI1|B|1|0|23|-60|-90|30|{NINES}", CsiMalformedFieldError,
+         "speed_mps must be >= 0, got inf"),
+        (f"CSI1|B|1|0|{NINES}|-60|-90|30|22.22", CsiMalformedFieldError,
+         "power fields must be finite, got tx=inf rx=-60.0 noise=-90.0 snr=30.0"),
+        # finite rx and noise whose difference overflows, carried as an infinite SNR
+        (f"CSI1|B|1|0|23|{BIG}|-{BIG}|{NINES}|22.22", CsiMalformedFieldError,
+         "power fields must be finite, got tx=23.0 rx=1e+308 noise=-1e+308 snr=inf"),
+    ], ids=["rx", "speed", "tx", "rx-noise"])
+    def test_digits_past_the_float_range(self, line, error, message):
+        with pytest.raises(error) as exc:
+            parse_csi(line)
+        assert str(exc.value) == message
+
+    def test_finite_fields_whose_sum_overflows(self):
+        msg = parse_csi(f"CSI1|B|1|0|{BIG}|{BIG}|{BIG}|0|22.22")
+        assert msg == CsiMessage("B", 1, 0, 1e308, 1e308, 1e308, 0.0, 22.22)
+
     def test_message_invariant_enforced(self):
         with pytest.raises(ValueError):
             CsiMessage(
@@ -252,6 +281,69 @@ def _is_wire_number(text, integer):
     return not dot or (not integer and frac.isascii() and frac.isdigit() and len(frac) <= 4)
 
 
+_EXTREME_FIELD = st.tuples(st.sampled_from(["", "-"]), st.sampled_from([NINES, BIG])).map("".join)
+
+
+@st.composite
+def _open_rule_lines(draw):
+    """A grammar-valid line that may break a rule the grammar leaves to CsiMessage.
+
+    The sender may be empty, the speed negative, and up to three numeric
+    fields may hold extreme digit strings; a carried SNR equal to rx over a
+    zero noise floor lets an extreme rx pass the SNR consistency check.
+    """
+    fields = encode_csi(draw(_MESSAGES)).split("|")
+    if draw(st.booleans()):
+        fields[1] = ""
+    if draw(st.booleans()):
+        fields[8] = "-" + fields[8].removeprefix("-")
+    for i in draw(st.sets(st.integers(4, 8), max_size=3)):
+        fields[i] = draw(_EXTREME_FIELD)
+    if draw(st.booleans()):
+        fields[6], fields[7] = "0", fields[5]
+    return "|".join(fields)
+
+
+def _reference_parse_csi(line):
+    """parse_csi with every message built by CsiMessage(...): the oracle of its unchecked path."""
+    line = line.rstrip("\r\n")
+    match = _WIRE_LINE.fullmatch(line)
+    if match is None:
+        parts = line.split("|")
+        if len(parts) < _WIRE_FIELDS:
+            raise CsiMissingFieldError(f"expected {_WIRE_FIELDS} fields, got {len(parts)}")
+        if len(parts) > _WIRE_FIELDS:
+            raise CsiMalformedFieldError(f"expected {_WIRE_FIELDS} fields, got {len(parts)}")
+        if parts[0] != WIRE_VERSION:
+            raise CsiVersionError(f"unknown version tag {parts[0]!r}")
+        if not LINE_BREAKS.isdisjoint(parts[1]):
+            raise CsiMalformedFieldError(f"sender_id holds a line break: {parts[1]!r}")
+        raise CsiMalformedFieldError(f"numeric fields break the wire grammar: {parts[2:]!r}")
+    sender_id, seq, timestamp_ms, tx, rx, noise, snr, speed = match.groups()
+    try:
+        seq, timestamp_ms = int(seq), int(timestamp_ms)
+    except ValueError as exc:
+        raise CsiMalformedFieldError(f"bad integer field: {exc}") from None
+    tx, rx, noise, snr, speed = float(tx), float(rx), float(noise), float(snr), float(speed)
+    if abs(snr - (rx - noise)) > SNR_TOLERANCE_DB:
+        raise CsiConsistencyError(
+            f"carried snr_db={snr!r} disagrees with rx - noise = {rx - noise!r}"
+        )
+    try:
+        return CsiMessage(sender_id, seq, timestamp_ms, tx, rx, noise, rx - noise, speed)
+    except ValueError as exc:
+        raise CsiMalformedFieldError(str(exc)) from None
+
+
+def _parse_outcome(parse, line):
+    """The message's type and repr (bit-exact, -0.0 included), or the error's type and text."""
+    try:
+        msg = parse(line)
+    except CsiParseError as exc:
+        return type(exc), str(exc)
+    return type(msg), repr(msg)
+
+
 class TestCsiGrammarProperties:
     @given(_MESSAGES)
     def test_encode_parse_round_trip(self, msg):
@@ -269,6 +361,17 @@ class TestCsiGrammarProperties:
         numbers = line.rstrip("\r\n").split("|")[2:]
         assert all(_is_wire_number(t, integer=i < 2) for i, t in enumerate(numbers))
         assert parse_csi(encode_csi(msg)) == msg
+
+    @settings(max_examples=400)
+    @given(st.one_of(_open_rule_lines(), _edited_lines()))
+    def test_unchecked_construction_matches_checked(self, line):
+        # parse_csi skips CsiMessage's checks when the grammar and its own
+        # three checks already hold; the message or error must not change
+        outcome = _parse_outcome(parse_csi, line)
+        assert outcome == _parse_outcome(_reference_parse_csi, line)
+        if outcome[0] is CsiMessage:
+            msg = parse_csi(line)
+            assert CsiMessage._make(msg) == msg
 
 
 class TestThresholdSchedule:
