@@ -107,7 +107,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_sweep(args) -> str:
-    from .sweeps import SweepSpec, check_sweep_orderings, rows_to_csv, run_sweep
+    from .sweeps import SWEEP_HEADER, SweepSpec, check_sweep_orderings, rows_to_csv, run_sweep
 
     axis = _AXIS_CHOICES[args.axis]
     defaults = {"speed": (5.0, 50.0, 0.5)}
@@ -125,7 +125,9 @@ def _cmd_sweep(args) -> str:
         if axis == name and len(swept_fixed[name]) > 1:
             raise _UsageError(f"{flag} takes one value when it is the swept axis")
 
-    rows = []
+    # the header once, then each curve's lines written from its own table, so
+    # the columns constant within a curve are formatted once per curve
+    parts = [SWEEP_HEADER + "\n"]
     for alpha in args.alpha:
         for tau_ms in args.tau_ms:
             for pn0_db in args.pn0_db:
@@ -143,8 +145,8 @@ def _cmd_sweep(args) -> str:
                 )
                 curve = run_sweep(spec)
                 check_sweep_orderings(spec, curve)
-                rows.extend(curve)
-    return rows_to_csv(rows)
+                parts.append(rows_to_csv(curve)[len(SWEEP_HEADER) + 1:])
+    return "".join(parts)
 
 
 def _cmd_relay_compare(args) -> str:

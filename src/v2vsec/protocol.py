@@ -173,10 +173,11 @@ class CsiMessage(_CsiFields):
             raise ValueError(f"sender_id must not contain '|', got {sender_id!r}")
         if not LINE_BREAKS.isdisjoint(sender_id):
             raise ValueError(f"sender_id must not contain a line break, got {sender_id!r}")
-        if seq < 0:
-            raise ValueError(f"seq must be >= 0, got {seq!r}")
-        if timestamp_ms < 0:
-            raise ValueError(f"timestamp_ms must be >= 0, got {timestamp_ms!r}")
+        for name, value in (("seq", seq), ("timestamp_ms", timestamp_ms)):
+            if isinstance(value, bool) or not hasattr(value, "__index__"):  # int, numpy integers
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         if not (
             math.isfinite(tx_power_dbm)
             and math.isfinite(rx_power_dbm)

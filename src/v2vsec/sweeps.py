@@ -15,8 +15,12 @@ failing field's error. A relay-compare point takes one path too: a
 ``pa_db`` point goes through ``db_to_linear``, the swept power passes
 one positive-and-finite guard, and ``RelayConfig`` owns the error of a
 power the guard refuses. Either error names the field and is reported
-as ``axis point <axis>=<value>: ...``. Rows are
-:class:`SweepRow` named tuples.
+as ``axis point <axis>=<value>: ...``.
+
+A sweep table is a :class:`SweepTable`: its 11 columns in SWEEP_HEADER's
+order, with a row built only when a caller reads one. It equals the list
+of its rows, and each row is a :class:`SweepRow` named tuple. The writer
+and the ordering check read a table's columns directly.
 
 Both tables are written column by column, through one formatter with
 fmt_num's rule: a constant column is one formatted cell, repeated; a
@@ -62,6 +66,7 @@ __all__ = [
     "CS_DEMO_HEADER",
     "SweepSpec",
     "SweepRow",
+    "SweepTable",
     "SweepError",
     "SweepOrderingError",
     "SweepFormatError",
@@ -185,22 +190,12 @@ def _parse_cells(column: Sequence[str]) -> list[float]:
     return list(map(float, column))
 
 
-def _csv_lines(rows: Iterable[SweepRow]) -> list[str]:
-    """Sweep-table lines, one per 11-field row, without the header."""
-    columns = list(zip(*rows))
-    if not columns:
+def _csv_lines(columns: Sequence[Sequence]) -> list[str]:
+    """Sweep-table lines from the 11 columns, without the header."""
+    if not columns or not columns[0]:
         return []
     return list(map(",".join, zip(columns[0], *_map_columns(_format_cells, columns[1:10]),
                                   columns[10])))
-
-
-def _sweep_rows(*columns: Iterable) -> list[SweepRow]:
-    """Rows from the 11 columns, in SWEEP_HEADER's order, as long as the shortest.
-
-    ``tuple.__new__`` builds each row in C, without the named tuple's
-    Python-level ``__new__``; the caller supplies 11 columns.
-    """
-    return list(map(tuple.__new__, repeat(SweepRow), zip(*columns)))
 
 
 class SweepRow(NamedTuple):
@@ -219,7 +214,55 @@ class SweepRow(NamedTuple):
     variant: str
 
     def to_csv(self) -> str:
-        return _csv_lines((self,))[0]
+        return _csv_lines(_columns((self,)))[0]
+
+
+class SweepTable(Sequence):
+    """An immutable sequence of :class:`SweepRow`, stored as its 11 columns.
+
+    ``columns`` holds one list per field, in SWEEP_HEADER's order; a
+    constant column is a ``[x] * n`` list. A row is built only when it is
+    read: an index (negative ones included) builds one ``SweepRow``, a
+    slice gives a table, and iteration builds the rows one at a time. A
+    table equals another table with equal columns, and equals whatever
+    ``list(table)`` equals, such as a list of its rows or of plain tuples.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: Iterable[list]) -> None:
+        """Take the 11 column lists as they are, without a copy; they must not change later."""
+        columns = tuple(columns)
+        if not (len(columns) == 11 and all(type(c) is list for c in columns)
+                and len(set(map(len, columns))) == 1):
+            raise ValueError("a sweep table needs 11 column lists of one length")
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SweepTable([column[index] for column in self.columns])
+        return tuple.__new__(SweepRow, [column[index] for column in self.columns])
+
+    def __iter__(self):
+        return map(tuple.__new__, repeat(SweepRow), zip(*self.columns))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SweepTable):
+            return self.columns == other.columns
+        return list(self) == other
+
+    def __repr__(self) -> str:
+        return f"SweepTable({list(self)!r})"
+
+
+def _columns(rows: Iterable[SweepRow]) -> Sequence[Sequence]:
+    """A table's own 11 columns, or those of any other rows (``[]`` for no rows)."""
+    if isinstance(rows, SweepTable):
+        return rows.columns
+    return list(zip(*rows))
 
 
 def axis_points(start: float, stop: float, step: float) -> list[float]:
@@ -230,8 +273,8 @@ def axis_points(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(_point_count(start, stop, step))]
 
 
-def _vtau_rows(spec: SweepSpec, points: list[float]) -> list[SweepRow]:
-    """The d = v*tau rows, on plain floats through secrecy's own formula.
+def _vtau_columns(spec: SweepSpec, points: list[float]) -> list[list]:
+    """The d = v*tau block's 11 columns, on plain floats through secrecy's own formula.
 
     Each point is ``_velocity_raw`` at p = ``db_to_linear(pn0_db)``. A fixed
     ``pn0_db`` is converted once per curve, and its error is reported with
@@ -260,13 +303,13 @@ def _vtau_rows(spec: SweepSpec, points: list[float]) -> list[SweepRow]:
         except ValueError as exc:
             raise SweepError(f"axis point {axis}={fmt_num(value)}: {exc}") from None
     # v * 3.6 is ms_to_kmh on a speed _velocity_raw has accepted
-    return _sweep_rows(repeat(axis), points, vs, map((3.6).__rmul__, vs), alphas, taus,
-                       repeat(r), column("power_db", spec.pn0_db), raws,
-                       map(max, repeat(0.0), raws), repeat(VARIANT_VTAU))
+    return [[axis] * n, points, vs, list(map((3.6).__rmul__, vs)), alphas, taus, [r] * n,
+            column("power_db", spec.pn0_db), raws, list(map(max, repeat(0.0), raws)),
+            [VARIANT_VTAU] * n]
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Rows for one curve in ascending axis order.
+def run_sweep(spec: SweepSpec) -> SweepTable:
+    """The table of one curve, in ascending axis order.
 
     For the speed axis with ``theta`` set, a second block of rows follows
     in which the separation is fixed by the angle instead of d = v*tau;
@@ -274,21 +317,22 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     depend on speed, so it is evaluated once per curve.
     """
     points = axis_points(spec.start, spec.stop, spec.step)
-    rows = _vtau_rows(spec, points)
+    columns = _vtau_columns(spec, points)
     if spec.theta is not None:
         try:
             geometry = LinkGeometry(r=spec.r, theta=spec.theta)
             theta = geometric_secrecy(db_to_linear(spec.pn0_db), 1.0, geometry, spec.alpha)
         except ValueError as exc:
             raise SweepError(f"axis point speed={fmt_num(points[0])}: {exc}") from None
-        # every speed passed the vtau block's guard, so v * 3.6 is ms_to_kmh
-        fixed = (spec.alpha, spec.tau, spec.r, spec.pn0_db, theta.raw, theta.clamped)
-        rows += _sweep_rows(repeat("speed"), points, points, map((3.6).__rmul__, points),
-                            *map(repeat, fixed), repeat(VARIANT_THETA))
-    return rows
+        # theta applies to the speed axis only, so the block repeats the vtau
+        # block's first eight columns: axis, the speeds and the fixed parameters
+        n = len(points)
+        columns = [*(c + c for c in columns[:8]), columns[8] + [theta.raw] * n,
+                   columns[9] + [theta.clamped] * n, columns[10] + [VARIANT_THETA] * n]
+    return SweepTable(columns)
 
 
-def check_sweep_orderings(spec: SweepSpec, rows: list[SweepRow]) -> None:
+def check_sweep_orderings(spec: SweepSpec, rows: Iterable[SweepRow]) -> None:
     """Assert the monotone orderings that hold while v*tau < r.
 
     Raw capacity must fall strictly with speed and with tau, and rise
@@ -298,27 +342,28 @@ def check_sweep_orderings(spec: SweepSpec, rows: list[SweepRow]) -> None:
     direction = {"speed": -1, "tau": -1, "power_db": +1, "alpha": 0}[spec.axis]
     if direction == 0:
         return
-    # Fields by position, in SWEEP_HEADER's order: 1 axis_value, 2 v_mps,
-    # 5 tau_s, 6 r_m, 8 cs_raw, 10 variant; indexing reads them faster than
-    # unpacking the whole row.
-    prev = None  # the previous vtau row, if it lies inside r
-    for row in rows:
-        if row[10] != VARIANT_VTAU:
+    columns = _columns(rows)
+    if not columns:
+        return
+    _, values, vs, _, _, taus, rs, _, raws, _, variants = columns
+    prev_raw = None  # raw capacity of the previous vtau row, if it lies inside r
+    for value, v, tau, r, raw, variant in zip(values, vs, taus, rs, raws, variants):
+        if variant != VARIANT_VTAU:
             continue
-        if row[2] * row[5] >= row[6]:
-            prev = None
+        if v * tau >= r:
+            prev_raw = None
             continue
-        if prev is not None and direction * (row[8] - prev[8]) <= 0:
+        if prev_raw is not None and direction * (raw - prev_raw) <= 0:
             raise SweepOrderingError(
                 f"{spec.axis} ordering violated between "
-                f"{fmt_num(prev[1])} and {fmt_num(row[1])}: "
-                f"raw {prev[8]!r} -> {row[8]!r}"
+                f"{fmt_num(prev_value)} and {fmt_num(value)}: "
+                f"raw {prev_raw!r} -> {raw!r}"
             )
-        prev = row
+        prev_value, prev_raw = value, raw
 
 
-def rows_to_csv(rows: list[SweepRow]) -> str:
-    return "\n".join([SWEEP_HEADER, *_csv_lines(rows), ""])
+def rows_to_csv(rows: Iterable[SweepRow]) -> str:
+    return "\n".join([SWEEP_HEADER, *_csv_lines(_columns(rows)), ""])
 
 
 # A line break in a valid table sits between one line's variant and the
@@ -349,7 +394,7 @@ def _first_bad_line(text: str) -> SweepFormatError | None:
     return None
 
 
-def read_sweep_csv(text: str) -> list[SweepRow]:
+def read_sweep_csv(text: str) -> SweepTable:
     """Parse a sweep table, checking its structure.
 
     The text must start with exactly ``SWEEP_HEADER``, end in one LF, and
@@ -371,7 +416,7 @@ def read_sweep_csv(text: str) -> list[SweepRow]:
     if not text.endswith("\n"):
         raise SweepFormatError("missing trailing newline")
     if len(text) == len(SWEEP_HEADER) + 1:
-        return []
+        return SweepTable([[]] * 11)
     body = text[len(SWEEP_HEADER) + 1:-1]
     n = body.count("\n") + 1
     # Split at commas alone: in a valid table cell k of line j is
@@ -392,7 +437,7 @@ def read_sweep_csv(text: str) -> list[SweepRow]:
     axes = [parts[0], *map(_AXIS_AFTER.__getitem__, joints)]
     variants = [*map(_VARIANT_BEFORE.__getitem__, joints), parts[-1]]
     del parts, joints
-    return _sweep_rows(axes, *numeric, variants)
+    return SweepTable([axes, *numeric, variants])
 
 
 def run_relay_compare(

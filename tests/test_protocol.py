@@ -235,6 +235,23 @@ class TestPerMessageRecords:
         with pytest.raises(TypeError):
             CsiMessage._make(tuple(msg)[:-1])
 
+    @pytest.mark.parametrize("field", ["seq", "timestamp_ms"])
+    @pytest.mark.parametrize("value, message", [
+        (True, "must be an integer, got True"),
+        (math.nan, "must be an integer, got nan"),
+        (math.inf, "must be an integer, got inf"),
+        (2.5, "must be an integer, got 2.5"),
+        (-1, "must be >= 0, got -1"),
+    ], ids=["bool", "nan", "inf", "fraction", "negative"])
+    def test_seq_and_timestamp_are_nonnegative_integers(self, field, value, message):
+        fields = make_csi()._asdict()
+        fields[field] = value
+        with pytest.raises(ValueError) as info:
+            CsiMessage(**fields)
+        assert str(info.value) == f"{field} {message}"
+        fields[field] = np.int64(7)  # numpy integers are integers
+        assert getattr(CsiMessage(**fields), field) == 7
+
     def test_pickle_round_trip_keeps_the_type(self):
         msg = make_csi()
         again = pickle.loads(pickle.dumps(msg))

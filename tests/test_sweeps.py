@@ -1,4 +1,6 @@
+import gc
 import math
+import platform
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +26,7 @@ from v2vsec.sweeps import (
     SweepOrderingError,
     SweepRow,
     SweepSpec,
+    SweepTable,
     axis_points,
     check_sweep_orderings,
     fmt_num,
@@ -589,7 +592,7 @@ class TestColumnCodec:
                 read_sweep_csv(text)
             assert str(info.value) == str(exc)
         else:
-            assert repr(read_sweep_csv(text)) == repr(expected)
+            assert repr(list(read_sweep_csv(text))) == repr(expected)
 
     def test_multi_curve_table_round_trips(self):
         # columns repeat in runs rather than being constant
@@ -599,6 +602,95 @@ class TestColumnCodec:
         text = rows_to_csv(rows)
         assert text == _rows_to_csv_by_row(rows)
         assert rows_to_csv(read_sweep_csv(text)) == text
+
+
+def _table_of(rows):
+    """A table holding the rows' own cells, column by column."""
+    return SweepTable([list(c) for c in zip(*rows)] if rows else [[] for _ in range(11)])
+
+
+def _ordering_verdict(axis, rows):
+    try:
+        check_sweep_orderings(SweepSpec(axis=axis, start=1.0, stop=1.0, step=1.0), rows)
+    except SweepOrderingError as exc:
+        return str(exc)
+    return None
+
+
+_INDEX = st.one_of(st.none(), st.integers(-8, 8))
+
+
+class TestSweepTable:
+    """A SweepTable behaves as the list of its rows."""
+
+    @given(_row_lists(), st.data())
+    def test_behaves_as_the_list_of_its_rows(self, rows, data):
+        text = rows_to_csv(rows)
+        # the rows' own table, and the reader's table against the per-line reader
+        for table, expected in ((_table_of(rows), rows),
+                                (read_sweep_csv(text), _read_sweep_csv_by_row(text))):
+            n = len(expected)
+            assert len(table) == n
+            for i in range(-n, n):
+                assert type(table[i]) is SweepRow and repr(table[i]) == repr(expected[i])
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    table[i]
+            start, stop = data.draw(_INDEX), data.draw(_INDEX)
+            step = data.draw(st.one_of(st.none(), st.integers(-3, 3).filter(bool)))
+            part = table[start:stop:step]
+            assert type(part) is SweepTable
+            assert repr(list(part)) == repr(expected[start:stop:step])
+            assert all(type(row) is SweepRow for row in table)
+            assert repr(list(table)) == repr(expected)
+            for other in (expected, [tuple(row) for row in expected], expected[:-1],
+                          expected + expected[:1], tuple(expected)):
+                assert (table == other) is (list(table) == other)
+                assert (other == table) is (other == list(table))
+                assert (table != other) is (list(table) != other)
+            assert rows_to_csv(table) == rows_to_csv(list(table)) == _rows_to_csv_by_row(table)
+            for axis in sweeps.AXES:
+                assert _ordering_verdict(axis, table) == _ordering_verdict(axis, list(table))
+        assert _table_of(rows) == rows and rows == _table_of(rows)
+        assert _table_of(rows) == [tuple(row) for row in rows]
+        assert _table_of(rows) == _table_of(rows)
+
+    def test_reader_and_sweep_return_tables(self):
+        spec = SweepSpec(axis="speed", start=5.0, stop=6.0, step=0.5, theta=0.01)
+        table = run_sweep(spec)
+        assert type(table) is SweepTable and type(read_sweep_csv(rows_to_csv(table))) is SweepTable
+        assert table.columns[10] == ["vtau"] * 3 + ["theta"] * 3
+        assert table.columns[4] == [spec.alpha] * 6 and table[-1].variant == "theta"
+        assert read_sweep_csv(SWEEP_HEADER + "\n") == [] == SweepTable([[]] * 11)
+
+    @pytest.mark.parametrize("columns", [
+        [[1.0]] * 10,
+        [[1.0]] * 10 + [[1.0, 2.0]],
+        [[1.0]] * 10 + [(1.0,)],
+    ], ids=["ten-columns", "ragged", "tuple-column"])
+    def test_refuses_columns_that_are_not_a_table(self, columns):
+        with pytest.raises(ValueError, match="11 column lists of one length"):
+            SweepTable(columns)
+
+    @pytest.mark.skipif(platform.python_implementation() != "CPython",
+                        reason="counts CPython's garbage-collector allocations")
+    def test_a_round_trip_allocates_per_column_not_per_row(self):
+        # the benchmark's curve: before rows stayed columnar this grew by ~9,050
+        spec = SweepSpec(axis="speed", start=5.0, stop=50.0, step=0.02, r=1000.0, alpha=1.4,
+                         tau=0.2, pn0_db=70.0, theta=0.01)
+        run_sweep(spec)
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            rows = run_sweep(spec)
+            check_sweep_orderings(spec, rows)
+            back = read_sweep_csv(rows_to_csv(rows))
+            grown = gc.get_count()[0] - before
+        finally:
+            gc.enable()
+        assert len(rows) == len(back) == 4502
+        assert grown < 500
 
 
 class TestRelayCompare:
