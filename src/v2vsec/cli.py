@@ -42,13 +42,6 @@ def _csv_floats(text: str) -> list[float]:
     raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8", newline="")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="v2vsec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -219,7 +212,14 @@ def main(argv: list[str] | None = None) -> int:
     except ComputationError as exc:  # SweepOrderingError, ErgodicConvergenceError, RecoveryError
         print(f"v2vsec: assertion failure: {exc}", file=sys.stderr)
         return 2
-    _write_output(text, args.out)
+    if args.out is None:
+        sys.stdout.write(text)
+        return 0
+    try:
+        Path(args.out).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:  # a missing directory, a directory, no permission
+        print(f"v2vsec: error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -90,7 +90,7 @@ def decrypt(y: np.ndarray, key: CsKey, k: int) -> SparseSignal:
     """Recover a k-sparse signal from measurements under ``key``.
 
     Generates the key's matrix once and runs :func:`omp` on it, which owns
-    the input rules (y of length m, 1 <= k <= m) and raises
+    the input rules (y of m finite values, 1 <= k <= m) and raises
     :class:`RecoveryError` if the support goes rank-deficient or y has no
     component in span(Phi).
     """
@@ -100,8 +100,8 @@ def decrypt(y: np.ndarray, key: CsKey, k: int) -> SparseSignal:
 def omp(phi: np.ndarray, y: np.ndarray, k: int) -> SparseSignal:
     """Orthogonal matching pursuit: k greedy atoms of the m x n ``phi`` that explain ``y``.
 
-    ``y`` must have length m and k must satisfy 1 <= k <= m (more atoms
-    than measurements cannot be independent); otherwise ``ValueError``.
+    ``y`` must hold m finite values and k must satisfy 1 <= k <= m (more
+    atoms than measurements cannot be independent); otherwise ``ValueError``.
     Each iteration picks the column outside the support most correlated
     with the residual, normalised by the column norm (an all-zero column
     counts as 0); chosen atoms are marked -1, so they are never re-picked.
@@ -122,6 +122,8 @@ def omp(phi: np.ndarray, y: np.ndarray, k: int) -> SparseSignal:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (m,):
         raise ValueError(f"measurement dimension {y.shape} does not match m={m}")
+    if not np.isfinite(y).all():
+        raise ValueError("measurements must be finite")
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k!r}, m={m}")
     norms = np.sqrt(np.einsum("ij,ij->j", phi, phi))

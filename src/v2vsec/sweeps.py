@@ -25,16 +25,21 @@ and the ordering check read a table's columns directly.
 Both tables are written column by column, through one formatter with
 fmt_num's rule: a constant column is one formatted cell, repeated; a
 column equal to an earlier one reuses that column's cells; any other
-column gets ``%.6g`` per cell. The reader works by column too: it checks
-the structure of the whole table at once and parses each distinct numeric
-column once. Only when that check fails does it walk the table line by
-line, to raise the first bad line's error.
+column gets ``%.6g`` per cell. A sweep table goes through that rule block
+by block, a block being a maximal run of rows with one variant, and a
+block column equal to one of the previous block's reuses that block's
+cells too, so a theta block maps only its own capacity. A table with more
+than one run per 64 rows is mapped as one block. The reader works by
+block too: it checks the structure of the whole table at once, slices
+each block's cells out of the split text and parses each distinct column
+once. Only when that check fails does it walk the table line by line, to
+raise the first bad line's error.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add
@@ -155,14 +160,16 @@ class SweepSpec:
             raise SweepError("theta variant applies to the speed axis only")
 
 
-def _map_columns(each, columns: Sequence[Sequence]) -> list[list]:
+def _map_columns(each, columns: Sequence[Sequence],
+                 seed: Iterable[tuple[Sequence, list]] = ()) -> list[list]:
     """``[each(column) for column in columns]``, working out each distinct column once.
 
     A constant column maps its first cell and repeats the result, and a
-    column equal to an earlier one reuses that column's result, so
-    ``each`` must map cell by cell and map equal cells alike.
+    column equal to an earlier one, or to a column of ``seed``'s
+    ``(column, result)`` pairs, reuses that result, so ``each`` must map
+    cell by cell and map equal cells alike.
     """
-    done: list[tuple[Sequence, list]] = []
+    done = list(seed)
     out = []
     for column in columns:
         for earlier, result in done:
@@ -174,6 +181,43 @@ def _map_columns(each, columns: Sequence[Sequence]) -> list[list]:
             done.append((column, result))
         out.append(result)
     return out
+
+
+def _blocks(variants: Sequence[str]) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each maximal run of one variant, found with ``index``.
+
+    A table with more than one run per 64 rows is one block, since there
+    the work per block outweighs the cells it saves. Blocks only share
+    work, so any split gives the same cells: a variant outside VARIANTS
+    just joins the theta rows' runs.
+    """
+    n = len(variants)
+    starts = [0]
+    while starts[-1] < n:
+        if len(starts) * 64 > n:
+            return [(0, n)]
+        start = starts[-1]
+        other = VARIANT_THETA if variants[start] == VARIANT_VTAU else VARIANT_VTAU
+        try:
+            starts.append(variants.index(other, start))
+        except ValueError:
+            starts.append(n)
+    return list(zip(starts, starts[1:]))
+
+
+def _map_blocks(each, variants: Sequence[str], block_columns) -> Iterator[tuple[int, int, list]]:
+    """``(start, stop, cells)`` per block: its nine numeric columns mapped by ``each``.
+
+    ``block_columns(start, stop)`` gives a block's columns, and each block
+    goes through :func:`_map_columns` seeded with the previous block's
+    columns and cells, so a block that repeats them maps only the rest.
+    """
+    seed: tuple = ()
+    for start, stop in _blocks(variants):
+        columns = block_columns(start, stop)
+        cells = _map_columns(each, columns, seed)
+        seed = tuple(zip(columns, cells))
+        yield start, stop, cells
 
 
 def _format_cells(column: Sequence[float]) -> list[str]:
@@ -190,12 +234,21 @@ def _parse_cells(column: Sequence[str]) -> list[float]:
     return list(map(float, column))
 
 
+def _cut(columns: Sequence[Sequence], start: int, stop: int) -> Sequence[Sequence]:
+    """The columns' rows ``start:stop``: the columns themselves when those are all rows."""
+    return columns if stop - start == len(columns[0]) else [c[start:stop] for c in columns]
+
+
 def _csv_lines(columns: Sequence[Sequence]) -> list[str]:
-    """Sweep-table lines from the 11 columns, without the header."""
+    """Sweep-table lines from the 11 columns, without the header, block by block."""
     if not columns or not columns[0]:
         return []
-    return list(map(",".join, zip(columns[0], *_map_columns(_format_cells, columns[1:10]),
-                                  columns[10])))
+    lines: list[str] = []
+    for start, stop, cells in _map_blocks(_format_cells, columns[10],
+                                          lambda i, j: _cut(columns[1:10], i, j)):
+        axes, variants = _cut((columns[0], columns[10]), start, stop)
+        lines += map(",".join, zip(axes, *cells, variants))
+    return lines
 
 
 class SweepRow(NamedTuple):
@@ -430,13 +483,22 @@ def read_sweep_csv(text: str) -> SweepTable:
             and parts[-1] in VARIANTS
             and _AXIS_AFTER.keys() >= set(joints)):
         raise _first_bad_line(text)
-    try:
-        numeric = _map_columns(_parse_cells, [parts[k::10] for k in range(1, 10)])
-    except ValueError:
-        raise _first_bad_line(text) from None
     axes = [parts[0], *map(_AXIS_AFTER.__getitem__, joints)]
     variants = [*map(_VARIANT_BEFORE.__getitem__, joints), parts[-1]]
-    del parts, joints
+    del joints
+    try:  # each block's cells are sliced straight out of parts
+        blocks = [cells for _, _, cells in _map_blocks(
+            _parse_cells, variants,
+            lambda i, j: [parts[10 * i + k:10 * j:10] for k in range(1, 10)])]
+    except ValueError:
+        raise _first_bad_line(text) from None
+    del parts
+    numeric = blocks[0]
+    if len(blocks) > 1:
+        numeric = [[] for _ in numeric]
+        for cells in blocks:
+            for column, part in zip(numeric, cells):
+                column += part
     return SweepTable([axes, *numeric, variants])
 
 

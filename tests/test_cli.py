@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import os
 
 import pytest
 
@@ -116,6 +118,15 @@ class TestSweepCommand:
         assert captured.err == (
             f"v2vsec: error: argument {flag}: not a comma-separated float list: {value!r}\n"
         )
+
+    @pytest.mark.parametrize("where,code", [("missing/x.csv", errno.ENOENT), ("", errno.EISDIR)],
+                             ids=["missing-directory", "a-directory"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, where, code):
+        out = tmp_path / where
+        assert main(["sweep", "--from", "5", "--to", "6", "--step", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"v2vsec: error: [Errno {code}] {os.strerror(code)}: {str(out)!r}\n"
 
     def test_missing_range_for_non_speed_axis(self):
         assert main(["sweep", "--axis", "tau"]) == 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,18 @@ class TestOmpInputRules:
     def test_rejects(self, y_len, k, message):
         with pytest.raises(ValueError, match=message):
             omp(keygen(KEY), np.ones(y_len), k)
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", [slice(None), 5], ids=["every-value", "one-value"])
+    def test_rejects_non_finite_measurements(self, bad, where):
+        y = encrypt(random_sparse_signal(256, 8, np.random.default_rng(3)), KEY)
+        y[where] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any arithmetic can warn
+            for recover in (lambda: omp(keygen(KEY), y, 8), lambda: decrypt(y, KEY, 8)):
+                with pytest.raises(ValueError, match="^measurements must be finite$"):
+                    recover()
 
 
 class TestOmpDegenerateInputs:

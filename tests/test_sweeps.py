@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from v2vsec.channel import FadingModel, db_to_linear
 from v2vsec import sweeps
@@ -602,6 +602,89 @@ class TestColumnCodec:
         text = rows_to_csv(rows)
         assert text == _rows_to_csv_by_row(rows)
         assert rows_to_csv(read_sweep_csv(text)) == text
+
+
+# Run lengths on both sides of the codec's rule that a table with more than
+# one variant run per 64 rows is mapped as one block.
+_RUN_LENGTHS = st.one_of(st.integers(1, 3), st.integers(60, 140))
+
+
+@st.composite
+def _block_tables(draw, max_blocks=5):
+    """Rows in variant runs, each repeating a few drawn rows to its length.
+
+    A run may keep the previous run's variant, and may repeat the previous
+    run's speed columns (axis_value, v_mps, v_kmh) as the same cells or as
+    equal ones, as a theta block repeats its vtau block's.
+    """
+    variant = draw(st.sampled_from(sweeps.VARIANTS))
+    blocks = []
+    for _ in range(draw(st.integers(1, max_blocks))):
+        if draw(st.booleans()):
+            variant = "theta" if variant == "vtau" else "vtau"
+        speeds = draw(st.sampled_from(["own", "same", "equal"]) if blocks else st.just("own"))
+        length = draw(_RUN_LENGTHS) if speeds == "own" else len(blocks[-1][0])
+        drawn = draw(_row_lists().filter(bool))
+        columns = [list(c) for c in zip(*(drawn * length)[:length])]
+        columns[10] = [variant] * length
+        if speeds != "own":
+            columns[1:4] = [c if speeds == "same" else _equal_copy(c) for c in blocks[-1][1:4]]
+        blocks.append(columns)
+    return [SweepRow._make(row) for columns in blocks for row in zip(*columns)]
+
+
+class TestBlockCodec:
+    """The codec, which maps each variant run once, against the per-row oracle."""
+
+    @settings(deadline=None)
+    @given(_block_tables(), st.data())
+    def test_matches_the_per_row_codec(self, rows, data):
+        # each check is a bool before it is asserted: pytest's diff of two
+        # texts of hundreds of lines would take seconds per failing example
+        text = rows_to_csv(rows)
+        checks = {"writer": text == _rows_to_csv_by_row(rows),
+                  "table writer": text == rows_to_csv(_table_of(rows)),
+                  "reader": repr(list(read_sweep_csv(text))) == repr(_read_sweep_csv_by_row(text))}
+        # one field of a line in a run drawn first, so that short runs are damaged too
+        starts = [i for i in range(len(rows)) if i == 0 or rows[i].variant != rows[i - 1].variant]
+        run = data.draw(st.integers(0, len(starts) - 1))
+        stop = starts[run + 1] if run + 1 < len(starts) else len(rows)
+        line = data.draw(st.integers(starts[run], stop - 1)) + 1
+        lines = text.split("\n")
+        fields = lines[line].split(",")
+        fields[data.draw(st.integers(0, 10))] = data.draw(_DAMAGE)
+        lines[line] = ",".join(fields)
+        text = "\n".join(lines)
+        try:
+            expected = repr(_read_sweep_csv_by_row(text))
+        except SweepFormatError as exc:
+            expected = f"SweepFormatError: {exc}"
+        try:
+            got = repr(list(read_sweep_csv(text)))
+        except SweepFormatError as exc:
+            got = f"SweepFormatError: {exc}"
+        checks["damaged reader"] = got == expected
+        assert all(checks.values()), checks
+
+    def test_a_theta_block_maps_only_its_own_capacity(self, monkeypatch):
+        counts = {}
+        for name in ("_format_cells", "_parse_cells"):
+            def counted(column, each=getattr(sweeps, name), name=name):
+                counts[name] += len(column)
+                return each(column)
+
+            monkeypatch.setattr(sweeps, name, counted)
+        # the benchmark's curve: a vtau and a theta block of 2,251 rows each
+        table = run_sweep(SweepSpec(axis="speed", start=5.0, stop=50.0, step=0.02, r=1000.0,
+                                    alpha=1.4, tau=0.2, pn0_db=70.0, theta=0.01))
+        alternating = SweepTable([*table.columns[:10], ["vtau", "theta"] * (len(table) // 2)])
+        # 6,758 = axis_value, v_kmh and cs_raw per vtau row, one cell per fixed
+        # column and the theta capacity; alternating, the table is one block of
+        # 4,502 rows, mapped as a whole table: 3 * 4,502 + 4 cells
+        for rows, cells in ((table, 6758), (alternating, 13510)):
+            counts.update(_format_cells=0, _parse_cells=0)
+            read_sweep_csv(rows_to_csv(rows))
+            assert counts == {"_format_cells": cells, "_parse_cells": cells}
 
 
 def _table_of(rows):
