@@ -194,12 +194,13 @@ def estimate_on_states(a: np.ndarray, b: np.ndarray, p_budget: float) -> Ergodic
         sub_target = target * m / n_active
         sub_block = np.empty((3, m))
         mu = _all_allocated_level(a[sub], sub_target, sub_block[0])
-        mu, _, _, warm_calls = _multiplier_search(
+        mu, _, _, warm_calls, _ = _multiplier_search(
             sub_gap, (sums[0][sub], sums[1][sub]), sub_target, mu, sub_block[0], sub_block[1:]
         )
-    mu, power, residual, calls = _multiplier_search(gap, sums, target, mu, gamma, work)
+    mu, power, residual, calls, resolution = _multiplier_search(
+        gap, sums, target, mu, gamma, work)
     iterations = warm_calls + calls
-    if abs(residual) > _POWER_RTOL:
+    if abs(residual) > max(_POWER_RTOL, resolution):
         raise ErgodicConvergenceError(
             f"relative power residual {residual!r} not within {_POWER_RTOL} after "
             f"{iterations} iterations (p_budget={p_budget!r}, n_active={n_active})"
@@ -225,22 +226,27 @@ def _all_allocated_level(a: np.ndarray, target: float, scratch: np.ndarray) -> f
 
 def _multiplier_search(
     gap: np.ndarray, sums, target: float, mu: float, gamma: np.ndarray, work: np.ndarray
-) -> tuple[float, float, float, int]:
+) -> tuple[float, float, float, int, float]:
     """Safeguarded Newton for the multiplier that allocates ``target`` over the states.
 
     The arguments after ``target`` are the start and the kernel's ``out`` and
-    ``work`` rows. Returns (mu, total power, relative residual, kernel calls);
-    power and residual are the last kernel call's, which left its allocation
-    in ``gamma``, and so is mu once the residual meets the tolerance. Never
-    raises, so the caller judges the residual.
+    ``work`` rows. Returns (mu, total power, relative residual, kernel calls,
+    resolution); power and residual are mu's, whose allocation the last
+    kernel call left in ``gamma``. Never raises, so the caller judges the
+    residual: it meets the tolerance, or it is within the resolution.
 
     Newton runs on F(t) = ln P(e^t) - ln(target), t = ln(mu), P the total
     allocated power, with dF/dt = -_newton_slope(...) / P from the same
     gamma. P falls from +inf as mu -> 0 to zero at mu = max(d), so each
     residual narrows the bracket (lo, hi); lo = 0 while no lower end is
     known. The iterate is mu itself, so the search can reach every double.
+    When no double lies strictly inside the bracket, mu is the end whose
+    residual is smaller, and the resolution is the residual step between
+    the two ends, the closest any double can get; until then it is 0.
     """
     lo, hi = 0.0, float(np.max(gap))
+    # the residuals at the bracket's ends: P is +inf at mu = 0 and 0 at max(d)
+    res_lo, res_hi = math.inf, -1.0
     mu = min(mu, hi) if mu > 0 else hi
     step = 1.0
     for calls in range(1, _MAX_ITER + 1):
@@ -250,9 +256,9 @@ def _multiplier_search(
         if abs(residual) <= _POWER_RTOL:
             break
         if residual > 0:
-            lo = mu
+            lo, res_lo = mu, residual
         else:
-            hi = mu
+            hi, res_hi = mu, residual
         nxt = math.nan
         if power > 0:
             dt = math.log(power / target) * power / _newton_slope(gap, sums, mu, gamma, work)
@@ -265,9 +271,16 @@ def _multiplier_search(
                 if not lo < nxt < hi:  # a few ulps apart: halve on the linear scale
                     nxt = 0.5 * (lo + hi)
             if not lo < nxt < hi:
-                break  # no double lies strictly inside the bracket
+                # no double lies strictly inside the bracket: settle on its closer end
+                closer = lo if res_lo < -res_hi else hi
+                if closer != mu:
+                    calls += 1
+                    _kernels.gamma_allocation(gap, sums, closer, out=gamma, work=work)
+                    mu, power = closer, float(np.sum(gamma))
+                    residual = power / target - 1.0
+                return mu, power, residual, calls, res_lo - res_hi
         mu = nxt
-    return mu, power, residual, calls
+    return mu, power, residual, calls, 0.0
 
 
 def _water_level(a: np.ndarray, target: float, work: np.ndarray) -> float:

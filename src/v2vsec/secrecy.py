@@ -10,16 +10,21 @@ float-level helpers ``_fading_raw``, ``_geometric_raw`` and
 ``_relay_raw``. The public functions validate their inputs and return
 through them. ``_velocity_raw`` owns the velocity rule: one guard, then
 ``_geometric_raw`` or the first failing field's error. It serves
-``velocity_secrecy``, the sweep engine's d = v*tau rows and protocol's
-``decide``. ``_relay_raw`` serves protocol's relay-power search and,
-with ``_fading_raw``, the relay-compare table; both hold inputs that
-``RelayConfig`` accepts. So a sweep cell, a decision's capacity or a
+``velocity_secrecy``, protocol's ``decide`` and each point of a sweep
+curve that ``_velocity_curve`` cannot evaluate. ``_relay_raw`` serves
+protocol's relay-power search; it and ``_fading_raw`` hold inputs that
+``RelayConfig`` accepts. The sweep engine evaluates whole curves and
+tables through ``_velocity_curve``, ``_relay_rows`` and ``_fading_rows``,
+which compute each term once while its inputs stay fixed and follow the
+helpers' operation order. So a sweep cell, a decision's capacity or a
 relay-power probe and the public function agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from math import log1p
 from typing import NamedTuple
 
 from ._common import ValidatedRecord
@@ -90,6 +95,66 @@ def _velocity_raw(p: float, n0: float, v: float, tau: float, r: float, alpha: fl
     return _geometric_raw(p, n0, d, r, alpha)
 
 
+def _each(x):
+    """The values of x per point of a curve: x itself if it is a list, else x repeated."""
+    return x if type(x) is list else repeat(x)
+
+
+def _varies(*xs) -> bool:
+    return any(type(x) is list for x in xs)
+
+
+def _positive_finite(x) -> bool:
+    """0 < x < inf for a float, or for every value of a list.
+
+    For a list, ``min`` finds a value <= 0 unless a nan hides it, and the
+    sum of values above 0 stays below inf only if none is inf or nan. A
+    list whose finite sum overflows reads False too; the caller then takes
+    the exact per-point path.
+    """
+    if type(x) is list:
+        return not x or (0.0 < min(x) and sum(x) < _INF)
+    return 0.0 < x < _INF
+
+
+def _velocity_curve(p, n0: float, v, tau, r: float, alpha, out: list) -> None:
+    """Append ``_velocity_raw(p, n0, v, tau, r, alpha)`` at each point of a curve to ``out``.
+
+    Each of p, v, tau and alpha is a float, fixed along the curve, or a
+    list of one value per point; the lists have one length, and there is
+    at least one. A term is computed once while its inputs stay fixed and
+    per point where they vary: d = v*tau, the exponent 2*alpha, and the
+    eavesdropper term log2(1 + p/(n0*r**(2*alpha))), which varies only
+    with p or alpha. Every value follows ``_geometric_raw``'s operation
+    order, so it equals ``_velocity_raw``'s bit for bit. If the guard or a
+    float-range check refuses any point, every point goes through
+    ``_velocity_raw`` instead, which raises the first refused point's
+    error with ``out`` ending at the point before it.
+    """
+    try:
+        if (_positive_finite(p) and 0.0 < n0 < _INF and _positive_finite(v)
+                and _positive_finite(tau) and 0.0 < r < _INF and _positive_finite(alpha)):
+            d = [v * tau for v, tau in zip(_each(v), _each(tau))] if _varies(v, tau) else v * tau
+            if _positive_finite(d):
+                exp = [2.0 * alpha for alpha in alpha] if _varies(alpha) else 2.0 * alpha
+                if _varies(p, exp):
+                    eaves = [log1p(p / (n0 * r**exp)) / _LN2
+                             for p, exp in zip(_each(p), _each(exp))]
+                else:
+                    eaves = _log2_1p(p / (n0 * r**exp))
+                raws = [log1p(p / (n0 * d**exp)) / _LN2 - eaves
+                        for p, d, exp, eaves in zip(_each(p), _each(d), _each(exp), _each(eaves))]
+                # a finite raw lies within +-1024 (log2 of the largest double),
+                # so the sum is finite exactly when every raw is
+                if -_INF < sum(raws) < _INF:
+                    out += raws
+                    return
+    except (OverflowError, ZeroDivisionError):
+        pass  # a path-loss power, or an SNR quotient's divisor, left the float range
+    points = zip(_each(p), _each(v), _each(tau), _each(alpha))
+    out.extend(_velocity_raw(p, n0, v, tau, r, alpha) for p, v, tau, alpha in points)
+
+
 def _relay_raw(
     p_a: float,
     p_r: float,
@@ -105,6 +170,47 @@ def _relay_raw(
     snr_b = p_a * h_ab / (p_r * h_rb + sigma_b2)
     snr_e = p_a * h_ae / (p_r * h_re + sigma_e2)
     return w * (_log2_1p(snr_b) - _log2_1p(snr_e))
+
+
+def _relay_rows(
+    p_a, p_r, h_ab: float, h_rb: float, h_ae: float, h_re: float, sigma_b2: float,
+    sigma_e2: float, w: float,
+) -> tuple:
+    """``_relay_raw`` with the relay on, and off (p_r = 0), per row of a power sweep.
+
+    p_a and p_r are each a float, fixed along the table, or a list of one
+    value per row, and every value is one :class:`RelayConfig` accepts. A
+    term is computed once while its inputs stay fixed: the denominators
+    p_r*h + sigma^2 once per table unless p_r varies, and the relay-off
+    arm once unless p_a varies. Every value follows ``_relay_raw``'s
+    operation order, so it equals ``_relay_raw``'s bit for bit. Returns
+    each arm as a list per row, or as one float where it is fixed.
+    """
+
+    def arm(p_r):
+        if _varies(p_r):
+            den_b = [p_r * h_rb + sigma_b2 for p_r in p_r]
+            den_e = [p_r * h_re + sigma_e2 for p_r in p_r]
+        else:
+            den_b, den_e = p_r * h_rb + sigma_b2, p_r * h_re + sigma_e2
+        if not _varies(p_a, den_b):
+            return _relay_raw(p_a, p_r, h_ab, h_rb, h_ae, h_re, sigma_b2, sigma_e2, w)
+        return [w * (log1p(p_a * h_ab / den_b) / _LN2 - log1p(p_a * h_ae / den_e) / _LN2)
+                for p_a, den_b, den_e in zip(_each(p_a), _each(den_b), _each(den_e))]
+
+    return arm(p_r), arm(0.0)
+
+
+def _fading_rows(p, n0: float, h_ab: float, h_ae: float, w: float):
+    """``w * _fading_raw(p, n0, h_ab, h_ae)`` per row where p is a list, else one float.
+
+    Each amplitude is squared once, and each value follows the operation
+    order of ``w * _fading_raw(...)``, so it equals that bit for bit.
+    """
+    g_ab, g_ae = h_ab * h_ab, h_ae * h_ae
+    if not _varies(p):
+        return w * (_log2_1p(p * g_ab / n0) - _log2_1p(p * g_ae / n0))
+    return [w * (log1p(p * g_ab / n0) / _LN2 - log1p(p * g_ae / n0) / _LN2) for p in p]
 
 
 def _check_positive(name: str, value: float) -> float:

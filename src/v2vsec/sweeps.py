@@ -7,15 +7,19 @@ is plain CSV with LF line endings; re-runs with the same inputs are
 byte-identical.
 
 The sweep and relay-compare tables are evaluated on plain Python floats
-through the private formula helpers in :mod:`v2vsec.secrecy`, the same
-ones the public functions return through, so every cell equals the
-public function's value bit for bit. A sweep point takes one path:
-``_velocity_raw``, which owns the velocity rule and raises the first
-failing field's error. A relay-compare point takes one path too: a
-``pa_db`` point goes through ``db_to_linear``, the swept power passes
-one positive-and-finite guard, and ``RelayConfig`` owns the error of a
-power the guard refuses. Either error names the field and is reported
-as ``axis point <axis>=<value>: ...``.
+by the evaluators in :mod:`v2vsec.secrecy` that sit next to the private
+formula helpers the public functions return through: each computes a
+term once while its inputs stay fixed along the curve or table, and each
+value in the helper's own operation order, so every cell equals the
+public function's value bit for bit. A sweep curve goes through
+``_velocity_curve``, which hands every point of a curve it cannot
+evaluate to ``_velocity_raw``; that owns the velocity rule and raises the
+first failing field's error. A relay-compare table goes through
+``_relay_rows`` and ``_fading_rows``: a ``pa_db`` point goes through
+``db_to_linear``, the swept power passes one positive-and-finite guard,
+and ``RelayConfig`` owns the error of a power the guard refuses. Either
+error names the field and is reported, for the first point refused, as
+``axis point <axis>=<value>: ...``.
 
 A sweep table is a :class:`SweepTable`: its 11 columns in SWEEP_HEADER's
 order, with a row built only when a caller reads one. It equals the list
@@ -56,9 +60,9 @@ from .ergodic import DEFAULT_SEED, ErgodicSpec, draw_channel_states, estimate_on
 from .secrecy import (
     LinkGeometry,
     RelayConfig,
-    _fading_raw,
-    _relay_raw,
-    _velocity_raw,
+    _fading_rows,
+    _relay_rows,
+    _velocity_curve,
     geometric_secrecy,
     relay_secrecy,  # noqa: F401  no longer called here; perfbench's tracer wraps it by this name
     velocity_secrecy,  # noqa: F401  not called here; perfbench's tracer wraps it by this name
@@ -326,39 +330,54 @@ def axis_points(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(_point_count(start, stop, step))]
 
 
+def _until_refused(each, values: Iterable) -> tuple[list, ValueError | None]:
+    """``each`` of the values up to the first one it refuses, and that ``ValueError``."""
+    out: list = []
+    try:
+        for value in values:
+            out.append(each(value))
+    except ValueError as exc:
+        return out, exc
+    return out, None
+
+
+def _clamped(raws: list[float]) -> list[float]:
+    """``max(0.0, raw)`` per raw, the clamp of ``SecrecyResult``: a nan clamps to 0.0 too."""
+    return [raw if raw > 0.0 else 0.0 for raw in raws]
+
+
 def _vtau_columns(spec: SweepSpec, points: list[float]) -> list[list]:
     """The d = v*tau block's 11 columns, on plain floats through secrecy's own formula.
 
-    Each point is ``_velocity_raw`` at p = ``db_to_linear(pn0_db)``. A fixed
-    ``pn0_db`` is converted once per curve, and its error is reported with
-    the first point. The error of a point either refuses is reported with
-    the axis point.
+    The capacities are secrecy's curve evaluator at p = ``db_to_linear(pn0_db)``,
+    each ``_velocity_raw``'s value bit for bit. A fixed ``pn0_db`` is converted
+    once per curve, and its error is reported with the first point. The
+    error of a point either refuses is reported with the axis point; points
+    before it are evaluated first, so the first refused point is named.
     """
     axis, r, n = spec.axis, spec.r, len(points)
-
-    def column(name: str, fixed: float) -> list[float]:
-        return points if axis == name else [fixed] * n
-
-    vs, taus = column("speed", spec.v_mps), column("tau", spec.tau)
-    alphas = column("alpha", spec.alpha)
-    per_point_power = axis == "power_db"
-    if not per_point_power:
+    inputs = {"speed": spec.v_mps, "tau": spec.tau, "alpha": spec.alpha, "power_db": spec.pn0_db}
+    inputs[axis] = points  # the swept input takes the points, the rest one value each
+    v, tau, alpha, pn0_db = inputs.values()
+    if axis == "power_db":
+        p, refused = _until_refused(db_to_linear, points)
+    else:
         try:
-            p = db_to_linear(spec.pn0_db)
+            p, refused = db_to_linear(pn0_db), None
         except ValueError as exc:
             raise SweepError(f"axis point {axis}={fmt_num(points[0])}: {exc}") from None
-    raws = []
-    for value, v, tau, alpha in zip(points, vs, taus, alphas):
-        try:
-            if per_point_power:
-                p = db_to_linear(value)
-            raws.append(_velocity_raw(p, 1.0, v, tau, r, alpha))
-        except ValueError as exc:
-            raise SweepError(f"axis point {axis}={fmt_num(value)}: {exc}") from None
+    raws: list[float] = []
+    try:
+        _velocity_curve(p, 1.0, v, tau, r, alpha, raws)
+    except ValueError as exc:
+        refused = exc
+    if refused is not None:
+        raise SweepError(f"axis point {axis}={fmt_num(points[len(raws)])}: {refused}") from None
     # v * 3.6 is ms_to_kmh on a speed _velocity_raw has accepted
-    return [[axis] * n, points, vs, list(map((3.6).__rmul__, vs)), alphas, taus, [r] * n,
-            column("power_db", spec.pn0_db), raws, list(map(max, repeat(0.0), raws)),
-            [VARIANT_VTAU] * n]
+    v_kmh = [v * 3.6 for v in v] if axis == "speed" else v * 3.6
+    return [[axis] * n, points, *(x if type(x) is list else [x] * n
+                                  for x in (v, v_kmh, alpha, tau, r, pn0_db)),
+            raws, _clamped(raws), [VARIANT_VTAU] * n]
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
@@ -520,42 +539,43 @@ def run_relay_compare(
     """
     if axis not in ("pa_db", "pr"):
         raise SweepError(f"axis must be pa_db or pr, got {axis!r}")
-    p_a, p_r = base.p_a, base.p_r
     gains = (base.h_ab, base.h_rb, base.h_ae, base.h_re)
     sigma_b2, sigma_e2, w = base.sigma_b2, base.sigma_e2, base.w
-    # relay-off must reduce to the direct fading formula on amplitudes sqrt(h)
-    direct_amplitudes = (math.sqrt(base.h_ab), math.sqrt(base.h_ae))
     inf = math.inf
     values = axis_points(start, stop, step)
-    p_as, p_rs, ons, offs = [], [], [], []
-    for value in values:
-        try:
-            if axis == "pa_db":
-                p_a = sigma_b2 * db_to_linear(value)
-            else:
-                p_r = value
-            if not (0 < p_a < inf and 0 <= p_r < inf):
-                base._replace(p_a=p_a, p_r=p_r)  # raises RelayConfig's field-named error
-        except ValueError as exc:
-            raise SweepError(f"axis point {axis}={fmt_num(value)}: {exc}") from None
-        on = _relay_raw(p_a, p_r, *gains, sigma_b2, sigma_e2, w)
-        off = _relay_raw(p_a, 0.0, *gains, sigma_b2, sigma_e2, w)
-        if sigma_b2 == sigma_e2:
+
+    def swept_power(value: float) -> float:
+        if axis == "pa_db":
+            p_a = sigma_b2 * db_to_linear(value)
+            if not 0 < p_a < inf:
+                base._replace(p_a=p_a)  # raises RelayConfig's field-named error
+            return p_a
+        if not 0 <= value < inf:
+            base._replace(p_r=value)
+        return value
+
+    powers, refused = _until_refused(swept_power, values)
+    p_a, p_r = (powers, base.p_r) if axis == "pa_db" else (base.p_a, powers)
+    ons, offs = _relay_rows(p_a, p_r, *gains, sigma_b2, sigma_e2, w)
+    if sigma_b2 == sigma_e2 and powers:
+        # relay-off must reduce to the direct fading formula on amplitudes sqrt(h)
+        directs = _fading_rows(p_a, sigma_b2, math.sqrt(base.h_ab), math.sqrt(base.h_ae), w)
+        # on the pr axis p_a is fixed, so the first row's check stands for every row
+        checks = zip(values, offs, directs) if axis == "pa_db" else [(values[0], offs, directs)]
+        for value, off, direct in checks:
             # the sqrt round-trip perturbs the gains by ~1 ulp, hence the abs floor
-            direct = w * _fading_raw(p_a, sigma_b2, *direct_amplitudes)
             if abs(off - direct) > 1e-9 + 1e-12 * abs(direct):
                 raise SweepOrderingError(
                     f"relay-off arm {off!r} deviates from the direct formula "
                     f"{direct!r} at {axis}={fmt_num(value)}"
                 )
-        p_as.append(p_a)
-        p_rs.append(p_r)
-        ons.append(on)
-        offs.append(off)
-    fixed = [[x] * len(values) for x in (*gains, sigma_b2, sigma_e2, w)]
-    cells = _map_columns(_format_cells, [values, p_as, p_rs, *fixed, ons,
-                                         list(map(max, repeat(0.0), ons)), offs,
-                                         list(map(max, repeat(0.0), offs))])
+    if refused is not None:
+        raise SweepError(f"axis point {axis}={fmt_num(values[len(powers)])}: {refused}") from None
+    n = len(values)
+    p_as, p_rs, offs = ([x] * n if type(x) is not list else x for x in (p_a, p_r, offs))
+    fixed = [[x] * n for x in (*gains, sigma_b2, sigma_e2, w)]
+    cells = _map_columns(_format_cells, [values, p_as, p_rs, *fixed, ons, _clamped(ons), offs,
+                                         _clamped(offs)])
     return [RELAY_COMPARE_HEADER, *map(",".join, zip(repeat(axis), *cells))]
 
 

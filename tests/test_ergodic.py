@@ -52,7 +52,7 @@ def _all_favorable_start(a, b, p_budget):
     target = n * p_budget
     mu = k / (target + float(np.sum(1.0 / a)))
     gamma, work = np.empty(k), np.empty((2, k))
-    _, _, residual, _ = ergodic._multiplier_search(gap, sums, target, mu, gamma, work)
+    _, _, residual, _, _ = ergodic._multiplier_search(gap, sums, target, mu, gamma, work)
     return float(np.sum(_kernels.secrecy_rate(a, b, gamma))) / n, residual
 
 
@@ -85,27 +85,34 @@ def _bisection_oracle(a, b, p_budget, rtol=1e-9):
     return float(np.mean(_kernels.secrecy_rate(a, b, gamma))), mu
 
 
-def _no_double_meets_budget(a, b, p_budget):
-    """True if no double multiplier puts the power within _POWER_RTOL of budget.
+def _straddling_doubles(a, b, p_budget):
+    """The two neighbouring double multipliers that straddle the budget, as (mu, residual) each.
 
     Positive doubles order like their bit patterns, so bisecting on the
-    patterns ends at two neighbouring doubles that straddle the budget;
-    by monotonicity they are the closest any multiplier can get.
+    patterns ends at two neighbouring doubles, the lower spending more than
+    the budget and the upper no more; by monotonicity they are the closest
+    any multiplier can get.
     """
 
     def residual(bits):
         mu = float(np.int64(bits).view(np.float64))
         with np.errstate(all="ignore"):
-            return float(np.mean(_kernels.gamma_allocation(a, b, mu))) / p_budget - 1.0
+            return mu, float(np.mean(_kernels.gamma_allocation(a, b, mu))) / p_budget - 1.0
 
     lo, hi = 1, int(np.float64(np.max(a - b)).view(np.int64))
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if residual(mid) > 0:
+        if residual(mid)[1] > 0:
             lo = mid
         else:
             hi = mid
-    return min(abs(residual(lo)), abs(residual(hi))) > ergodic._POWER_RTOL
+    return residual(lo), residual(hi)
+
+
+def _no_double_meets_budget(a, b, p_budget):
+    """True if no double multiplier puts the power within _POWER_RTOL of budget."""
+    (_, res_lo), (_, res_hi) = _straddling_doubles(a, b, p_budget)
+    return min(abs(res_lo), abs(res_hi)) > ergodic._POWER_RTOL
 
 
 @st.composite
@@ -419,13 +426,37 @@ class TestMultiplierSearch:
         assert "p_budget=2.5" in msg
         assert "n_active=3" in msg
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_returns_the_closest_double(self, monkeypatch):
         # one weak state and a small budget: P(mu) is so steep near the root
         # that neighbouring doubles already step the power by ~1e-8 of budget
         a, b, p = np.array([1e-5]), np.array([0.0]), 1e-3
-        assert _no_double_meets_budget(a, b, p)
-        with pytest.raises(ErgodicConvergenceError, match="n_active=1"):
-            estimate_on_states(a, b, p)
+        (mu_lo, res_lo), (mu_hi, res_hi) = _straddling_doubles(a, b, p)
+        assert math.nextafter(mu_lo, math.inf) == mu_hi
+        assert min(abs(res_lo), abs(res_hi)) > ergodic._POWER_RTOL
+        calls = _record_kernel_calls(monkeypatch)
+        res = estimate_on_states(a, b, p)
+        closer, residual = min((mu_lo, res_lo), (mu_hi, res_hi), key=lambda end: abs(end[1]))
+        assert (res.multiplier, res.power_residual) == (closer, residual)
+        # the closer end's allocation is the one the rates were taken from
+        assert res.iterations == len(calls) and calls[-1][0] == closer
+        gamma = _kernels.gamma_allocation(a, b, closer)
+        assert res.capacity == float(np.mean(_kernels.secrecy_rate(a, b, gamma)))
+        assert res.achieved_avg_power == float(np.sum(gamma))
+
+    def test_closest_double_is_judged_against_the_residual_step(self):
+        # the search reports the step between the straddling doubles' residuals
+        a, b, p = np.array([1e-5]), np.array([0.0]), 1e-3
+        (_, res_lo), (_, res_hi) = _straddling_doubles(a, b, p)
+        gap, target = a.copy(), a.shape[0] * p
+        _, _, residual, _, resolution = ergodic._multiplier_search(
+            gap, None, target, 0.5 * a[0], np.empty(1), np.empty((2, 1)))
+        assert resolution == res_lo - res_hi
+        assert abs(residual) == min(abs(res_lo), abs(res_hi)) <= resolution
+        # a search that meets the tolerance reports no resolution
+        a = np.array([0.01, 0.03])
+        *_, resolution = ergodic._multiplier_search(a, None, 2.0, 0.02, np.empty(2),
+                                                   np.empty((2, 2)))
+        assert resolution == 0.0
 
     @staticmethod
     def _recorded_multipliers(monkeypatch, a, b, p):
@@ -483,14 +514,16 @@ class TestMultiplierSearch:
     @given(_state_sets())
     def test_random_state_sets(self, case):
         a, b, p = case
-        try:
-            res = estimate_on_states(a, b, p)
-        except ErgodicConvergenceError:
-            # allowed only where double precision cannot meet the tolerance
-            assert _no_double_meets_budget(a, b, p)
-            return
+        res = estimate_on_states(a, b, p)
         if res.n_active == 0:
             assert not np.any(a > b) and res.capacity == 0.0
+            return
+        if abs(res.power_residual) > ergodic._POWER_RTOL:
+            # allowed only where double precision cannot meet the tolerance, and
+            # then the residual is within the step between the straddling doubles
+            (_, res_lo), (_, res_hi) = _straddling_doubles(a, b, p)
+            assert min(abs(res_lo), abs(res_hi)) > ergodic._POWER_RTOL
+            assert abs(res.power_residual) <= res_lo - res_hi
             return
         assert abs(res.achieved_avg_power / p - 1.0) <= 1e-9
         gamma = _kernels.gamma_allocation(a, b, res.multiplier)

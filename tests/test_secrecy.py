@@ -1,9 +1,11 @@
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from v2vsec import secrecy
 from v2vsec.channel import db_to_linear, path_loss_amplitude
 from v2vsec.kinematics import kmh_to_ms
 from v2vsec.secrecy import (
@@ -12,6 +14,11 @@ from v2vsec.secrecy import (
     SecrecyResult,
     WiretapNoise,
     _check_positive,
+    _fading_raw,
+    _fading_rows,
+    _relay_raw,
+    _relay_rows,
+    _velocity_curve,
     _velocity_raw,
     fading_secrecy,
     gaussian_wiretap,
@@ -206,6 +213,134 @@ class TestVelocityRaw:
         want = _raw_or_error(_velocity_chain_raw, p, n0, v, tau, r, alpha)
         assert got == want
         assert _raw_or_error(lambda *a: velocity_secrecy(*a).raw, p, n0, v, tau, r, alpha) == got
+
+
+# ordinary inputs of a curve, mostly inside r and the float range
+_CURVE_INPUTS = {
+    "p": st.floats(min_value=1e-3, max_value=1e12),
+    "n0": st.floats(min_value=1e-3, max_value=1e3),
+    "v": st.floats(min_value=1e-2, max_value=1e3),
+    "tau": st.floats(min_value=1e-3, max_value=10.0),
+    "r": st.floats(min_value=1e-1, max_value=1e4),
+    "alpha": st.floats(min_value=1e-2, max_value=10.0),
+}
+# inputs that the guard refuses, or that take a term beyond the float range
+_OUT_OF_RANGE = st.sampled_from(
+    [0.0, -0.0, -1.0, 5e-324, 1e-300, 400.0, 1e300, 1e308, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _curves(draw):
+    """One curve's inputs: one of p, v, tau and alpha is a list of its points."""
+    edgy = draw(st.booleans())
+    inputs = {name: draw(st.one_of(ordinary, _OUT_OF_RANGE) if edgy else ordinary)
+              for name, ordinary in _CURVE_INPUTS.items()}
+    axis = draw(st.sampled_from(["p", "v", "tau", "alpha"]))
+    points = draw(st.lists(_CURVE_INPUTS[axis], min_size=1, max_size=30))
+    if draw(st.booleans()):  # a refused or out-of-range point at a random position
+        points[draw(st.integers(0, len(points) - 1))] = draw(_OUT_OF_RANGE)
+    inputs[axis] = points
+    return inputs
+
+
+def _per_point(x):
+    return x if isinstance(x, list) else repeat(x)
+
+
+def _velocity_raw_by_point(p, n0, v, tau, r, alpha):
+    """_velocity_raw's value per point up to the first point it refuses, and that error."""
+    raws = []
+    for p, v, tau, alpha in zip(*map(_per_point, (p, v, tau, alpha))):
+        try:
+            raws.append(_velocity_raw(p, n0, v, tau, r, alpha))
+        except ValueError as exc:
+            return raws, (type(exc), str(exc))
+    return raws, None
+
+
+def _hex(values):
+    """Each float's exact bits, nan and negative zero included."""
+    return [float(x).hex() for x in values]
+
+
+class TestVelocityCurve:
+    """The curve evaluator is _velocity_raw at every point, bit for bit, on all four axes."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_curves())
+    # a fixed power or exponent beyond the float range refuses the first point
+    @example({"p": 1e308, "n0": 1.0, "v": [5.0, 6.0], "tau": 1e-3, "r": 1000.0, "alpha": 2.0})
+    @example({"p": 1e7, "n0": 1.0, "v": [5.0, 6.0], "tau": 0.2, "r": 1000.0, "alpha": 400.0})
+    @example({"p": [1e7, 1e308], "n0": 1.0, "v": 5.0, "tau": 1e-3, "r": 1000.0, "alpha": 2.0})
+    @example({"p": 1e7, "n0": 1.0, "v": 5.0, "tau": 0.2, "r": 10.0, "alpha": [1.0, 200.0]})
+    def test_equals_velocity_raw_point_by_point(self, inputs):
+        raws, error = _velocity_raw_by_point(**inputs)
+        out = []
+        try:
+            _velocity_curve(**inputs, out=out)
+        except ValueError as exc:
+            assert (type(exc), str(exc)) == error
+        else:
+            assert error is None
+        assert _hex(out) == _hex(raws)
+
+    @pytest.mark.parametrize("axis,eaves_terms", [("v", 1), ("tau", 1), ("p", 5), ("alpha", 5)])
+    def test_eavesdropper_term_only_where_p_or_alpha_varies(self, monkeypatch, axis, eaves_terms):
+        inputs = {"p": 1e7, "n0": 1.0, "v": 20.0, "tau": 0.2, "r": 1000.0, "alpha": 1.4}
+        inputs[axis] = [inputs[axis] * (1.0 + k / 10.0) for k in range(5)]
+        calls = []
+
+        def counted(log):
+            def wrapper(x):
+                calls.append(x)
+                return log(x)
+            return wrapper
+
+        # the legitimate term takes log1p per point, the fixed eavesdropper term _log2_1p
+        monkeypatch.setattr(secrecy, "log1p", counted(math.log1p))
+        monkeypatch.setattr(secrecy, "_log2_1p", counted(secrecy._log2_1p))
+        out = []
+        _velocity_curve(**inputs, out=out)
+        # one legitimate term per point, and the eavesdropper's once or per point
+        assert len(out) == 5 and len(calls) == 5 + eaves_terms
+        assert _hex(out) == _hex(_velocity_raw_by_point(**inputs)[0])
+
+
+@st.composite
+def _relay_tables(draw):
+    """A relay-compare table's inputs: p_a or p_r is a list of its rows."""
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    ordinary = st.floats(min_value=1e-3, max_value=1e3)
+    value = st.one_of(ordinary, positive) if draw(st.booleans()) else ordinary
+    gain = st.one_of(value, st.just(0.0))
+    sigma_b2 = draw(value)
+    table = {"p_a": draw(value), "p_r": draw(gain), "h_ab": draw(gain), "h_rb": draw(gain),
+             "h_ae": draw(gain), "h_re": draw(gain), "sigma_b2": sigma_b2,
+             "sigma_e2": sigma_b2 if draw(st.booleans()) else draw(value), "w": draw(value)}
+    axis = draw(st.sampled_from(["p_a", "p_r"]))
+    table[axis] = draw(st.lists(value if axis == "p_a" else gain, min_size=1, max_size=30))
+    return table
+
+
+class TestRelayRows:
+    """Relay-compare rows are _relay_raw and _fading_raw at every row, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_relay_tables())
+    def test_equals_relay_raw_and_fading_raw_per_row(self, table):
+        on, off = _relay_rows(**table)
+        gains = [table[k] for k in ("h_ab", "h_rb", "h_ae", "h_re", "sigma_b2", "sigma_e2", "w")]
+        rows = list(zip(_per_point(table["p_a"]), _per_point(table["p_r"])))
+        assert _hex(on) == _hex(_relay_raw(p_a, p_r, *gains) for p_a, p_r in rows)
+        # the relay-off arm is one value where p_a is fixed
+        assert isinstance(off, list) == isinstance(table["p_a"], list)
+        assert _hex(off if isinstance(off, list) else [off] * len(rows)) == _hex(
+            _relay_raw(p_a, 0.0, *gains) for p_a, _ in rows)
+        amplitudes = math.sqrt(table["h_ab"]), math.sqrt(table["h_ae"])
+        direct = _fading_rows(table["p_a"], table["sigma_b2"], *amplitudes, table["w"])
+        assert isinstance(direct, list) == isinstance(table["p_a"], list)
+        assert _hex(direct if isinstance(direct, list) else [direct] * len(rows)) == _hex(
+            table["w"] * _fading_raw(p_a, table["sigma_b2"], *amplitudes) for p_a, _ in rows)
 
 
 class TestRelaySecrecy:

@@ -219,8 +219,17 @@ class TestBitIdentity:
              True),
             (SweepSpec(axis="alpha", start=0.05, stop=30.0, step=0.013, v_mps=4.0), False),
             (SweepSpec(axis="alpha", start=0.05, stop=30.0, step=0.013, v_mps=9000.0), True),
+            (SweepSpec(axis="speed", start=0.5, stop=400.0, step=0.13, alpha=4.0, pn0_db=150.0),
+             False),
+            (SweepSpec(axis="tau", start=0.001, stop=4.0, step=0.0031, v_mps=30.0, alpha=3.0),
+             False),
+            (SweepSpec(axis="power_db", start=-300.0, stop=300.0, step=1.3, v_mps=1e-3,
+                       alpha=4.0), False),
+            (SweepSpec(axis="alpha", start=0.05, stop=40.0, step=0.017, v_mps=300.0, r=50.0),
+             True),
         ],
-        ids=["speed", "power_db", "power_db-beyond-r", "tau", "alpha", "alpha-beyond-r"],
+        ids=["speed", "power_db", "power_db-beyond-r", "tau", "alpha", "alpha-beyond-r",
+             "speed-high-power", "tau-inside-r", "power_db-tiny-d", "alpha-small-r"],
     )
     def test_every_axis(self, spec, crosses_r):
         rows = _assert_cells_match_public_formula(spec)
@@ -259,6 +268,68 @@ class TestBitIdentity:
                     )
 
 
+def _per_point_vtau_raws(spec, points):
+    """The d = v*tau block's capacities point by point, as _vtau_columns once took them.
+
+    The oracle for the curve evaluator: each point's raw from the public
+    velocity_secrecy, and the first point refused named with its error.
+    """
+    axis = spec.axis
+    if axis != "power_db":
+        try:
+            p = db_to_linear(spec.pn0_db)
+        except ValueError as exc:
+            raise SweepError(f"axis point {axis}={fmt_num(points[0])}: {exc}") from None
+    raws = []
+    for value in points:
+        at = {"speed": spec.v_mps, "tau": spec.tau, "alpha": spec.alpha, axis: value}
+        try:
+            if axis == "power_db":
+                p = db_to_linear(value)
+            raws.append(velocity_secrecy(p, 1.0, at["speed"], at["tau"], spec.r, at["alpha"]).raw)
+        except ValueError as exc:
+            raise SweepError(f"axis point {axis}={fmt_num(value)}: {exc}") from None
+    return raws
+
+
+def _raws_or_error(fn):
+    """The exact bits of each raw fn returns, or the type and text of what it raises."""
+    try:
+        return [x.hex() for x in fn()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# per axis: ordinary points, and points that are refused or leave the float range
+_AXIS_POINTS = {
+    "speed": (st.floats(min_value=0.1, max_value=200.0), [0.0, -3.0, 5e-324, 1e300, math.inf]),
+    "tau": (st.floats(min_value=1e-3, max_value=5.0), [0.0, -0.5, 5e-324, 1e300, math.nan]),
+    "alpha": (st.floats(min_value=0.1, max_value=8.0), [0.0, -1.0, 400.0, math.inf]),
+    "power_db": (st.floats(min_value=-100.0, max_value=200.0), [-4000.0, 3050.0, 4000.0]),
+}
+_FIXED = {
+    "r": (st.floats(min_value=10.0, max_value=5000.0), [0.0, 1e-300, math.inf]),
+    "alpha": (st.floats(min_value=0.1, max_value=8.0), [0.0, 400.0, math.nan]),
+    "tau": (st.floats(min_value=1e-3, max_value=5.0), [0.0, 1e300]),
+    "pn0_db": (st.floats(min_value=-100.0, max_value=200.0), [-4000.0, 3050.0, 4000.0]),
+    "v_mps": (st.floats(min_value=0.1, max_value=200.0), [-1.0, 5e-324, 1e300]),
+}
+
+
+@st.composite
+def _axis_curves(draw):
+    """A spec and the points of its d = v*tau block, on any axis, some beyond range."""
+    axis = draw(st.sampled_from(sweeps.AXES))
+    ordinary, refused = _AXIS_POINTS[axis]
+    points = sorted(draw(st.lists(ordinary, min_size=1, max_size=25)))
+    if draw(st.booleans()):  # a refused point at a random position
+        points[draw(st.integers(0, len(points) - 1))] = draw(st.sampled_from(refused))
+    edgy = draw(st.booleans())
+    fixed = {name: draw(st.one_of(ok, st.sampled_from(bad)) if edgy else ok)
+             for name, (ok, bad) in _FIXED.items()}
+    return SweepSpec(axis=axis, start=0.0, stop=1.0, step=1.0, **fixed), points
+
+
 class TestBadAxisPoint:
     """The first point the formulas refuse is named with secrecy's own message."""
 
@@ -289,6 +360,14 @@ class TestBadAxisPoint:
              "axis point tau=0.1: p must be positive and finite, got 0.0"),
             (SweepSpec(axis="alpha", start=1.0, stop=2.0, step=0.5, pn0_db=-4000.0),
              "axis point alpha=1: p must be positive and finite, got 0.0"),
+            (SweepSpec(axis="speed", start=5.0, stop=6.0, step=1.0, alpha=-2.0),
+             "axis point speed=5: alpha must be positive and finite, got -2.0"),
+            (SweepSpec(axis="power_db", start=60.0, stop=70.0, step=5.0, alpha=0.0),
+             "axis point power_db=60: alpha must be positive and finite, got 0.0"),
+            (SweepSpec(axis="tau", start=0.1, stop=0.2, step=0.1, v_mps=0.0),
+             "axis point tau=0.1: v must be positive and finite, got 0.0"),
+            (SweepSpec(axis="alpha", start=1.0, stop=2.0, step=0.5, v_mps=-1.0),
+             "axis point alpha=1: v must be positive and finite, got -1.0"),
         ],
     )
     def test_exact_message(self, spec, message):
@@ -305,6 +384,15 @@ class TestBadAxisPoint:
             # tau = 1 is fine; d**(2*alpha) overflows at d = 30 m/s * 5e199 s
             (SweepSpec(axis="tau", start=1.0, stop=1e200, step=5e199, v_mps=30.0),
              "axis point tau=5e+199: path-loss power out of float range"),
+            # speed = 1 is fine; d**(2*alpha) overflows at d = 5e199 m/s * 0.2 s
+            (SweepSpec(axis="speed", start=1.0, stop=1e200, step=5e199),
+             "axis point speed=5e+199: path-loss power out of float range"),
+            # 2000 dB is fine; 1e300 over d**8 = 2.6e-30 overflows the legitimate SNR
+            (SweepSpec(axis="power_db", start=0.0, stop=3000.0, step=1000.0, v_mps=1e-3,
+                       alpha=4.0),
+             "axis point power_db=3000: signal-to-noise ratio out of float range"),
+            (SweepSpec(axis="power_db", start=3000.0, stop=3100.0, step=50.0),
+             "axis point power_db=3100: 3100.0 dB overflows a float power ratio"),
         ],
     )
     def test_bad_point_after_good_ones_is_named(self, spec, prefix):
@@ -387,6 +475,13 @@ class TestBadAxisPoint:
         with pytest.raises(SweepError) as info:
             run_sweep(spec)
         assert str(info.value) == f"axis point {axis}={fmt_num(value)}: {public.value}"
+
+    @settings(max_examples=400, deadline=None)
+    @given(_axis_curves())
+    def test_curve_matches_the_per_point_loop(self, case):
+        spec, points = case
+        got = _raws_or_error(lambda: sweeps._vtau_columns(spec, points)[8])
+        assert got == _raws_or_error(lambda: _per_point_vtau_raws(spec, points))
 
     @pytest.mark.parametrize("start,stop", [(5.0, math.inf), (math.nan, 5.0), (5.0, math.nan),
                                             (-math.inf, 5.0)])
@@ -829,6 +924,38 @@ class TestRelayCompare:
         with pytest.raises(SweepError) as info:
             run_relay_compare("pr", -1.0, 1.0, 1.0, self.BASE)
         assert str(info.value) == "axis point pr=-1: p_r must be >= 0, got -1.0"
+
+    @staticmethod
+    def _perturb_direct(monkeypatch, rows=None):
+        """Add 1e-6 to the direct formula's value at the given rows, or at every row."""
+        fading_rows = sweeps._fading_rows
+
+        def perturbed(*args):
+            direct = fading_rows(*args)
+            if not isinstance(direct, list):
+                return direct + 1e-6
+            return [x + 1e-6 if rows is None or i in rows else x for i, x in enumerate(direct)]
+
+        monkeypatch.setattr(sweeps, "_fading_rows", perturbed)
+
+    @pytest.mark.parametrize("axis,start,stop,step", [("pa_db", 0.0, 20.0, 5.0),
+                                                      ("pr", 0.0, 4.0, 1.0),
+                                                      # a deviation before a refused row
+                                                      ("pa_db", 0.0, 4000.0, 1000.0)])
+    def test_relay_off_arm_is_checked_against_the_direct_formula(self, monkeypatch, axis, start,
+                                                                  stop, step):
+        self._perturb_direct(monkeypatch)
+        with pytest.raises(SweepOrderingError, match=(
+                rf"^relay-off arm \S+ deviates from the direct formula \S+ at {axis}=0$")):
+            run_relay_compare(axis, start, stop, step, self.BASE)
+        # the direct formula holds for equal noises only, so unequal ones skip the check
+        unequal = self.BASE._replace(sigma_e2=2.0)
+        assert len(run_relay_compare(axis, start, 20.0, step, unequal)) > 1
+
+    def test_relay_off_arm_is_checked_on_every_pa_db_row(self, monkeypatch):
+        self._perturb_direct(monkeypatch, rows={3})
+        with pytest.raises(SweepOrderingError, match=r" at pa_db=15$"):
+            run_relay_compare("pa_db", 0.0, 20.0, 5.0, self.BASE)
 
     @pytest.mark.parametrize("sigma_e2", [1.0, 2.5, 0.3])
     @pytest.mark.parametrize("axis,start,stop,step", [("pa_db", -40.0, 60.0, 0.25),
