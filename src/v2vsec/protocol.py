@@ -34,17 +34,31 @@ rules, the same way. A named tuple costs less to create than a frozen
 dataclass, class and instance alike, and keeps ``dataclasses`` out of
 the import. :class:`ProtocolSession`, which changes as messages arrive,
 is a plain class.
+
+The records are also why a link's fixed decision terms can be computed
+once: a scenario and a config cannot change, so a session computes the
+terms that depend on them alone (the band table, 2*alpha, the
+eavesdropper term, the boost ladder) when it is built, and ``decide``
+reuses them as long as it is handed the identical objects. The terms
+that depend on a report follow ``_geometric_raw``'s operation order, so
+decisions are bit for bit those of the per-report formula. The records
+refuse a field of the wrong type (a schedule that is not a
+``ThresholdSchedule``, a list where a tuple belongs, a relay candidate
+that is a plain tuple, a budget that is not a ``PowerBudget``) and two
+relay candidates with one relay_id.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from math import log1p
 from typing import NamedTuple
 
 from ._common import ValidatedRecord
 from .channel import PowerBudget, db_to_linear
 from .secrecy import (
+    _LN2,
     _check_positive,
     _path_loss_range_error,
     _relay_raw,
@@ -92,6 +106,7 @@ _WIRE_LINE = re.compile(
     rf"{WIRE_VERSION}\|{_SENDER}\|([0-9]+)\|([0-9]+)" + rf"\|{_DECIMAL}" * 5
 )
 
+_INF, _NAN = math.inf, math.nan
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 COARSE_GRID_POINTS = 32
 
@@ -305,10 +320,16 @@ class ThresholdSchedule(ValidatedRecord, _ThresholdSchedule):
     __slots__ = ()
 
     def _check(self) -> None:
+        if not isinstance(self.bands, tuple):
+            raise ValueError(f"bands must be a tuple of (low, high, threshold) tuples, "
+                             f"got {self.bands!r}")
         if not self.bands:
             raise ValueError("schedule needs at least one band")
         expected_low = 0.0
-        for i, (low, high, threshold) in enumerate(self.bands):
+        for i, band in enumerate(self.bands):
+            if not (isinstance(band, tuple) and len(band) == 3):
+                raise ValueError(f"band {i} must be a (low, high, threshold) tuple, got {band!r}")
+            low, high, threshold = band
             if low != expected_low:
                 raise ValueError(f"band {i} starts at {low!r}, expected {expected_low!r}")
             if not high > low:
@@ -378,6 +399,8 @@ class LinkScenario(ValidatedRecord, _LinkScenario):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be > 0, got {v!r}")
+        if not isinstance(self.budget, PowerBudget):
+            raise ValueError(f"budget must be a PowerBudget, got {self.budget!r}")
 
 
 class _ProtocolConfig(NamedTuple):
@@ -396,6 +419,8 @@ class ProtocolConfig(ValidatedRecord, _ProtocolConfig):
     __slots__ = ()
 
     def _check(self) -> None:
+        if not isinstance(self.thresholds, ThresholdSchedule):
+            raise ValueError(f"thresholds must be a ThresholdSchedule, got {self.thresholds!r}")
         if not (math.isfinite(self.boost_step_db) and self.boost_step_db > 0):
             raise ValueError(f"boost_step_db must be > 0, got {self.boost_step_db!r}")
         if not (math.isfinite(self.boost_cap_db) and self.boost_cap_db >= 0):
@@ -405,14 +430,25 @@ class ProtocolConfig(ValidatedRecord, _ProtocolConfig):
             raise ValueError(f"max_boost_iterations must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"max_boost_iterations must be >= 1, got {n!r}")
-        valid = {"relay", "power_boost", "v2i_fallback"}
+        if not isinstance(self.relay_candidates, tuple):
+            raise ValueError(f"relay_candidates must be a tuple, got {self.relay_candidates!r}")
+        relay_ids = set()
+        for i, candidate in enumerate(self.relay_candidates):
+            if not isinstance(candidate, RelayCandidate):
+                raise ValueError(
+                    f"relay_candidates[{i}] must be a RelayCandidate, got {candidate!r}")
+            if candidate.relay_id in relay_ids:
+                raise ValueError(f"relay_candidates repeat relay_id {candidate.relay_id!r}")
+            relay_ids.add(candidate.relay_id)
+        if not isinstance(self.strategy_order, tuple):
+            raise ValueError(f"strategy_order must be a tuple, got {self.strategy_order!r}")
         if not self.strategy_order:
             raise ValueError("strategy_order must be nonempty")
+        for s in self.strategy_order:  # compared, not hashed: a list entry is unknown too
+            if s not in ("relay", "power_boost", "v2i_fallback"):
+                raise ValueError(f"unknown strategy {s!r}")
         if len(set(self.strategy_order)) != len(self.strategy_order):
             raise ValueError("strategy_order must not repeat strategies")
-        for s in self.strategy_order:
-            if s not in valid:
-                raise ValueError(f"unknown strategy {s!r}")
         if not (math.isfinite(self.freshness_ms) and self.freshness_ms > 0):
             raise ValueError(f"freshness_ms must be > 0, got {self.freshness_ms!r}")
 
@@ -555,6 +591,50 @@ def select_relay(
     return best
 
 
+def _plan(scenario: LinkScenario, config: ProtocolConfig) -> tuple:
+    """What ``decide`` needs of one (scenario, config) pair, computed once.
+
+    A plain tuple, since ``decide`` unpacks it per report and an exact
+    tuple unpacks in one step where a named tuple iterates: (scenario,
+    config, bands, p, n0, tau, r, alpha, exp, eaves, boosts, freshness_ms).
+    ``exp`` is 2*alpha, and ``eaves`` is ``_geometric_raw``'s eavesdropper
+    term log2(1 + p/(n0*r**exp)), or nan where r**exp leaves the float
+    range, so that every report goes to ``_velocity_raw`` and raises its
+    error there, not here. ``boosts`` maps a power-boost step k to
+    ``_boost_step(plan, k)``, added when a report first needs it (threads
+    that race to add one add equal values).
+    """
+    r, alpha, tau, (p, n0) = scenario  # positive and finite by the records' rules
+    exp = 2.0 * alpha
+    try:
+        eaves = log1p(p / (n0 * r**exp)) / _LN2
+    except (OverflowError, ZeroDivisionError):  # r**(2*alpha) left the float range
+        eaves = _NAN
+    return (scenario, config, config.thresholds.bands, p, n0, tau, r, alpha, exp, eaves, {},
+            config.freshness_ms)
+
+
+def _boost_step(plan: tuple, k: int) -> tuple:
+    """Step k of a plan's power-boost ladder: (boosted power, its eavesdropper term).
+
+    ``()`` once k steps pass the cap. A boost beyond the float power ratio
+    raises ``db_to_linear``'s ``ValueError``, as the ladder always has. The
+    ladder runs only after the plan's own eavesdropper term was finite, so
+    r**exp is a finite nonzero float here.
+    """
+    _, config, _, p, n0, _, r, _, exp, _, _, _ = plan
+    total_db = k * config.boost_step_db
+    if total_db > config.boost_cap_db + 1e-12:
+        return ()
+    boosted = p * db_to_linear(total_db)
+    return boosted, log1p(boosted / (n0 * r**exp)) / _LN2
+
+
+# The plan decide used last (none yet: it matches no records); ProtocolSession.process
+# puts its own plan here.
+_last_plan = (None,) * 12
+
+
 def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> LinkDecision:
     """Run the decision ladder for one CSI message.
 
@@ -562,18 +642,40 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
     the original power; otherwise the configured strategies are tried in
     order; v2i_fallback is the terminal outcome when everything fails.
 
-    The direct link and each power-boost step are evaluated on plain floats
-    as ``max(0.0, _velocity_raw(...))``, which is
-    ``velocity_secrecy(...).clamped``. A direct link it refuses (a
-    standstill report, whose d = v*tau is 0, or an SNR p/(n0*d^(2*alpha))
-    beyond the float range) raises its ``ValueError``. A boost step it
+    The terms that depend only on ``scenario`` and ``config`` (the band
+    table, 2*alpha, the eavesdropper term log2(1 + p/(n0*r^(2*alpha))), and
+    each boost step's power and eavesdropper term) come from a plan that
+    is computed once: a :class:`ProtocolSession` builds its own, and a bare
+    call reuses the last plan when ``scenario`` and ``config`` are the
+    identical objects, and builds a new one otherwise. A report's
+    separation d = v*tau and its direct term log2(1 + p/(n0*d^(2*alpha)))
+    follow ``_geometric_raw``'s operation order, so each capacity is
+    ``max(0.0, _velocity_raw(...))``, which is
+    ``velocity_secrecy(...).clamped``, bit for bit. A direct link this
+    cannot evaluate goes to ``_velocity_raw``, which raises its
+    ``ValueError``: a standstill report, whose d is 0, a path-loss power
+    or an SNR p/(n0*d^(2*alpha)) beyond the float range. A boost step it
     refuses (the boosted power or its SNR left the float range) ends the
     power-boost strategy, and the ladder goes on to the next one.
     """
+    global _last_plan
+    plan = _last_plan
+    if plan[0] is not scenario or plan[1] is not config:
+        plan = _last_plan = _plan(scenario, config)
+    _, _, bands, p, n0, tau, r, alpha, exp, eaves, boosts, _ = plan
     v = csi.speed_mps  # finite and >= 0 by CsiMessage's rule: derive_threshold's check holds
-    threshold = _band_threshold(config.thresholds.bands, v)
-    r, alpha, tau, (p, n0) = scenario
-    base = max(0.0, _velocity_raw(p, n0, v, tau, r, alpha))
+    threshold = _band_threshold(bands, v)
+    d = v * tau
+    nd = raw = _NAN
+    if 0.0 < d < _INF:  # so v is in (0, inf) too, as tau is: _velocity_raw's guard holds
+        try:
+            nd = n0 * d**exp
+            raw = log1p(p / nd) / _LN2 - eaves
+        except (OverflowError, ZeroDivisionError):
+            pass  # d**(2*alpha) left the float range
+    if not -_INF < raw < _INF:
+        raw = _velocity_raw(p, n0, v, tau, r, alpha)  # raises the report's error
+    base = raw if raw > 0.0 else 0.0  # max(0.0, raw), without the call
     if base >= threshold:
         return _tuple_new(LinkDecision, ("direct", base, threshold, 0, None, None, None))
 
@@ -591,17 +693,20 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
                     relay_power=sel.relay_power,
                 )
         elif strategy == "power_boost":
-            k = 0
-            while k < config.max_boost_iterations:
-                k += 1
-                total_db = k * config.boost_step_db
-                if total_db > config.boost_cap_db + 1e-12:
+            for k in range(1, config.max_boost_iterations + 1):
+                step = boosts.get(k)
+                if step is None:
+                    step = boosts[k] = _boost_step(plan, k)
+                if not step:  # k steps pass the cap
                     break
-                boosted = p * db_to_linear(total_db)
-                try:
-                    cs = max(0.0, _velocity_raw(boosted, n0, v, tau, r, alpha))
-                except ValueError:  # boosted or its SNR left the float range; so would later steps
-                    break
+                boosted, boosted_eaves = step
+                raw = log1p(boosted / nd) / _LN2 - boosted_eaves
+                if not -_INF < raw < _INF:
+                    try:
+                        raw = _velocity_raw(boosted, n0, v, tau, r, alpha)
+                    except ValueError:  # boosted or its SNR left the float range,
+                        break  # and so would every later step's
+                cs = max(0.0, raw)
                 if cs >= threshold:
                     return LinkDecision(
                         mode="power_boost",
@@ -624,11 +729,16 @@ class ProtocolSession:
     freshness window is rejected; the scenario loader checks ``[csi]`` by
     these rules too. ``last_seq`` and ``newest_ts`` map each sender_id to
     the values of its accepted messages.
+
+    The session reads ``scenario`` and ``config`` once, when it is built:
+    it computes their fixed decision terms then (see :func:`decide`), and
+    ``process`` hands them to ``decide`` with each message.
     """
 
     def __init__(self, scenario: LinkScenario, config: ProtocolConfig) -> None:
         self.scenario = scenario
         self.config = config
+        self._plan = _plan(scenario, config)
         self.last_seq: dict[str, int] = {}
         self.newest_ts: dict[str, int] = {}
 
@@ -639,10 +749,11 @@ class ProtocolSession:
         if last is not None and seq <= last:
             raise CsiSeqRegressionError(f"seq {seq} from {sender!r} does not increase past {last}")
         newest = self.newest_ts.get(sender, ts)
-        if ts < newest - self.config.freshness_ms:
+        freshness_ms = self._plan[-1]  # the config's, read once
+        if ts < newest - freshness_ms:
             raise StaleCsiError(
                 f"timestamp {ts} ms from {sender!r} is older than the "
-                f"freshness window ({self.config.freshness_ms} ms behind {newest} ms)"
+                f"freshness window ({freshness_ms} ms behind {newest} ms)"
             )
 
     def accept(self, csi: CsiMessage) -> None:
@@ -654,7 +765,9 @@ class ProtocolSession:
 
     def process(self, csi: CsiMessage) -> LinkDecision:
         """check, decide, then accept: a message whose decision raises is not recorded."""
+        global _last_plan
         self.check(csi)
+        _last_plan = self._plan  # so decide finds this session's plan by identity
         decision = decide(csi, self.scenario, self.config)
         self.accept(csi)
         return decision

@@ -1,11 +1,14 @@
 import math
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from v2vsec import protocol
 from v2vsec.channel import PowerBudget, db_to_linear
 from v2vsec.protocol import (
     COARSE_GRID_POINTS,
@@ -39,7 +42,7 @@ from v2vsec.protocol import (
     parse_csi,
     select_relay,
 )
-from v2vsec.secrecy import RelayConfig, relay_secrecy, velocity_secrecy
+from v2vsec.secrecy import RelayConfig, _velocity_raw, relay_secrecy, velocity_secrecy
 
 
 NINES = "9" * 400  # grammar-valid digits that parse to inf
@@ -567,6 +570,269 @@ class TestDecideMatchesPublicFormula:
         scenario = LinkScenario(r=r, alpha=4.0, tau=0.01, budget=PowerBudget.from_db(3000.0))
         with pytest.raises(ValueError, match="signal-to-noise ratio out of float range"):
             decide(make_csi(speed=1e-4), scenario, ProtocolConfig())
+
+
+def _oracle_decide(csi, scenario, config):
+    """decide as it was before decision plans: every term recomputed per report."""
+    v = csi.speed_mps
+    threshold = derive_threshold(v, config.thresholds)
+    r, alpha, tau, (p, n0) = scenario
+    base = max(0.0, _velocity_raw(p, n0, v, tau, r, alpha))
+    if base >= threshold:
+        return LinkDecision("direct", base, threshold)
+    for strategy in config.strategy_order:
+        if strategy == "relay":
+            if not config.relay_candidates:
+                continue
+            sel = select_relay(config.relay_candidates, scenario, v)
+            if sel.capacity >= threshold:
+                return LinkDecision(mode="relay", cs_achieved=sel.capacity,
+                                    threshold_used=threshold, relay_id=sel.relay_id,
+                                    relay_power=sel.relay_power)
+        elif strategy == "power_boost":
+            k = 0
+            while k < config.max_boost_iterations:
+                k += 1
+                total_db = k * config.boost_step_db
+                if total_db > config.boost_cap_db + 1e-12:
+                    break
+                boosted = p * db_to_linear(total_db)
+                try:
+                    cs = max(0.0, _velocity_raw(boosted, n0, v, tau, r, alpha))
+                except ValueError:
+                    break
+                if cs >= threshold:
+                    return LinkDecision(mode="power_boost", cs_achieved=cs,
+                                        threshold_used=threshold, boost_iterations=k,
+                                        new_power=boosted)
+        else:
+            break
+    return LinkDecision("v2i_fallback", base, threshold)
+
+
+def _outcome(call, *args):
+    """A decision as (type, repr, fields), or an error as (type, message)."""
+    try:
+        decision = call(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return type(decision), repr(decision), tuple(decision)
+
+
+def _mostly(common, extreme):
+    """``common`` in about three draws of four, else ``extreme``."""
+    return st.integers(min_value=0, max_value=3).flatmap(lambda i: common if i else extreme)
+
+
+def _decades(lo, hi):
+    """Log-uniform floats over the decades 10**lo to 10**(hi + 1)."""
+    return st.builds(lambda m, e: m * 10.0**e, st.floats(min_value=1.0, max_value=9.99),
+                     st.integers(min_value=lo, max_value=hi))
+
+
+# ordinary links, around the paper's, where every mode occurs
+_ORDINARY_LINKS = st.builds(
+    lambda r, alpha, tau, pn0_db, n0: LinkScenario(r, alpha, tau,
+                                                   PowerBudget.from_db(pn0_db, n0)),
+    _decades(1, 3), st.floats(min_value=1.0, max_value=3.0),
+    st.floats(min_value=0.05, max_value=0.5), st.floats(min_value=30.0, max_value=90.0),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+# extreme ones, out to where the SNR or a path-loss power leaves the float range
+_EXTREME_LINKS = st.builds(
+    lambda r, alpha, tau, pn0_db, n0: LinkScenario(r, alpha, tau,
+                                                   PowerBudget.from_db(pn0_db, n0)),
+    _decades(-3, 4), st.floats(min_value=0.5, max_value=60.0),
+    st.floats(min_value=0.01, max_value=1.0), st.floats(min_value=0.0, max_value=3000.0),
+    st.sampled_from([1.0, 1e-3, 1e3]),
+)
+
+
+@st.composite
+def _configs(draw, link, speed):
+    """A config whose band thresholds sit near the link's capacity at ``speed``, or anywhere."""
+    try:
+        near = velocity_secrecy(link.budget.p_linear, link.budget.n0_linear, speed, link.tau,
+                                link.r, link.alpha).clamped
+    except ValueError:
+        near = 10.0
+    threshold = _mostly(st.floats(min_value=-1.0, max_value=2.5).map(lambda g: max(0.0, near + g)),
+                        st.floats(min_value=0.0, max_value=60.0))
+    edges = sorted(set(draw(st.lists(st.floats(min_value=0.01, max_value=100.0), max_size=2))))
+    lows, highs = [0.0] + edges, edges + [math.inf]
+    bands = tuple((lo, hi, draw(threshold)) for lo, hi in zip(lows, highs))
+    order = draw(st.permutations(["relay", "power_boost", "v2i_fallback"]))
+    order = tuple(order[: draw(st.integers(min_value=1, max_value=3))])
+    candidates = tuple(
+        RelayCandidate(relay_id=relay_id, h_rb=draw(_decades(-9, -3) | st.just(0.0)),
+                       h_re=draw(_decades(-2, -1) | st.just(0.0)),
+                       p_max=draw(st.floats(min_value=0.0, max_value=10.0)))
+        for relay_id in ("a", "b")[: draw(st.integers(min_value=0, max_value=2))]
+    )
+    return ProtocolConfig(
+        thresholds=ThresholdSchedule(bands=bands),
+        boost_step_db=draw(_mostly(st.floats(min_value=0.5, max_value=5.0),
+                                   st.floats(min_value=100.0, max_value=2000.0))),
+        boost_cap_db=draw(_mostly(st.floats(min_value=0.0, max_value=20.0),
+                                  st.floats(min_value=20.0, max_value=5000.0))),
+        max_boost_iterations=draw(st.integers(min_value=1, max_value=8)),
+        relay_candidates=candidates,
+        strategy_order=order,
+    )
+
+
+@st.composite
+def _streams(draw):
+    """(link, config, speeds): reports near one speed, plus standstills and extremes."""
+    link = draw(_mostly(_ORDINARY_LINKS, _EXTREME_LINKS))
+    speed = draw(_mostly(st.floats(min_value=0.1, max_value=100.0), _decades(-323, 300)))
+    config = draw(_configs(link, speed))
+    speeds = draw(st.lists(
+        _mostly(st.floats(min_value=0.8, max_value=1.25).map(lambda f: speed * f),
+                st.sampled_from([0.0, 5e-324, 1e-310]) | _decades(-323, 300)),
+        min_size=1, max_size=5,
+    ))
+    return link, config, speeds
+
+
+def _fresh(link, config):
+    """Equal records that are not the same objects."""
+    budget = PowerBudget(*link.budget)
+    return LinkScenario(link.r, link.alpha, link.tau, budget), ProtocolConfig(*config)
+
+
+class TestDecisionPlanParity:
+    """Decisions through a session's plan, a rebuilt plan or two interleaved
+    sessions equal the per-report oracle's, field for field and error for error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=_streams())
+    def test_session_stream(self, stream):
+        link, config, speeds = stream
+        session = ProtocolSession(scenario=link, config=config)
+        for i, speed in enumerate(speeds):
+            csi = make_csi(speed=speed, seq=i + 1, ts=100 * i)
+            assert _outcome(session.process, csi) == _outcome(_oracle_decide, csi, link, config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=_streams())
+    def test_bare_decide_on_fresh_records(self, stream):
+        link, config, speeds = stream
+        for speed in speeds:
+            csi = make_csi(speed=speed)
+            scenario, cfg = _fresh(link, config)
+            assert scenario == link and scenario is not link and cfg is not config
+            assert _outcome(decide, csi, scenario, cfg) == _outcome(_oracle_decide, csi, link,
+                                                                    config)
+
+    @settings(max_examples=100, deadline=None)
+    @given(first=_streams(), second=_streams())
+    def test_sessions_interleaved(self, first, second):
+        (link, config, speeds), (other_link, other_config, other_speeds) = first, second
+        # a second link with its own config, and with the first one's config object
+        streams = [(link, config, speeds), (other_link, other_config, other_speeds),
+                   (other_link, config, other_speeds)]
+        sessions = [ProtocolSession(link, config) for link, config, _ in streams]
+        reports = max(len(speeds), len(other_speeds))
+        for i in range(reports):
+            for session, (scenario, cfg, stream) in zip(sessions, streams):
+                if i < len(stream):
+                    csi = make_csi(speed=stream[i], seq=i + 1, ts=100 * i)
+                    want = _outcome(_oracle_decide, csi, scenario, cfg)
+                    assert _outcome(session.process, csi) == want
+                    # a bare call in between leaves the last plan on other records
+                    assert _outcome(decide, csi, *_fresh(scenario, cfg)) == want
+        # bare calls alone: consecutive pairs share a link or the config object
+        for i in range(reports):
+            for scenario, cfg, stream in streams:
+                if i < len(stream):
+                    csi = make_csi(speed=stream[i])
+                    assert _outcome(decide, csi, scenario, cfg) == _outcome(
+                        _oracle_decide, csi, scenario, cfg)
+
+    def test_plans_are_built_once_per_session(self, monkeypatch):
+        builds = []
+        build = protocol._plan
+        monkeypatch.setattr(protocol, "_plan", lambda *args: builds.append(args) or build(*args))
+        first, second = ProtocolSession(SCENARIO, ProtocolConfig()), ProtocolSession(
+            NEAR_EVE, ProtocolConfig())
+        for seq in range(1, 6):
+            first.process(make_csi(seq=seq, ts=100 * seq))
+            second.process(make_csi(seq=seq, ts=100 * seq))
+        assert len(builds) == 2
+        config = ProtocolConfig()
+        for _ in range(3):
+            decide(make_csi(), SCENARIO, config)
+        assert len(builds) == 3
+        decide(make_csi(), SCENARIO, ProtocolConfig())  # equal, but not the same object
+        assert len(builds) == 4
+
+    def test_sessions_in_threads(self):
+        # sessions on four links share decide's last-plan slot from four threads;
+        # a plan read by one thread and replaced by another only costs a rebuild
+        links = [LinkScenario(r=r, alpha=1.4, tau=0.2, budget=PowerBudget.from_db(70.0))
+                 for r in (50.0, 200.0, 1000.0, 5000.0)]
+        config = ProtocolConfig(
+            thresholds=ThresholdSchedule(bands=((0.0, 25.0, 15.0), (25.0, math.inf, 13.0))),
+            relay_candidates=(RelayCandidate("r1", h_rb=0.0, h_re=1.0, p_max=10.0),),
+            strategy_order=("power_boost", "relay", "v2i_fallback"),
+        )
+        speeds = [0.5 + 0.37 * i for i in range(120)]
+        want = [[_outcome(_oracle_decide, make_csi(speed=v), link, config) for v in speeds]
+                for link in links]
+        got = [None] * len(links)
+
+        def run(i):
+            session = ProtocolSession(links[i], config)
+            got[i] = [_outcome(session.process, make_csi(speed=v, seq=n + 1, ts=100 * n))
+                      for n, v in enumerate(speeds)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(links))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
+
+    def test_path_loss_overflow_raises_per_report(self):
+        # r**(2*alpha) = 1e4**120 leaves the float range: the session is built,
+        # and each report raises _velocity_raw's path-loss error
+        link = LinkScenario(r=1e4, alpha=60.0, tau=0.2, budget=PowerBudget.from_db(60.0))
+        session = ProtocolSession(link, ProtocolConfig())
+        for seq in (1, 2):
+            with pytest.raises(ValueError, match="path-loss power out of float range"):
+                session.process(make_csi(speed=30.0, seq=seq, ts=100 * seq))
+        assert session.last_seq == {}
+
+    def test_a_refused_boost_step_ends_the_strategy(self):
+        # the third 1000 dB step puts the boosted power beyond the float range, which
+        # ends the power-boost strategy before the fourth step's ratio overflows
+        link = LinkScenario(r=1000.0, alpha=1.4, tau=0.2, budget=PowerBudget.from_db(100.0))
+        config = ProtocolConfig(thresholds=single_band(40.0), boost_step_db=1000.0,
+                                boost_cap_db=5000.0, max_boost_iterations=5)
+        csi = make_csi(speed=30.0)
+        want = _outcome(_oracle_decide, csi, link, config)
+        assert want[0] is LinkDecision and want[2][0] == "v2i_fallback"
+        session = ProtocolSession(link, config)
+        for seq in (1, 2):
+            assert _outcome(session.process, make_csi(speed=30.0, seq=seq, ts=100 * seq)) == want
+
+    def test_boost_beyond_the_float_power_ratio_raises(self):
+        # a 4000 dB boost overflows db_to_linear; the ladder raises its error, as it always has
+        config = ProtocolConfig(thresholds=single_band(40.0), boost_step_db=4000.0,
+                                boost_cap_db=5000.0, strategy_order=("power_boost",))
+        csi = make_csi(speed=30.0)
+        want = _outcome(_oracle_decide, csi, SCENARIO, config)
+        assert want == (ValueError, "4000.0 dB overflows a float power ratio")
+        session = ProtocolSession(SCENARIO, config)
+        assert _outcome(session.process, csi) == want
+        assert _outcome(session.process, make_csi(speed=30.0, seq=2, ts=100)) == want
 
 
 class TestSelectRelay:

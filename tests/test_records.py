@@ -72,6 +72,12 @@ INVALID = [
     (SCHEDULE, {"bands": ((0.0, 0.0, 1.0),)}, "band 0 is empty: [0.0, 0.0)"),
     (SCHEDULE, {"bands": ((0.0, math.inf, -1.0),)}, "band 0 threshold must be >= 0, got -1.0"),
     (SCHEDULE, {"bands": ((0.0, 25.0, 1.0),)}, "last band must extend to infinity"),
+    (SCHEDULE, {"bands": [[0.0, math.inf, 1.0]]},
+     "bands must be a tuple of (low, high, threshold) tuples, got [[0.0, inf, 1.0]]"),
+    (SCHEDULE, {"bands": ([0.0, math.inf, 1.0],)},
+     "band 0 must be a (low, high, threshold) tuple, got [0.0, inf, 1.0]"),
+    (SCHEDULE, {"bands": ((0.0, math.inf),)},
+     "band 0 must be a (low, high, threshold) tuple, got (0.0, inf)"),
     (CANDIDATE, {"relay_id": ""}, "relay_id must be nonempty"),
     (CANDIDATE, {"h_rb": -1.0}, "h_rb must be >= 0, got -1.0"),
     (CANDIDATE, {"h_re": math.nan}, "h_re must be >= 0, got nan"),
@@ -79,15 +85,29 @@ INVALID = [
     (LINK, {"r": 0.0}, "r must be > 0, got 0.0"),
     (LINK, {"alpha": -1.4}, "alpha must be > 0, got -1.4"),
     (LINK, {"tau": math.inf}, "tau must be > 0, got inf"),
+    (LINK, {"budget": (1000000.0, 1.0)}, "budget must be a PowerBudget, got (1000000.0, 1.0)"),
+    (LINK, {"budget": [1000000.0, 1.0]}, "budget must be a PowerBudget, got [1000000.0, 1.0]"),
+    (CONFIG, {"thresholds": ((0.0, math.inf, 14.0),)},
+     "thresholds must be a ThresholdSchedule, got ((0.0, inf, 14.0),)"),
     (CONFIG, {"boost_step_db": 0.0}, "boost_step_db must be > 0, got 0.0"),
     (CONFIG, {"boost_cap_db": -1.0}, "boost_cap_db must be >= 0, got -1.0"),
     (CONFIG, {"max_boost_iterations": 2.5}, "max_boost_iterations must be an integer, got 2.5"),
     (CONFIG, {"max_boost_iterations": True},
      "max_boost_iterations must be an integer, got True"),
     (CONFIG, {"max_boost_iterations": 0}, "max_boost_iterations must be >= 1, got 0"),
+    (CONFIG, {"relay_candidates": [CANDIDATE]},
+     "relay_candidates must be a tuple, got [RelayCandidate(relay_id='a', h_rb=2e-09, "
+     "h_re=8e-06, p_max=3000000000.0)]"),
+    (CONFIG, {"relay_candidates": (("a", 2e-09, 8e-06, 3e9),)},
+     "relay_candidates[0] must be a RelayCandidate, got ('a', 2e-09, 8e-06, 3000000000.0)"),
+    (CONFIG, {"relay_candidates": (CANDIDATE, CANDIDATE._replace(h_rb=0.0))},
+     "relay_candidates repeat relay_id 'a'"),
+    (CONFIG, {"strategy_order": ["relay", "v2i_fallback"]},
+     "strategy_order must be a tuple, got ['relay', 'v2i_fallback']"),
     (CONFIG, {"strategy_order": ()}, "strategy_order must be nonempty"),
     (CONFIG, {"strategy_order": ("relay", "relay")}, "strategy_order must not repeat strategies"),
     (CONFIG, {"strategy_order": ("relay", "teleport")}, "unknown strategy 'teleport'"),
+    (CONFIG, {"strategy_order": (["relay"],)}, "unknown strategy ['relay']"),
     (CONFIG, {"freshness_ms": 0.0}, "freshness_ms must be > 0, got 0.0"),
 ]
 

@@ -153,6 +153,14 @@ class TestLoadScenario:
             load_scenario(write(tmp_path, text))
         assert str(info.value) == message
 
+    def test_duplicate_relay_section(self, tmp_path):
+        relay = "\n[relay.a]\nh_rb = 0.1\nh_re = 1\np_max = 2\n"
+        path = write(tmp_path, BASE + relay + relay)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == (f"not parseable as INI: While reading from {str(path)!r} "
+                                   "[line 23]: section 'relay.a' already exists")
+
     def test_protocol_overrides(self, tmp_path):
         text = BASE + "\n[protocol]\nboost_step_db = 1.5\nstrategy_order = power_boost, v2i_fallback\n"
         scn = load_scenario(write(tmp_path, text))
