@@ -36,10 +36,10 @@ the import. :class:`ProtocolSession`, which changes as messages arrive,
 is a plain class.
 
 The records are also why a link's fixed decision terms can be computed
-once: a scenario and a config cannot change, so a session computes the
+once: a scenario and a config cannot change, so ``decide`` computes the
 terms that depend on them alone (the band table, 2*alpha, the
-eavesdropper term, the boost ladder) when it is built, and ``decide``
-reuses them as long as it is handed the identical objects. The terms
+eavesdropper term) for the first report and reuses them as long as it is
+handed the identical objects, as a session hands it. The terms
 that depend on a report follow ``_geometric_raw``'s operation order, so
 decisions are bit for bit those of the per-report formula. The records
 refuse a field of the wrong type (a schedule that is not a
@@ -596,13 +596,11 @@ def _plan(scenario: LinkScenario, config: ProtocolConfig) -> tuple:
 
     A plain tuple, since ``decide`` unpacks it per report and an exact
     tuple unpacks in one step where a named tuple iterates: (scenario,
-    config, bands, p, n0, tau, r, alpha, exp, eaves, boosts, freshness_ms).
-    ``exp`` is 2*alpha, and ``eaves`` is ``_geometric_raw``'s eavesdropper
-    term log2(1 + p/(n0*r**exp)), or nan where r**exp leaves the float
-    range, so that every report goes to ``_velocity_raw`` and raises its
-    error there, not here. ``boosts`` maps a power-boost step k to
-    ``_boost_step(plan, k)``, added when a report first needs it (threads
-    that race to add one add equal values).
+    config, bands, p, n0, tau, r, alpha, exp, eaves). ``exp`` is 2*alpha,
+    and ``eaves`` is ``_geometric_raw``'s eavesdropper term
+    log2(1 + p/(n0*r**exp)), or nan where r**exp leaves the float range,
+    so that every report goes to ``_velocity_raw`` and raises its error
+    there, not here.
     """
     r, alpha, tau, (p, n0) = scenario  # positive and finite by the records' rules
     exp = 2.0 * alpha
@@ -610,29 +608,11 @@ def _plan(scenario: LinkScenario, config: ProtocolConfig) -> tuple:
         eaves = log1p(p / (n0 * r**exp)) / _LN2
     except (OverflowError, ZeroDivisionError):  # r**(2*alpha) left the float range
         eaves = _NAN
-    return (scenario, config, config.thresholds.bands, p, n0, tau, r, alpha, exp, eaves, {},
-            config.freshness_ms)
+    return scenario, config, config.thresholds.bands, p, n0, tau, r, alpha, exp, eaves
 
 
-def _boost_step(plan: tuple, k: int) -> tuple:
-    """Step k of a plan's power-boost ladder: (boosted power, its eavesdropper term).
-
-    ``()`` once k steps pass the cap. A boost beyond the float power ratio
-    raises ``db_to_linear``'s ``ValueError``, as the ladder always has. The
-    ladder runs only after the plan's own eavesdropper term was finite, so
-    r**exp is a finite nonzero float here.
-    """
-    _, config, _, p, n0, _, r, _, exp, _, _, _ = plan
-    total_db = k * config.boost_step_db
-    if total_db > config.boost_cap_db + 1e-12:
-        return ()
-    boosted = p * db_to_linear(total_db)
-    return boosted, log1p(boosted / (n0 * r**exp)) / _LN2
-
-
-# The plan decide used last (none yet: it matches no records); ProtocolSession.process
-# puts its own plan here.
-_last_plan = (None,) * 12
+# The plan decide used last (none yet: it matches no records).
+_last_plan = (None,) * 10
 
 
 def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> LinkDecision:
@@ -643,34 +623,35 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
     order; v2i_fallback is the terminal outcome when everything fails.
 
     The terms that depend only on ``scenario`` and ``config`` (the band
-    table, 2*alpha, the eavesdropper term log2(1 + p/(n0*r^(2*alpha))), and
-    each boost step's power and eavesdropper term) come from a plan that
-    is computed once: a :class:`ProtocolSession` builds its own, and a bare
-    call reuses the last plan when ``scenario`` and ``config`` are the
-    identical objects, and builds a new one otherwise. A report's
-    separation d = v*tau and its direct term log2(1 + p/(n0*d^(2*alpha)))
-    follow ``_geometric_raw``'s operation order, so each capacity is
-    ``max(0.0, _velocity_raw(...))``, which is
-    ``velocity_secrecy(...).clamped``, bit for bit. A direct link this
-    cannot evaluate goes to ``_velocity_raw``, which raises its
+    table, 2*alpha and the eavesdropper term log2(1 + p/(n0*r^(2*alpha))))
+    come from a plan that is computed once: ``decide`` keeps the last plan
+    it built and reuses it while it is handed the identical ``scenario``
+    and ``config`` objects, as a :class:`ProtocolSession` hands it with
+    every message; other objects, even equal ones, get a new plan. A
+    report's separation d = v*tau and its direct term
+    log2(1 + p/(n0*d^(2*alpha))) follow ``_geometric_raw``'s operation
+    order, so the direct capacity is ``max(0.0, _velocity_raw(...))``,
+    which is ``velocity_secrecy(...).clamped``, bit for bit. A direct link
+    this cannot evaluate goes to ``_velocity_raw``, which raises its
     ``ValueError``: a standstill report, whose d is 0, a path-loss power
-    or an SNR p/(n0*d^(2*alpha)) beyond the float range. A boost step it
-    refuses (the boosted power or its SNR left the float range) ends the
-    power-boost strategy, and the ladder goes on to the next one.
+    or an SNR p/(n0*d^(2*alpha)) beyond the float range. Each power-boost
+    step is evaluated as ``max(0.0, _velocity_raw(...))`` at the boosted
+    power; a step it refuses (the boosted power or its SNR left the float
+    range) ends the power-boost strategy, and the ladder goes on to the
+    next one.
     """
     global _last_plan
     plan = _last_plan
     if plan[0] is not scenario or plan[1] is not config:
         plan = _last_plan = _plan(scenario, config)
-    _, _, bands, p, n0, tau, r, alpha, exp, eaves, boosts, _ = plan
+    _, _, bands, p, n0, tau, r, alpha, exp, eaves = plan
     v = csi.speed_mps  # finite and >= 0 by CsiMessage's rule: derive_threshold's check holds
     threshold = _band_threshold(bands, v)
     d = v * tau
-    nd = raw = _NAN
+    raw = _NAN
     if 0.0 < d < _INF:  # so v is in (0, inf) too, as tau is: _velocity_raw's guard holds
         try:
-            nd = n0 * d**exp
-            raw = log1p(p / nd) / _LN2 - eaves
+            raw = log1p(p / (n0 * d**exp)) / _LN2 - eaves
         except (OverflowError, ZeroDivisionError):
             pass  # d**(2*alpha) left the float range
     if not -_INF < raw < _INF:
@@ -693,20 +674,17 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
                     relay_power=sel.relay_power,
                 )
         elif strategy == "power_boost":
-            for k in range(1, config.max_boost_iterations + 1):
-                step = boosts.get(k)
-                if step is None:
-                    step = boosts[k] = _boost_step(plan, k)
-                if not step:  # k steps pass the cap
+            k = 0
+            while k < config.max_boost_iterations:
+                k += 1
+                total_db = k * config.boost_step_db
+                if total_db > config.boost_cap_db + 1e-12:
                     break
-                boosted, boosted_eaves = step
-                raw = log1p(boosted / nd) / _LN2 - boosted_eaves
-                if not -_INF < raw < _INF:
-                    try:
-                        raw = _velocity_raw(boosted, n0, v, tau, r, alpha)
-                    except ValueError:  # boosted or its SNR left the float range,
-                        break  # and so would every later step's
-                cs = max(0.0, raw)
+                boosted = p * db_to_linear(total_db)
+                try:
+                    cs = max(0.0, _velocity_raw(boosted, n0, v, tau, r, alpha))
+                except ValueError:  # boosted or its SNR left the float range; so would later steps
+                    break
                 if cs >= threshold:
                     return LinkDecision(
                         mode="power_boost",
@@ -730,15 +708,14 @@ class ProtocolSession:
     these rules too. ``last_seq`` and ``newest_ts`` map each sender_id to
     the values of its accepted messages.
 
-    The session reads ``scenario`` and ``config`` once, when it is built:
-    it computes their fixed decision terms then (see :func:`decide`), and
-    ``process`` hands them to ``decide`` with each message.
+    ``process`` hands ``decide`` the session's own ``scenario`` and
+    ``config`` objects with each message, so ``decide`` computes their
+    fixed decision terms once and reuses them for every later message.
     """
 
     def __init__(self, scenario: LinkScenario, config: ProtocolConfig) -> None:
         self.scenario = scenario
         self.config = config
-        self._plan = _plan(scenario, config)
         self.last_seq: dict[str, int] = {}
         self.newest_ts: dict[str, int] = {}
 
@@ -749,11 +726,10 @@ class ProtocolSession:
         if last is not None and seq <= last:
             raise CsiSeqRegressionError(f"seq {seq} from {sender!r} does not increase past {last}")
         newest = self.newest_ts.get(sender, ts)
-        freshness_ms = self._plan[-1]  # the config's, read once
-        if ts < newest - freshness_ms:
+        if ts < newest - self.config.freshness_ms:
             raise StaleCsiError(
                 f"timestamp {ts} ms from {sender!r} is older than the "
-                f"freshness window ({freshness_ms} ms behind {newest} ms)"
+                f"freshness window ({self.config.freshness_ms} ms behind {newest} ms)"
             )
 
     def accept(self, csi: CsiMessage) -> None:
@@ -765,9 +741,7 @@ class ProtocolSession:
 
     def process(self, csi: CsiMessage) -> LinkDecision:
         """check, decide, then accept: a message whose decision raises is not recorded."""
-        global _last_plan
         self.check(csi)
-        _last_plan = self._plan  # so decide finds this session's plan by identity
         decision = decide(csi, self.scenario, self.config)
         self.accept(csi)
         return decision

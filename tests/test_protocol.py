@@ -702,7 +702,7 @@ def _fresh(link, config):
 
 
 class TestDecisionPlanParity:
-    """Decisions through a session's plan, a rebuilt plan or two interleaved
+    """Decisions through a session, bare calls on fresh records or interleaved
     sessions equal the per-report oracle's, field for field and error for error."""
 
     @settings(max_examples=200, deadline=None)
@@ -750,22 +750,16 @@ class TestDecisionPlanParity:
                     assert _outcome(decide, csi, scenario, cfg) == _outcome(
                         _oracle_decide, csi, scenario, cfg)
 
-    def test_plans_are_built_once_per_session(self, monkeypatch):
+    def test_decide_reuses_the_plan_for_identical_records(self, monkeypatch):
         builds = []
         build = protocol._plan
         monkeypatch.setattr(protocol, "_plan", lambda *args: builds.append(args) or build(*args))
-        first, second = ProtocolSession(SCENARIO, ProtocolConfig()), ProtocolSession(
-            NEAR_EVE, ProtocolConfig())
-        for seq in range(1, 6):
-            first.process(make_csi(seq=seq, ts=100 * seq))
-            second.process(make_csi(seq=seq, ts=100 * seq))
-        assert len(builds) == 2
         config = ProtocolConfig()
         for _ in range(3):
             decide(make_csi(), SCENARIO, config)
-        assert len(builds) == 3
+        assert len(builds) == 1
         decide(make_csi(), SCENARIO, ProtocolConfig())  # equal, but not the same object
-        assert len(builds) == 4
+        assert len(builds) == 2
 
     def test_sessions_in_threads(self):
         # sessions on four links share decide's last-plan slot from four threads;
