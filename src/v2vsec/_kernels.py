@@ -3,21 +3,18 @@
 ``ergodic`` calls them as ``_kernels.gamma_allocation`` and
 ``_kernels.secrecy_rate`` attribute lookups, once per multiplier trial.
 
-Called with arrays alone, a kernel accepts any states and allocates its
-result; ``gamma_allocation`` then skips the unfavourable states (a <= b)
-with ufunc ``where=`` masks. The estimator instead passes keyword-only
-``out`` (receives the result) and ``work`` (scratch), float64 rows shaped
-like the states, one for ``secrecy_rate`` and two for ``gamma_allocation``:
-the kernel then writes through ufunc ``out=`` and allocates nothing. On
-that path every state must be favourable (a > b), where the closed form
-is defined everywhere, so it runs without masks and clamps at zero.
-Either kernel takes ``b=None`` for an absent eavesdropper (zero gain in
-every state) on that path.
+A kernel takes keyword-only ``out`` (receives the result) and ``work``
+(scratch), float64 rows shaped like the states, one for ``secrecy_rate``
+and two for ``gamma_allocation``; it writes through ufunc ``out=`` and
+allocates nothing. ``gamma_allocation`` needs every state favourable
+(a > b), where the closed form is defined everywhere, so it runs without
+masks and clamps at zero. Either kernel takes ``b=None`` for an absent
+eavesdropper (zero gain in every state).
 
-With an eavesdropper ``gamma_allocation`` takes the states on that path
-in invariant form: the rows d = a - b, s = a + b and 4ab do not depend on
-the multiplier, so :func:`invariant_form` computes them once per estimate
-and every multiplier trial reads them. The kernel then leaves the closed form's
+With an eavesdropper ``gamma_allocation`` takes the states in invariant
+form: the rows d = a - b, s = a + b and 4ab do not depend on the
+multiplier, so :func:`invariant_form` computes them once per estimate and
+every multiplier trial reads them. The kernel then leaves the closed form's
 root R = sqrt(mu*d*(mu*d + 4ab)) in its first work row, from which the
 estimator takes its Newton slope.
 """
@@ -32,9 +29,7 @@ def invariant_form(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The multiplier-free rows (d, (s, 4ab)) of the closed form, written into ``out``.
 
-    ``out`` holds three rows shaped like ``a``. The products round in the
-    masked path's operation order, 4ab as (a*4)*b, so an allocation from
-    them is bit-identical to :func:`_gamma_masked`.
+    ``out`` holds three rows shaped like ``a``; 4ab is computed as (a*4)*b.
     """
     d, s, q = out
     np.subtract(a, b, out=d)
@@ -49,8 +44,8 @@ def gamma_allocation(
     b: np.ndarray | tuple[np.ndarray, np.ndarray] | None,
     mu: float,
     *,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
+    out: np.ndarray,
+    work: np.ndarray,
 ) -> np.ndarray:
     """Per-state optimal transmit power for the multiplier mu (nat scale).
 
@@ -61,10 +56,9 @@ def gamma_allocation(
         g = 2*(d - mu) / (R + mu*s),  R = sqrt(mu*d*(mu*d + 4ab)),
 
     with d = a - b and s = a + b, clamped at zero; the allocation is
-    positive exactly when d > mu. States outside the favorable set
-    (a <= b) get zero power.
+    positive exactly when d > mu. Every state must be favourable, and
+    ``work`` holds two rows.
 
-    With ``out`` and ``work`` (two rows) every state must be favourable.
     With ``b=None`` the root is the water-filling form g = (a - mu)/(mu*a).
     It equals the general form bit for bit wherever (mu*a)^2 neither
     overflows nor underflows, and stays correct where the general form's
@@ -72,15 +66,11 @@ def gamma_allocation(
     Otherwise ``a`` and ``b`` are the invariant form ``(d, (s, 4ab))``
     from :func:`invariant_form`, and R is left in ``work[0]``.
     """
-    if out is None:
-        return _gamma_masked(a, b, mu)
     root, den = work
     if b is None:
         np.subtract(a, mu, out=out)
         np.multiply(a, mu, out=den)
     else:
-        # the general form in the masked path's operation order, so each
-        # state rounds the same
         d, (s, q) = a, b
         np.multiply(d, mu, out=den)
         np.add(den, q, out=root)
@@ -99,34 +89,15 @@ def gamma_allocation(
     return np.fmax(out, 0.0, out=out)
 
 
-def _gamma_masked(a: np.ndarray, b: np.ndarray, mu: float) -> np.ndarray:
-    """The closed form over any states, with unfavourable ones masked to zero."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    diff = a - b
-    s = diff - mu
-    active = s > 0.0
-    # ``where=`` skips the inactive states in sqrt and divide, so they
-    # neither raise nor need gathering.
-    mu_diff = mu * diff
-    disc = mu_diff * (mu_diff + 4.0 * a * b)
-    root = np.sqrt(disc, out=disc, where=active)
-    denom = np.add(root, mu * (a + b), out=root)
-    return np.divide(2.0 * s, denom, out=np.zeros(a.shape), where=active)
-
-
 def secrecy_rate(
     a: np.ndarray,
     b: np.ndarray | None,
     gamma: np.ndarray,
     *,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
+    out: np.ndarray,
+    work: np.ndarray,
 ) -> np.ndarray:
     """Per-state secrecy rate log2(1 + gamma*a) - log2(1 + gamma*b)."""
-    if out is None:
-        gamma = np.asarray(gamma, dtype=np.float64)
-        out, work = np.empty_like(gamma), np.empty_like(gamma)
     np.multiply(gamma, a, out=out)
     np.log1p(out, out=out)
     if b is not None:

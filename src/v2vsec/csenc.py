@@ -9,11 +9,11 @@ empirical key-mismatch failure rate, not a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._common import ComputationError
+from ._common import ComputationError, ValidatedRecord
 
 __all__ = [
     "CsKey",
@@ -34,36 +34,54 @@ class RecoveryError(ComputationError):
     """Sparse recovery hit a rank-deficient support."""
 
 
-@dataclass(frozen=True)
-class CsKey:
-    """Seed plus dimensions of the secret measurement matrix (m x n, m < n)."""
-
+class _CsKey(NamedTuple):
     seed: int
     n: int
     m: int
 
-    def __post_init__(self) -> None:
+
+class CsKey(ValidatedRecord, _CsKey):
+    """Seed plus dimensions of the secret measurement matrix (m x n, m < n)."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
+        for name in ("seed", "n", "m"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not hasattr(v, "__index__"):  # int, numpy integers
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not 0 < self.m < self.n:
             raise ValueError(f"need 0 < m < n, got m={self.m!r}, n={self.n!r}")
 
 
-@dataclass(frozen=True)
-class SparseSignal:
-    """Length-n vector with exactly k nonzero entries."""
-
+class _SparseSignal(NamedTuple):
     values: np.ndarray
     k: int
 
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        nnz = int(np.count_nonzero(values))
-        if nnz != self.k:
-            raise ValueError(f"signal has {nnz} nonzero entries, declared k={self.k!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k!r}")
+
+class SparseSignal(ValidatedRecord, _SparseSignal):
+    """Length-n vector with exactly k nonzero entries, its ``values`` stored as float64.
+
+    It holds an array, so it is not hashable, and ``==`` on two signals
+    raises numpy's ambiguous-truth ``ValueError``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, values: np.ndarray, k: int) -> "SparseSignal":
+        return super().__new__(cls, np.asarray(values, dtype=np.float64), k)
+
+    def _check(self) -> None:
+        k = self.k
+        if isinstance(k, bool) or not hasattr(k, "__index__"):  # int, numpy integers
+            raise ValueError(f"k must be an integer, got {k!r}")
+        nnz = int(np.count_nonzero(self.values))
+        if nnz != k:
+            raise ValueError(f"signal has {nnz} nonzero entries, declared k={k!r}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k!r}")
 
     @classmethod
     def from_dense(cls, values: np.ndarray) -> "SparseSignal":

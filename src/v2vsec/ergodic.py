@@ -26,19 +26,19 @@ subsample search reads them through strided views and writes into a
 three-row block of its own.
 Every kernel call (through its ``out``/``work`` arguments), every Newton
 step and the final rates write into the block, so the search allocates
-no per-call temporaries beyond a byte mask per water-level round. Since
-every state left is favorable, the kernels run there without masks.
+no per-call temporaries beyond a byte mask per water-level round. Every
+state left is favorable, as the kernels require.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from ._common import ComputationError
+from ._common import ComputationError, ValidatedRecord
 from .channel import FadingModel, sample_fading
 
 __all__ = [
@@ -72,14 +72,7 @@ class ErgodicConvergenceError(ComputationError):
     """The multiplier search failed to meet the power-budget tolerance."""
 
 
-@dataclass(frozen=True)
-class ErgodicSpec:
-    """Monte-Carlo setup for one ergodic estimate.
-
-    ``eaves_fading=None`` models an absent eavesdropper (zero gain in
-    every state).
-    """
-
+class _ErgodicSpec(NamedTuple):
     legit_fading: FadingModel
     p_budget: float
     eaves_fading: FadingModel | None = None
@@ -88,7 +81,17 @@ class ErgodicSpec:
     n_samples: int = 100_000
     seed: int = DEFAULT_SEED
 
-    def __post_init__(self) -> None:
+
+class ErgodicSpec(ValidatedRecord, _ErgodicSpec):
+    """Monte-Carlo setup for one ergodic estimate.
+
+    ``eaves_fading=None`` models an absent eavesdropper (zero gain in
+    every state).
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not (math.isfinite(self.p_budget) and self.p_budget > 0):
             raise ValueError(f"p_budget must be > 0, got {self.p_budget!r}")
         n = self.n_samples
@@ -100,10 +103,19 @@ class ErgodicSpec:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be > 0, got {v!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not hasattr(seed, "__index__"):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed!r}")
+        if not isinstance(self.legit_fading, FadingModel):
+            raise ValueError(f"legit_fading must be a FadingModel, got {self.legit_fading!r}")
+        if not (self.eaves_fading is None or isinstance(self.eaves_fading, FadingModel)):
+            raise ValueError(
+                f"eaves_fading must be None or a FadingModel, got {self.eaves_fading!r}")
 
 
-@dataclass(frozen=True)
-class ErgodicResult:
+class ErgodicResult(NamedTuple):
     """Estimate plus the diagnostics needed to audit it."""
 
     capacity: float
@@ -347,4 +359,5 @@ def constant_power_capacity(a: np.ndarray, b: np.ndarray, p_budget: float) -> fl
     if n_active == 0:
         return 0.0
     gamma = np.where(active, p_budget * a.shape[0] / n_active, 0.0)
-    return float(np.mean(_kernels.secrecy_rate(a, b, np.ascontiguousarray(gamma))))
+    out, work = np.empty((2, *gamma.shape))
+    return float(np.mean(_kernels.secrecy_rate(a, b, gamma, out=out, work=work)))

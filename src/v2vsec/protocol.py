@@ -30,10 +30,11 @@ checked those three itself: a nonempty sender; finite tx, rx, noise,
 rx - noise and speed; speed >= 0. Otherwise it goes through ``__new__``.
 A Hypothesis test holds ``parse_csi`` to a reference parser that always
 calls ``__new__``. ``decide`` builds a direct ``LinkDecision``, which has no
-rules, the same way. A named tuple costs less to create than a frozen
-dataclass, class and instance alike, and keeps ``dataclasses`` out of
-the import. :class:`ProtocolSession`, which changes as messages arrive,
-is a plain class.
+rules, the same way. Named tuples are the package's one record idiom, the
+array layers' records included: a named tuple is cheap to create, class
+and instance alike, and needs nothing imported beyond ``typing``.
+:class:`ProtocolSession`, which changes as messages arrive, is a plain
+class.
 
 The records are also why a link's fixed decision terms can be computed
 once: a scenario and a config cannot change, so ``decide`` computes the
@@ -44,8 +45,8 @@ that depend on a report follow ``_geometric_raw``'s operation order, so
 decisions are bit for bit those of the per-report formula. The records
 refuse a field of the wrong type (a schedule that is not a
 ``ThresholdSchedule``, a list where a tuple belongs, a relay candidate
-that is a plain tuple, a budget that is not a ``PowerBudget``) and two
-relay candidates with one relay_id.
+that is a plain tuple, a relay_id that is not a ``str``, a budget that
+is not a ``PowerBudget``) and two relay candidates with one relay_id.
 """
 
 from __future__ import annotations
@@ -372,6 +373,8 @@ class RelayCandidate(ValidatedRecord, _RelayCandidate):
     __slots__ = ()
 
     def _check(self) -> None:
+        if not isinstance(self.relay_id, str):
+            raise ValueError(f"relay_id must be a str, got {self.relay_id!r}")
         if not self.relay_id:
             raise ValueError("relay_id must be nonempty")
         for name in ("h_rb", "h_re"):

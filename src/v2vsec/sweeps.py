@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add
 from typing import NamedTuple
@@ -53,7 +52,7 @@ import numpy as np
 
 from .channel import PowerBudget, awgn_capacity, db_to_linear
 from . import csenc
-from ._common import ComputationError, fmt_num
+from ._common import ComputationError, ValidatedRecord, fmt_num
 # encrypt stays importable from here: perfbench's tracer wraps it by this name
 from .csenc import CsKey, decrypt, encrypt, random_sparse_signal  # noqa: F401
 from .ergodic import DEFAULT_SEED, ErgodicSpec, draw_channel_states, estimate_on_states
@@ -141,10 +140,7 @@ def _point_count(start: float, stop: float, step: float) -> int:
     return int(math.floor(spans + 1e-9)) + 1
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One curve: a swept axis over [start, stop] plus fixed parameters."""
-
+class _SweepSpec(NamedTuple):
     axis: str
     start: float
     stop: float
@@ -156,7 +152,13 @@ class SweepSpec:
     v_mps: float = DEFAULT_SPEED_MPS
     theta: float | None = None
 
-    def __post_init__(self) -> None:
+
+class SweepSpec(ValidatedRecord, _SweepSpec):
+    """One curve: a swept axis over [start, stop] plus fixed parameters."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.axis not in AXES:
             raise SweepError(f"axis must be one of {AXES}, got {self.axis!r}")
         _point_count(self.start, self.stop, self.step)

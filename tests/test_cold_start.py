@@ -1,10 +1,11 @@
-"""numpy and dataclasses stay out of the package import and of the CSI decision path.
+"""numpy stays out of the package import and the CSI decision path, dataclasses out of every layer.
 
-numpy is the array layers' dependency. The decision path's records are
-named tuples, so it needs no ``dataclasses`` either (which would bring in
-``inspect``). The CLI's own import also leaves out the CSI codec, which
-only ``protocol-trace`` uses. Each check runs in a fresh interpreter,
-because this test process has all these modules loaded already.
+numpy is the array layers' dependency. Every record is a named tuple, so
+no layer needs ``dataclasses`` (which would bring in ``inspect``), the
+array layers included. The CLI's own import also leaves out the CSI
+codec, which only ``protocol-trace`` uses. Each check runs in a fresh
+interpreter, because this test process has all these modules loaded
+already.
 """
 
 import os
@@ -95,6 +96,11 @@ assert main(["protocol-trace", "--scenario", {str(scenario_path)!r}, "--out", {s
 """
     assert not _loaded_after(module, code)
     assert out.read_text(encoding="utf-8").count("\n") == 3
+
+
+def test_no_layer_loads_dataclasses():
+    code = "import v2vsec.cli, v2vsec.sweeps, v2vsec.ergodic, v2vsec.csenc, v2vsec.scenario"
+    assert not _loaded_after("dataclasses", code)
 
 
 def test_array_layers_still_load_numpy():

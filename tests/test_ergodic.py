@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -38,6 +37,30 @@ def _record_kernel_calls(monkeypatch):
     return calls
 
 
+def _gamma_masked(a, b, mu):
+    """The closed form over any states, with unfavourable ones masked to zero.
+
+    The oracle for the kernel's workspace contract: it allocates its result,
+    takes a and b as they are (not in invariant form) and skips the
+    inactive states in sqrt and divide with ufunc ``where=`` masks.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    diff = a - b
+    s = diff - mu
+    active = s > 0.0
+    mu_diff = mu * diff
+    disc = mu_diff * (mu_diff + 4.0 * a * b)
+    root = np.sqrt(disc, out=disc, where=active)
+    denom = np.add(root, mu * (a + b), out=root)
+    return np.divide(2.0 * s, denom, out=np.zeros(a.shape), where=active)
+
+
+def _secrecy_rate(a, b, gamma):
+    """Per-state log2(1 + gamma*a) - log2(1 + gamma*b), in the kernel's operation order."""
+    return (np.log1p(gamma * a) - np.log1p(gamma * b)) / math.log(2.0)
+
+
 def _all_favorable_start(a, b, p_budget):
     """The earlier eavesdropper start at every size: the oracle for the subsample start.
 
@@ -53,7 +76,7 @@ def _all_favorable_start(a, b, p_budget):
     mu = k / (target + float(np.sum(1.0 / a)))
     gamma, work = np.empty(k), np.empty((2, k))
     _, _, residual, _, _ = ergodic._multiplier_search(gap, sums, target, mu, gamma, work)
-    return float(np.sum(_kernels.secrecy_rate(a, b, gamma))) / n, residual
+    return float(np.sum(_secrecy_rate(a, b, gamma))) / n, residual
 
 
 def _bisection_oracle(a, b, p_budget, rtol=1e-9):
@@ -63,7 +86,7 @@ def _bisection_oracle(a, b, p_budget, rtol=1e-9):
     """
 
     def avg_power(mu):
-        return float(np.mean(_kernels.gamma_allocation(a, b, mu)))
+        return float(np.mean(_gamma_masked(a, b, mu)))
 
     lo, hi = 0.0, 1.0
     while avg_power(hi) > p_budget:
@@ -81,8 +104,8 @@ def _bisection_oracle(a, b, p_budget, rtol=1e-9):
         mu, achieved = mid, mid_power
     else:
         raise AssertionError("oracle bisection did not converge")
-    gamma = _kernels.gamma_allocation(a, b, mu)
-    return float(np.mean(_kernels.secrecy_rate(a, b, gamma))), mu
+    gamma = _gamma_masked(a, b, mu)
+    return float(np.mean(_secrecy_rate(a, b, gamma))), mu
 
 
 def _straddling_doubles(a, b, p_budget):
@@ -97,7 +120,7 @@ def _straddling_doubles(a, b, p_budget):
     def residual(bits):
         mu = float(np.int64(bits).view(np.float64))
         with np.errstate(all="ignore"):
-            return mu, float(np.mean(_kernels.gamma_allocation(a, b, mu))) / p_budget - 1.0
+            return mu, float(np.mean(_gamma_masked(a, b, mu))) / p_budget - 1.0
 
     lo, hi = 1, int(np.float64(np.max(a - b)).view(np.int64))
     while hi - lo > 1:
@@ -173,7 +196,7 @@ class TestDrawChannelStates:
         unit = ErgodicSpec(legit_fading=RAYLEIGH, p_budget=5.0, eaves_fading=RAYLEIGH,
                            n_samples=1500)
         a1, b1 = draw_channel_states(unit)
-        a4, b2 = draw_channel_states(dataclasses.replace(unit, sigma_b2=4.0, sigma_e2=2.0))
+        a4, b2 = draw_channel_states(unit._replace(sigma_b2=4.0, sigma_e2=2.0))
         assert a4.tobytes() == (a1 / 4.0).tobytes()
         assert b2.tobytes() == (b1 / 2.0).tobytes()
 
@@ -346,14 +369,12 @@ class TestEstimator:
     def test_allocation_satisfies_kkt_conditions(self):
         # independent optimality witness: on allocated states the rate
         # derivative must equal the multiplier, elsewhere it must not exceed it
-        from v2vsec._kernels import gamma_allocation
-
         spec = ErgodicSpec(
             legit_fading=RAYLEIGH, p_budget=10.0, eaves_fading=RAYLEIGH, n_samples=20_000
         )
         a, b = draw_channel_states(spec)
         res = estimate_on_states(a, b, spec.p_budget)
-        gamma = gamma_allocation(a, b, res.multiplier)
+        gamma = _gamma_masked(a, b, res.multiplier)
         active = gamma > 0
         slope = a / (1.0 + gamma * a) - b / (1.0 + gamma * b)
         np.testing.assert_allclose(slope[active], res.multiplier, rtol=1e-9)
@@ -439,8 +460,8 @@ class TestMultiplierSearch:
         assert (res.multiplier, res.power_residual) == (closer, residual)
         # the closer end's allocation is the one the rates were taken from
         assert res.iterations == len(calls) and calls[-1][0] == closer
-        gamma = _kernels.gamma_allocation(a, b, closer)
-        assert res.capacity == float(np.mean(_kernels.secrecy_rate(a, b, gamma)))
+        gamma = _gamma_masked(a, b, closer)
+        assert res.capacity == float(np.mean(_secrecy_rate(a, b, gamma)))
         assert res.achieved_avg_power == float(np.sum(gamma))
 
     def test_closest_double_is_judged_against_the_residual_step(self):
@@ -474,7 +495,7 @@ class TestMultiplierSearch:
         res, mus = self._recorded_multipliers(monkeypatch, a, b, p)
         hi = float(np.max(a - b))
         assert mus[0] == 2.0 / (2.0 * p + (1.0 / 0.011 + 1.0 / 0.031))
-        assert float(np.sum(_kernels.gamma_allocation(a, b, mus[0]))) > 2.0 * p
+        assert float(np.sum(_gamma_masked(a, b, mus[0]))) > 2.0 * p
         assert mus[1] == math.sqrt(mus[0]) * math.sqrt(hi)
         assert abs(res.power_residual) <= 1e-9
         _, mu = _bisection_oracle(a, b, p)
@@ -526,7 +547,7 @@ class TestMultiplierSearch:
             assert abs(res.power_residual) <= res_lo - res_hi
             return
         assert abs(res.achieved_avg_power / p - 1.0) <= 1e-9
-        gamma = _kernels.gamma_allocation(a, b, res.multiplier)
+        gamma = _gamma_masked(a, b, res.multiplier)
         assert np.array_equal(gamma > 0, a - b > res.multiplier)
         # concavity gives C(p (1 - 1e-9)) >= (1 - 1e-9) C(p); secrecy_rate
         # rounds each per-state log difference by up to ~1e-14 bit (near-ties)
@@ -537,7 +558,7 @@ class TestMultiplierSearch:
 
 
 class TestWorkspaceKernels:
-    """The estimator's in-place kernel path against the allocating one."""
+    """The kernels' workspace contract against the masked oracle and the rate formula."""
 
     @staticmethod
     def _favorable_states(eaves):
@@ -558,17 +579,17 @@ class TestWorkspaceKernels:
         out, work = np.empty_like(a), np.empty((2, a.shape[0]))
         gamma = _kernels.gamma_allocation(gap, sums, mu, out=out, work=work)
         assert gamma is out
-        assert gamma.tobytes() == _kernels.gamma_allocation(a, b, mu).tobytes()
+        assert gamma.tobytes() == _gamma_masked(a, b, mu).tobytes()
 
     @pytest.mark.parametrize("eaves", [None, RAYLEIGH], ids=["no_eaves", "rayleigh_eaves"])
     def test_secrecy_rate_bit_identical(self, eaves):
         a, b = self._favorable_states(eaves)
-        gamma = _kernels.gamma_allocation(a, b, 0.05)
+        gamma = _gamma_masked(a, b, 0.05)
         out, work = np.empty_like(a), np.empty_like(a)
         rates = _kernels.secrecy_rate(a, None if eaves is None else b, gamma,
                                       out=out, work=work)
         assert rates is out
-        assert rates.tobytes() == _kernels.secrecy_rate(a, b, gamma).tobytes()
+        assert rates.tobytes() == _secrecy_rate(a, b, gamma).tobytes()
 
 
 class TestDiagnostics:

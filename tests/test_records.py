@@ -1,17 +1,21 @@
-"""The numpy-free records are immutable named tuples with a pinned contract.
+"""Every record is an immutable named tuple with a pinned contract.
 
 A record with rules refuses each invalid field with the same ValueError
 text on every construction path: the constructor, ``_make`` and
 ``_replace``. Every record keeps the repr it had as a frozen dataclass,
-hashes by value, survives pickling and refuses field assignment.
+survives pickling and refuses field assignment; every record but
+``SparseSignal``, which holds an array, hashes by value.
 """
 
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from v2vsec.channel import FadingModel, PowerBudget
+from v2vsec.csenc import CsKey, SparseSignal
+from v2vsec.ergodic import ErgodicResult, ErgodicSpec
 from v2vsec.kinematics import VehicleState
 from v2vsec.protocol import (
     DEFAULT_THRESHOLDS,
@@ -26,6 +30,7 @@ from v2vsec.protocol import (
 )
 from v2vsec.scenario import Scenario, TraceRecord
 from v2vsec.secrecy import LinkGeometry, RelayConfig, SecrecyResult, WiretapNoise
+from v2vsec.sweeps import SweepSpec
 
 BUDGET = PowerBudget(p_linear=1000000.0, n0_linear=1.0)
 LINK = LinkScenario(r=150.0, alpha=1.4, tau=0.2, budget=BUDGET)
@@ -35,6 +40,12 @@ CONFIG = ProtocolConfig(thresholds=SCHEDULE, relay_candidates=(CANDIDATE,))
 MESSAGE = CsiMessage.build("B", 1, 0, 23.0, -60.0, -90.0, 5.0)
 RELAY = RelayConfig(p_a=1.0, p_r=0.5, h_ab=1.0, h_rb=0.1, h_ae=0.5, h_re=1.0,
                     sigma_b2=1.0, sigma_e2=2.0)
+SWEEP = SweepSpec(axis="speed", start=5.0, stop=20.0, step=2.5, alpha=3.5, theta=0.1)
+ERGODIC = ErgodicSpec(legit_fading=FadingModel.rayleigh(), p_budget=10.0,
+                      eaves_fading=FadingModel.rician(3.0), n_samples=5000, seed=7)
+RESULT = ErgodicResult(1.5, 10.0, 0.01, 0.25, 4000, 6, -1e-10)
+KEY = CsKey(seed=424242, n=256, m=64)
+SIGNAL = SparseSignal(values=[1, 0, 2], k=2)
 
 # (valid record, fields to change, the ValueError text the change must raise)
 INVALID = [
@@ -79,6 +90,8 @@ INVALID = [
     (SCHEDULE, {"bands": ((0.0, math.inf),)},
      "band 0 must be a (low, high, threshold) tuple, got (0.0, inf)"),
     (CANDIDATE, {"relay_id": ""}, "relay_id must be nonempty"),
+    (CANDIDATE, {"relay_id": 5}, "relay_id must be a str, got 5"),
+    (CANDIDATE, {"relay_id": None}, "relay_id must be a str, got None"),
     (CANDIDATE, {"h_rb": -1.0}, "h_rb must be >= 0, got -1.0"),
     (CANDIDATE, {"h_re": math.nan}, "h_re must be >= 0, got nan"),
     (CANDIDATE, {"p_max": math.inf}, "p_max must be >= 0, got inf"),
@@ -109,6 +122,41 @@ INVALID = [
     (CONFIG, {"strategy_order": ("relay", "teleport")}, "unknown strategy 'teleport'"),
     (CONFIG, {"strategy_order": (["relay"],)}, "unknown strategy ['relay']"),
     (CONFIG, {"freshness_ms": 0.0}, "freshness_ms must be > 0, got 0.0"),
+    (SWEEP, {"axis": "warp"},
+     "axis must be one of ('speed', 'power_db', 'tau', 'alpha'), got 'warp'"),
+    (SWEEP, {"step": 0.0}, "step must be > 0, got 0.0"),
+    (SWEEP, {"start": math.inf}, "range [inf, 20.0] must be finite"),
+    (SWEEP, {"stop": 1.0}, "empty range [5.0, 1.0]"),
+    (SWEEP, {"start": -1e308, "stop": 1e308, "step": 1e-300},
+     "range [-1e+308, 1e+308] with step 1e-300 has no finite point count"),
+    (SWEEP, {"axis": "tau"}, "theta variant applies to the speed axis only"),
+    (ERGODIC, {"p_budget": 0.0}, "p_budget must be > 0, got 0.0"),
+    (ERGODIC, {"p_budget": math.nan}, "p_budget must be > 0, got nan"),
+    (ERGODIC, {"n_samples": 2500.0}, "n_samples must be an integer, got 2500.0"),
+    (ERGODIC, {"n_samples": True}, "n_samples must be an integer, got True"),
+    (ERGODIC, {"n_samples": 999}, "n_samples must be >= 1000, got 999"),
+    (ERGODIC, {"sigma_b2": 0.0}, "sigma_b2 must be > 0, got 0.0"),
+    (ERGODIC, {"sigma_e2": math.inf}, "sigma_e2 must be > 0, got inf"),
+    (ERGODIC, {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    (ERGODIC, {"seed": True}, "seed must be an integer, got True"),
+    (ERGODIC, {"seed": -1}, "seed must be >= 0, got -1"),
+    (ERGODIC, {"legit_fading": None}, "legit_fading must be a FadingModel, got None"),
+    (ERGODIC, {"legit_fading": ("rayleigh", 0.0, 1.0)},
+     "legit_fading must be a FadingModel, got ('rayleigh', 0.0, 1.0)"),
+    (ERGODIC, {"eaves_fading": "rayleigh"},
+     "eaves_fading must be None or a FadingModel, got 'rayleigh'"),
+    (KEY, {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    (KEY, {"seed": True}, "seed must be an integer, got True"),
+    (KEY, {"n": 256.0}, "n must be an integer, got 256.0"),
+    (KEY, {"m": False}, "m must be an integer, got False"),
+    (KEY, {"seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
+    (KEY, {"seed": 2**64}, "seed must be a 64-bit unsigned integer, got 18446744073709551616"),
+    (KEY, {"m": 256}, "need 0 < m < n, got m=256, n=256"),
+    (KEY, {"m": 0}, "need 0 < m < n, got m=0, n=256"),
+    (SIGNAL, {"k": 2.0}, "k must be an integer, got 2.0"),
+    (SIGNAL, {"k": True}, "k must be an integer, got True"),
+    (SIGNAL, {"k": 3}, "signal has 2 nonzero entries, declared k=3"),
+    (SIGNAL, {"values": [0.0, 0.0, 0.0], "k": 0}, "k must be >= 1, got 0"),
 ]
 
 
@@ -140,6 +188,7 @@ def test_every_path_returns_the_record_type(path):
     for record, changes, _ in INVALID:
         field = next(iter(changes))
         rebuilt = path(record, {field: getattr(record, field)})
+        # a SparseSignal compares equal only through its identical values array
         assert type(rebuilt) is type(record) and rebuilt == record
 
 
@@ -178,9 +227,25 @@ REPRS = [
      "TraceRecord(seq=1, timestamp_ms=0, speed_mps=5.0, cs_raw=3.5, cs_clamped=3.5, "
      "decision=LinkDecision(mode='direct', cs_achieved=3.5, threshold_used=2.0, "
      "boost_iterations=0, relay_id=None, relay_power=None, new_power=None))"),
+    (SWEEP, "SweepSpec(axis='speed', start=5.0, stop=20.0, step=2.5, r=1000.0, alpha=3.5, "
+            "tau=0.2, pn0_db=70.0, v_mps=22.22222222222222, theta=0.1)"),
+    (ERGODIC, "ErgodicSpec(legit_fading=FadingModel(kind='rayleigh', k_factor=0.0, m=1.0), "
+              "p_budget=10.0, eaves_fading=FadingModel(kind='rician', k_factor=3.0, m=1.0), "
+              "sigma_b2=1.0, sigma_e2=1.0, n_samples=5000, seed=7)"),
+    (ErgodicSpec(legit_fading=FadingModel.rayleigh(), p_budget=10.0),
+     "ErgodicSpec(legit_fading=FadingModel(kind='rayleigh', k_factor=0.0, m=1.0), "
+     "p_budget=10.0, eaves_fading=None, sigma_b2=1.0, sigma_e2=1.0, n_samples=100000, "
+     "seed=12345)"),
+    (RESULT, "ErgodicResult(capacity=1.5, achieved_avg_power=10.0, ci_halfwidth=0.01, "
+             "multiplier=0.25, n_active=4000, iterations=6, power_residual=-1e-10)"),
+    (KEY, "CsKey(seed=424242, n=256, m=64)"),
+    (SIGNAL, "SparseSignal(values=array([1., 0., 2.]), k=2)"),
 ]
 RECORDS = [record for record, _ in REPRS]
 RECORD_IDS = [type(record).__name__ for record in RECORDS]
+# SparseSignal holds an array: it neither hashes nor compares by value (TestSparseSignal)
+BY_VALUE = [record for record in RECORDS if not isinstance(record, SparseSignal)]
+BY_VALUE_IDS = [type(record).__name__ for record in BY_VALUE]
 
 
 @pytest.mark.parametrize("record, text", REPRS, ids=RECORD_IDS)
@@ -188,14 +253,14 @@ def test_repr_is_pinned(record, text):
     assert repr(record) == text
 
 
-@pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+@pytest.mark.parametrize("record", BY_VALUE, ids=BY_VALUE_IDS)
 def test_equal_records_hash_equal(record):
     twin = type(record)(**record._asdict())
     assert twin == record and twin is not record
     assert hash(twin) == hash(record)
 
 
-@pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+@pytest.mark.parametrize("record", BY_VALUE, ids=BY_VALUE_IDS)
 def test_pickle_round_trip(record):
     assert pickle.loads(pickle.dumps(record)) == record
 
@@ -215,6 +280,39 @@ def test_records_are_tuples_of_their_fields():
     assert (r, alpha, tau, budget.p_linear) == (150.0, 1.4, 0.2, 1000000.0)
     assert LINK[3] is BUDGET
     assert PowerBudget(1.0, 2.0) < PowerBudget(2.0, 1.0)
+    seed, n, m = KEY
+    assert (seed, n, m) == (424242, 256, 64) and KEY == (424242, 256, 64)
+
+
+class TestSparseSignal:
+    """The record that holds an array: float64 values on every path, no value equality."""
+
+    @pytest.mark.parametrize("path", [_build, _make, _replace], ids=lambda f: f.__name__)
+    def test_every_path_stores_float64_values(self, path):
+        rebuilt = path(SIGNAL, {"values": [0, 3, 0], "k": 1})
+        assert type(rebuilt) is SparseSignal
+        assert rebuilt.values.dtype == np.float64
+        assert rebuilt.values.tolist() == [0.0, 3.0, 0.0] and rebuilt.k == 1
+
+    def test_float64_array_is_kept_not_copied(self):
+        values = np.array([1.0, 0.0, 2.0])
+        assert SparseSignal(values, 2).values is values
+
+    def test_equality_is_numpys_ambiguous_truth_error(self):
+        twin = SparseSignal(values=np.array([1.0, 0.0, 2.0]), k=2)
+        with pytest.raises(ValueError, match="truth value of an array"):
+            twin == SIGNAL  # noqa: B015
+        assert SIGNAL == SIGNAL  # the same array object compares by identity
+
+    def test_is_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(SIGNAL)
+
+    def test_pickle_round_trip(self):
+        copy = pickle.loads(pickle.dumps(SIGNAL))
+        assert type(copy) is SparseSignal and copy.k == SIGNAL.k
+        assert copy.values.dtype == np.float64
+        assert np.array_equal(copy.values, SIGNAL.values)
 
 
 class TestProtocolSession:

@@ -1,7 +1,6 @@
 import gc
 import math
 import platform
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -469,7 +468,7 @@ class TestBadAxisPoint:
     def test_message_is_the_public_formulas(self, axis, value, fixed):
         spec = SweepSpec(axis=axis, start=value, stop=value, step=1.0, **fixed)
         point = {"speed": "v_mps", "power_db": "pn0_db", "tau": "tau", "alpha": "alpha"}[axis]
-        at = replace(spec, **{point: value})
+        at = spec._replace(**{point: value})
         with pytest.raises(ValueError) as public:
             velocity_secrecy(db_to_linear(at.pn0_db), 1.0, at.v_mps, at.tau, at.r, at.alpha)
         with pytest.raises(SweepError) as info:
