@@ -4,9 +4,37 @@
 trace; ``ComputationError`` is the base of every failure the CLI reports
 with exit code 2; ``ValidatedRecord`` makes a named tuple check its fields
 on every construction path.
+
+``real``, ``integer``, ``text`` and ``instance`` are the one rule per kind
+of field: every record's ``_check`` and the numeric entry points (the
+secrecy formulas, the dB, path-loss and speed conversions, ``decide``)
+refuse a field through them, with a ``ValueError`` that names the field.
+A real number is a ``numbers.Real`` and an integer a ``numbers.Integral``,
+neither of them a ``bool``; numpy registers its scalars with
+:mod:`numbers`, so ``np.float64(1.0)`` and ``np.int64(5)`` count and this
+module needs no numpy.
 """
 
-__all__ = ["ComputationError", "ValidatedRecord", "fmt_num"]
+from numbers import Integral, Real
+
+__all__ = [
+    "ComputationError", "ValidatedRecord", "fmt_num", "instance", "integer", "real", "text",
+]
+
+_INF = float("inf")
+
+# Each range a field may be held to, keyed by the phrase its error uses:
+# (low, whether low itself is admitted, high); high is never admitted.
+_RANGES = {
+    "finite": (-_INF, False, _INF),
+    "> 0": (0, False, _INF),
+    "positive and finite": (0, False, _INF),
+    ">= 0": (0, True, _INF),
+    ">= 0.5": (0.5, True, _INF),
+    ">= 1": (1, True, _INF),
+    ">= 1000": (1000, True, _INF),
+    "a 64-bit unsigned integer": (0, True, 2**64),
+}
 
 
 class ComputationError(RuntimeError):
@@ -18,6 +46,52 @@ def fmt_num(x: float) -> str:
     if x == 0:
         x = 0.0
     return f"{x:.6g}"
+
+
+def _within(name: str, value, must: str | None) -> None:
+    if must is not None:
+        low, closed, high = _RANGES[must]
+        if not (low < value < high or closed and value == low):
+            raise ValueError(f"{name} must be {must}, got {value!r}")
+
+
+def real(name: str, value, must: str | None = "finite") -> float:
+    """``value`` as a float, if it is a real number in the range ``must`` names.
+
+    ``must`` is a key of ``_RANGES``, or None for any real number, nan and
+    the infinities included. A number beyond the float range counts as
+    infinite, and the range error shows the float.
+    """
+    if type(value) is not float:  # a float needs neither the type test nor the conversion
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = _INF
+    _within(name, value, must)
+    return value
+
+
+def integer(name: str, value, must: str | None = None) -> None:
+    """Refuse ``value`` unless it is an integer in the range ``must`` names (None: any)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    _within(name, value, must)
+
+
+def text(name: str, value) -> None:
+    """Refuse ``value`` unless it is a non-empty str."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a str, got {value!r}")
+    if not value:
+        raise ValueError(f"{name} must be nonempty")
+
+
+def instance(name: str, value, kind: type) -> None:
+    """Refuse ``value`` unless it is an instance of ``kind``, a record type or ``tuple``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 class ValidatedRecord:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._common import ValidatedRecord
+from ._common import ValidatedRecord, instance, real
 
 __all__ = [
     "PowerBudget",
@@ -22,13 +22,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-
-
-def _check_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+_INF = math.inf
 
 
 class _PowerBudget(NamedTuple):
@@ -42,10 +36,8 @@ class PowerBudget(ValidatedRecord, _PowerBudget):
     __slots__ = ()
 
     def _check(self) -> None:
-        if not (math.isfinite(self.p_linear) and self.p_linear > 0):
-            raise ValueError(f"p_linear must be positive and finite, got {self.p_linear!r}")
-        if not (math.isfinite(self.n0_linear) and self.n0_linear > 0):
-            raise ValueError(f"n0_linear must be positive and finite, got {self.n0_linear!r}")
+        real("p_linear", self.p_linear, "positive and finite")
+        real("n0_linear", self.n0_linear, "positive and finite")
 
     @property
     def snr(self) -> float:
@@ -75,10 +67,8 @@ class FadingModel(ValidatedRecord, _FadingModel):
     def _check(self) -> None:
         if self.kind not in ("rayleigh", "rician", "nakagami"):
             raise ValueError(f"unknown fading kind {self.kind!r}")
-        if self.kind == "rician" and not (math.isfinite(self.k_factor) and self.k_factor >= 0):
-            raise ValueError(f"Rician K-factor must be >= 0, got {self.k_factor!r}")
-        if self.kind == "nakagami" and not (math.isfinite(self.m) and self.m >= 0.5):
-            raise ValueError(f"Nakagami shape m must be >= 0.5, got {self.m!r}")
+        real("Rician K-factor", self.k_factor, ">= 0" if self.kind == "rician" else None)
+        real("Nakagami shape m", self.m, ">= 0.5" if self.kind == "nakagami" else None)
 
     @classmethod
     def rayleigh(cls) -> "FadingModel":
@@ -95,7 +85,8 @@ class FadingModel(ValidatedRecord, _FadingModel):
 
 def awgn_capacity(budget: PowerBudget, gain_power: float) -> float:
     """Capacity in bits/s/Hz of a non-fading AWGN link with a power gain."""
-    gain_power = _check_finite("gain_power", gain_power)
+    instance("budget", budget, PowerBudget)
+    gain_power = real("gain_power", gain_power)
     if gain_power < 0:
         raise ValueError(f"gain_power must be >= 0, got {gain_power!r}")
     return math.log1p(budget.p_linear * gain_power / budget.n0_linear) / _LN2
@@ -106,20 +97,24 @@ def path_loss_amplitude(distance: float, alpha: float) -> float:
 
     The squared value d^(-2*alpha) is the power gain that enters the
     secrecy formulas. The model is singular at d = 0, so nonpositive
-    distances are rejected.
+    distances are rejected, and so is a gain beyond the float range.
     """
-    distance = _check_finite("distance", distance)
-    alpha = _check_finite("alpha", alpha)
+    distance, alpha = real("distance", distance), real("alpha", alpha)
     if distance <= 0:
         raise ValueError(f"distance must be > 0, got {distance!r}")
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha!r}")
-    return distance ** (-alpha)
+    try:
+        return distance ** (-alpha)
+    except OverflowError:
+        raise ValueError(f"path-loss amplitude out of float range: distance={distance!r}, "
+                         f"alpha={alpha!r}") from None
 
 
 def db_to_linear(x: float) -> float:
     """Power ratio from decibels: 10^(x/10); a ratio beyond the float range is an error."""
-    x = _check_finite("x", x)
+    if type(x) is not float or not -_INF < x < _INF:  # a finite float needs no rule
+        x = real("x", x)
     try:
         return 10.0 ** (x / 10.0)
     except OverflowError:

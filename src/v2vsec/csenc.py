@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._common import ComputationError, ValidatedRecord
+from ._common import ComputationError, ValidatedRecord, integer
 
 __all__ = [
     "CsKey",
@@ -46,12 +46,9 @@ class CsKey(ValidatedRecord, _CsKey):
     __slots__ = ()
 
     def _check(self) -> None:
-        for name in ("seed", "n", "m"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not hasattr(v, "__index__"):  # int, numpy integers
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        for name, value in zip(self._fields, self):
+            integer(name, value)
+        integer("seed", self.seed, "a 64-bit unsigned integer")
         if not 0 < self.m < self.n:
             raise ValueError(f"need 0 < m < n, got m={self.m!r}, n={self.n!r}")
 
@@ -71,17 +68,20 @@ class SparseSignal(ValidatedRecord, _SparseSignal):
     __slots__ = ()
 
     def __new__(cls, values: np.ndarray, k: int) -> "SparseSignal":
-        return super().__new__(cls, np.asarray(values, dtype=np.float64), k)
+        try:
+            array = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError):  # not numbers, or ragged
+            array = None
+        if array is None or array.ndim != 1:
+            raise ValueError(f"values must be a 1-d array of real numbers, got {values!r}")
+        return super().__new__(cls, array, k)
 
     def _check(self) -> None:
-        k = self.k
-        if isinstance(k, bool) or not hasattr(k, "__index__"):  # int, numpy integers
-            raise ValueError(f"k must be an integer, got {k!r}")
+        integer("k", self.k)
         nnz = int(np.count_nonzero(self.values))
-        if nnz != k:
-            raise ValueError(f"signal has {nnz} nonzero entries, declared k={k!r}")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k!r}")
+        if nnz != self.k:
+            raise ValueError(f"signal has {nnz} nonzero entries, declared k={self.k!r}")
+        integer("k", self.k, ">= 1")
 
     @classmethod
     def from_dense(cls, values: np.ndarray) -> "SparseSignal":

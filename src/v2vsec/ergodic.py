@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from ._common import ComputationError, ValidatedRecord
+from ._common import ComputationError, ValidatedRecord, instance, integer, real
 from .channel import FadingModel, sample_fading
 
 __all__ = [
@@ -92,24 +92,12 @@ class ErgodicSpec(ValidatedRecord, _ErgodicSpec):
     __slots__ = ()
 
     def _check(self) -> None:
-        if not (math.isfinite(self.p_budget) and self.p_budget > 0):
-            raise ValueError(f"p_budget must be > 0, got {self.p_budget!r}")
-        n = self.n_samples
-        if isinstance(n, bool) or not hasattr(n, "__index__"):  # int, numpy integers
-            raise ValueError(f"n_samples must be an integer, got {n!r}")
-        if n < 1_000:
-            raise ValueError(f"n_samples must be >= 1000, got {n!r}")
-        for name in ("sigma_b2", "sigma_e2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be > 0, got {v!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not hasattr(seed, "__index__"):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed!r}")
-        if not isinstance(self.legit_fading, FadingModel):
-            raise ValueError(f"legit_fading must be a FadingModel, got {self.legit_fading!r}")
+        real("p_budget", self.p_budget, "> 0")
+        integer("n_samples", self.n_samples, ">= 1000")
+        real("sigma_b2", self.sigma_b2, "> 0")
+        real("sigma_e2", self.sigma_e2, "> 0")
+        integer("seed", self.seed, ">= 0")
+        instance("legit_fading", self.legit_fading, FadingModel)
         if not (self.eaves_fading is None or isinstance(self.eaves_fading, FadingModel)):
             raise ValueError(
                 f"eaves_fading must be None or a FadingModel, got {self.eaves_fading!r}")
@@ -155,8 +143,7 @@ def estimate_on_states(a: np.ndarray, b: np.ndarray, p_budget: float) -> Ergodic
     be solved to within the relative power tolerance; never returns a
     silently unconverged answer.
     """
-    if not (math.isfinite(p_budget) and p_budget > 0):
-        raise ValueError(f"p_budget must be > 0, got {p_budget!r}")
+    real("p_budget", p_budget, "> 0")
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:

@@ -6,10 +6,9 @@ CLI boundary via the conversion helpers.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
-from ._common import ValidatedRecord
+from ._common import ValidatedRecord, real
 
 __all__ = [
     "VehicleState",
@@ -30,10 +29,8 @@ class VehicleState(ValidatedRecord, _VehicleState):
     __slots__ = ()
 
     def _check(self) -> None:
-        if not (math.isfinite(self.speed) and self.speed >= 0):
-            raise ValueError(f"speed must be >= 0, got {self.speed!r}")
-        if not (math.isfinite(self.accel) and self.accel > 0):
-            raise ValueError(f"accel must be > 0, got {self.accel!r}")
+        real("speed", self.speed, ">= 0")
+        real("accel", self.accel, "> 0")
 
 
 def safety_distance_full(host: VehicleState, target: VehicleState, tau: float) -> float:
@@ -44,8 +41,7 @@ def safety_distance_full(host: VehicleState, target: VehicleState, tau: float) -
     reduces to the cruise separation v*tau, the d = v*tau of the secrecy
     formulas.
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be > 0, got {tau!r}")
+    real("tau", tau, "> 0")
     return (
         host.speed * tau
         + host.speed * host.speed / (2.0 * host.accel)
@@ -55,13 +51,9 @@ def safety_distance_full(host: VehicleState, target: VehicleState, tau: float) -
 
 def kmh_to_ms(v: float) -> float:
     """km/h to m/s."""
-    if not (math.isfinite(v) and v >= 0):
-        raise ValueError(f"v must be >= 0, got {v!r}")
-    return v / 3.6
+    return real("v", v, ">= 0") / 3.6
 
 
 def ms_to_kmh(v: float) -> float:
     """m/s to km/h."""
-    if not (math.isfinite(v) and v >= 0):
-        raise ValueError(f"v must be >= 0, got {v!r}")
-    return v * 3.6
+    return real("v", v, ">= 0") * 3.6

@@ -43,10 +43,9 @@ eavesdropper term) for the first report and reuses them as long as it is
 handed the identical objects, as a session hands it. The terms
 that depend on a report follow ``_geometric_raw``'s operation order, so
 decisions are bit for bit those of the per-report formula. The records
-refuse a field of the wrong type (a schedule that is not a
-``ThresholdSchedule``, a list where a tuple belongs, a relay candidate
-that is a plain tuple, a relay_id that is not a ``str``, a budget that
-is not a ``PowerBudget``) and two relay candidates with one relay_id.
+refuse a field of the wrong type through the one rule per field kind in
+``_common`` (README, "Record fields"), and ``ProtocolConfig`` refuses two
+relay candidates with one relay_id.
 """
 
 from __future__ import annotations
@@ -56,11 +55,10 @@ import re
 from math import log1p
 from typing import NamedTuple
 
-from ._common import ValidatedRecord
+from ._common import ValidatedRecord, instance, integer, real, text
 from .channel import PowerBudget, db_to_linear
 from .secrecy import (
     _LN2,
-    _check_positive,
     _path_loss_range_error,
     _relay_raw,
     _velocity_raw,
@@ -183,23 +181,17 @@ class CsiMessage(_CsiFields):
         snr_db: float,
         speed_mps: float,
     ) -> "CsiMessage":
-        if not sender_id:
-            raise ValueError("sender_id must be nonempty")
+        text("sender_id", sender_id)
         if "|" in sender_id:
             raise ValueError(f"sender_id must not contain '|', got {sender_id!r}")
         if not LINE_BREAKS.isdisjoint(sender_id):
             raise ValueError(f"sender_id must not contain a line break, got {sender_id!r}")
-        for name, value in (("seq", seq), ("timestamp_ms", timestamp_ms)):
-            if isinstance(value, bool) or not hasattr(value, "__index__"):  # int, numpy integers
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-        if not (
-            math.isfinite(tx_power_dbm)
-            and math.isfinite(rx_power_dbm)
-            and math.isfinite(noise_floor_dbm)
-            and math.isfinite(snr_db)
-        ):
+        integer("seq", seq, ">= 0")
+        integer("timestamp_ms", timestamp_ms, ">= 0")
+        powers = (tx_power_dbm, rx_power_dbm, noise_floor_dbm, snr_db)
+        for name, value in zip(cls._fields[3:7], powers):
+            real(name, value, None)
+        if not all(-_INF < value < _INF for value in powers):
             raise ValueError(
                 f"power fields must be finite, got tx={tx_power_dbm!r} "
                 f"rx={rx_power_dbm!r} noise={noise_floor_dbm!r} snr={snr_db!r}"
@@ -209,8 +201,7 @@ class CsiMessage(_CsiFields):
                 f"snr_db={snr_db!r} must equal rx - noise = "
                 f"{rx_power_dbm - noise_floor_dbm!r}"
             )
-        if not (math.isfinite(speed_mps) and speed_mps >= 0):
-            raise ValueError(f"speed_mps must be >= 0, got {speed_mps!r}")
+        real("speed_mps", speed_mps, ">= 0")
         return tuple.__new__(cls, (sender_id, seq, timestamp_ms, tx_power_dbm, rx_power_dbm,
                                    noise_floor_dbm, snr_db, speed_mps))
 
@@ -331,12 +322,13 @@ class ThresholdSchedule(ValidatedRecord, _ThresholdSchedule):
             if not (isinstance(band, tuple) and len(band) == 3):
                 raise ValueError(f"band {i} must be a (low, high, threshold) tuple, got {band!r}")
             low, high, threshold = band
+            real(f"band {i} low", low, None)
             if low != expected_low:
                 raise ValueError(f"band {i} starts at {low!r}, expected {expected_low!r}")
+            real(f"band {i} high", high, None)
             if not high > low:
                 raise ValueError(f"band {i} is empty: [{low!r}, {high!r})")
-            if not (math.isfinite(threshold) and threshold >= 0):
-                raise ValueError(f"band {i} threshold must be >= 0, got {threshold!r}")
+            real(f"band {i} threshold", threshold, ">= 0")
             expected_low = high
         if self.bands[-1][1] != math.inf:
             raise ValueError("last band must extend to infinity")
@@ -347,8 +339,7 @@ DEFAULT_THRESHOLDS = ThresholdSchedule(bands=((0.0, 25.0, 2.0), (25.0, math.inf,
 
 def derive_threshold(speed: float, schedule: ThresholdSchedule) -> float:
     """Threshold of the unique band containing the speed."""
-    if not (math.isfinite(speed) and speed >= 0):
-        raise ValueError(f"speed must be >= 0, got {speed!r}")
+    real("speed", speed, ">= 0")
     return _band_threshold(schedule.bands, speed)
 
 
@@ -373,16 +364,9 @@ class RelayCandidate(ValidatedRecord, _RelayCandidate):
     __slots__ = ()
 
     def _check(self) -> None:
-        if not isinstance(self.relay_id, str):
-            raise ValueError(f"relay_id must be a str, got {self.relay_id!r}")
-        if not self.relay_id:
-            raise ValueError("relay_id must be nonempty")
-        for name in ("h_rb", "h_re"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be >= 0, got {v!r}")
-        if not (math.isfinite(self.p_max) and self.p_max >= 0):
-            raise ValueError(f"p_max must be >= 0, got {self.p_max!r}")
+        text("relay_id", self.relay_id)
+        for name, value in zip(("h_rb", "h_re", "p_max"), self[1:]):
+            real(name, value, ">= 0")
 
 
 class _LinkScenario(NamedTuple):
@@ -398,12 +382,9 @@ class LinkScenario(ValidatedRecord, _LinkScenario):
     __slots__ = ()
 
     def _check(self) -> None:
-        for name in ("r", "alpha", "tau"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be > 0, got {v!r}")
-        if not isinstance(self.budget, PowerBudget):
-            raise ValueError(f"budget must be a PowerBudget, got {self.budget!r}")
+        for name, value in zip(("r", "alpha", "tau"), self):
+            real(name, value, "> 0")
+        instance("budget", self.budget, PowerBudget)
 
 
 class _ProtocolConfig(NamedTuple):
@@ -422,29 +403,18 @@ class ProtocolConfig(ValidatedRecord, _ProtocolConfig):
     __slots__ = ()
 
     def _check(self) -> None:
-        if not isinstance(self.thresholds, ThresholdSchedule):
-            raise ValueError(f"thresholds must be a ThresholdSchedule, got {self.thresholds!r}")
-        if not (math.isfinite(self.boost_step_db) and self.boost_step_db > 0):
-            raise ValueError(f"boost_step_db must be > 0, got {self.boost_step_db!r}")
-        if not (math.isfinite(self.boost_cap_db) and self.boost_cap_db >= 0):
-            raise ValueError(f"boost_cap_db must be >= 0, got {self.boost_cap_db!r}")
-        n = self.max_boost_iterations
-        if isinstance(n, bool) or not hasattr(n, "__index__"):  # int, numpy integers
-            raise ValueError(f"max_boost_iterations must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError(f"max_boost_iterations must be >= 1, got {n!r}")
-        if not isinstance(self.relay_candidates, tuple):
-            raise ValueError(f"relay_candidates must be a tuple, got {self.relay_candidates!r}")
+        instance("thresholds", self.thresholds, ThresholdSchedule)
+        real("boost_step_db", self.boost_step_db, "> 0")
+        real("boost_cap_db", self.boost_cap_db, ">= 0")
+        integer("max_boost_iterations", self.max_boost_iterations, ">= 1")
+        instance("relay_candidates", self.relay_candidates, tuple)
         relay_ids = set()
         for i, candidate in enumerate(self.relay_candidates):
-            if not isinstance(candidate, RelayCandidate):
-                raise ValueError(
-                    f"relay_candidates[{i}] must be a RelayCandidate, got {candidate!r}")
+            instance(f"relay_candidates[{i}]", candidate, RelayCandidate)
             if candidate.relay_id in relay_ids:
                 raise ValueError(f"relay_candidates repeat relay_id {candidate.relay_id!r}")
             relay_ids.add(candidate.relay_id)
-        if not isinstance(self.strategy_order, tuple):
-            raise ValueError(f"strategy_order must be a tuple, got {self.strategy_order!r}")
+        instance("strategy_order", self.strategy_order, tuple)
         if not self.strategy_order:
             raise ValueError("strategy_order must be nonempty")
         for s in self.strategy_order:  # compared, not hashed: a list entry is unknown too
@@ -452,8 +422,7 @@ class ProtocolConfig(ValidatedRecord, _ProtocolConfig):
                 raise ValueError(f"unknown strategy {s!r}")
         if len(set(self.strategy_order)) != len(self.strategy_order):
             raise ValueError("strategy_order must not repeat strategies")
-        if not (math.isfinite(self.freshness_ms) and self.freshness_ms > 0):
-            raise ValueError(f"freshness_ms must be > 0, got {self.freshness_ms!r}")
+        real("freshness_ms", self.freshness_ms, "> 0")
 
 
 class LinkDecision(NamedTuple):
@@ -517,11 +486,10 @@ def optimize_relay_power(
     a d = speed*tau that underflows to 0 or overflows raises
     ``velocity_secrecy``'s error for d.
     """
-    if not (math.isfinite(speed_mps) and speed_mps > 0):
-        raise ValueError(f"speed_mps must be > 0, got {speed_mps!r}")
+    real("speed_mps", speed_mps, "> 0")
     d, exp = speed_mps * scenario.tau, 2.0 * scenario.alpha
     if not 0.0 < d < math.inf:  # the product underflowed to 0 or overflowed
-        _check_positive("d", d)  # raises, with the message velocity_secrecy gives
+        real("d", d, "positive and finite")  # raises, with the message velocity_secrecy gives
     try:
         h_ab, h_ae = d**-exp, scenario.r**-exp
     except (OverflowError, ZeroDivisionError):
@@ -605,6 +573,8 @@ def _plan(scenario: LinkScenario, config: ProtocolConfig) -> tuple:
     so that every report goes to ``_velocity_raw`` and raises its error
     there, not here.
     """
+    instance("scenario", scenario, LinkScenario)
+    instance("config", config, ProtocolConfig)
     r, alpha, tau, (p, n0) = scenario  # positive and finite by the records' rules
     exp = 2.0 * alpha
     try:
@@ -614,8 +584,8 @@ def _plan(scenario: LinkScenario, config: ProtocolConfig) -> tuple:
     return scenario, config, config.thresholds.bands, p, n0, tau, r, alpha, exp, eaves
 
 
-# The plan decide used last (none yet: it matches no records).
-_last_plan = (None,) * 10
+# The plan decide used last (none yet: it matches no objects).
+_last_plan = (object(),) * 10
 
 
 def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> LinkDecision:
@@ -648,7 +618,11 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
     if plan[0] is not scenario or plan[1] is not config:
         plan = _last_plan = _plan(scenario, config)
     _, _, bands, p, n0, tau, r, alpha, exp, eaves = plan
-    v = csi.speed_mps  # finite and >= 0 by CsiMessage's rule: derive_threshold's check holds
+    try:
+        v = csi.speed_mps  # finite and >= 0 by CsiMessage's rule: derive_threshold's check holds
+    except AttributeError:
+        instance("csi", csi, CsiMessage)
+        raise
     threshold = _band_threshold(bands, v)
     d = v * tau
     raw = _NAN

@@ -27,7 +27,7 @@ from itertools import repeat
 from math import log1p
 from typing import NamedTuple
 
-from ._common import ValidatedRecord
+from ._common import ValidatedRecord, instance, real
 
 __all__ = [
     "SecrecyResult",
@@ -83,15 +83,15 @@ def _geometric_raw(p: float, n0: float, d: float, r: float, alpha: float) -> flo
 def _velocity_raw(p: float, n0: float, v: float, tau: float, r: float, alpha: float) -> float:
     """Raw secrecy capacity at speed v, with separation d = v*tau, on plain floats.
 
-    When all six inputs and d are positive and finite this is
-    ``_geometric_raw(p, n0, v * tau, r, alpha)``. Otherwise the first of
-    v, tau, r, d, p, n0, alpha that is not raises ``_check_positive``'s error.
+    When all six inputs, real numbers, and d are positive and finite this
+    is ``_geometric_raw(p, n0, v * tau, r, alpha)``. Otherwise the first of
+    v, tau, r, d, p, n0, alpha that is not raises its ``real`` error.
     """
     d = v * tau
     if not (0.0 < p < _INF and 0.0 < n0 < _INF and 0.0 < v < _INF and 0.0 < tau < _INF
             and 0.0 < r < _INF and 0.0 < alpha < _INF and 0.0 < d < _INF):
         for name, value in zip("v tau r d p n0 alpha".split(), (v, tau, r, d, p, n0, alpha)):
-            _check_positive(name, value)
+            real(name, value, "positive and finite")
     return _geometric_raw(p, n0, d, r, alpha)
 
 
@@ -213,13 +213,6 @@ def _fading_rows(p, n0: float, h_ab: float, h_ae: float, w: float):
     return [w * (log1p(p * g_ab / n0) / _LN2 - log1p(p * g_ae / n0) / _LN2) for p in p]
 
 
-def _check_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
-
-
 class SecrecyResult(NamedTuple):
     """Raw secrecy capacity and its clamp at zero, in the caller's rate unit."""
 
@@ -242,8 +235,8 @@ class WiretapNoise(ValidatedRecord, _WiretapNoise):
     __slots__ = ()
 
     def _check(self) -> None:
-        _check_positive("n_m", self.n_m)
-        _check_positive("n_w", self.n_w)
+        real("n_m", self.n_m, "positive and finite")
+        real("n_w", self.n_w, "positive and finite")
 
 
 class _LinkGeometry(NamedTuple):
@@ -258,7 +251,7 @@ class LinkGeometry(_LinkGeometry):
 
     Exactly one of ``theta`` and ``d`` may be omitted; ``__new__`` derives
     the other, and ``_make`` and ``_replace`` go through it. When both are
-    given they must satisfy d = r*theta.
+    given they must satisfy d = r*theta. All three are stored as floats.
     """
 
     __slots__ = ()
@@ -266,18 +259,18 @@ class LinkGeometry(_LinkGeometry):
     def __new__(
         cls, r: float, theta: float | None = None, d: float | None = None
     ) -> "LinkGeometry":
-        _check_positive("r", r)
+        r = real("r", r, "positive and finite")
         if theta is None and d is None:
             raise ValueError("one of theta or d is required")
+        if theta is not None:
+            theta = real("theta", theta, "positive and finite")
+        if d is not None:
+            d = real("d", d, "positive and finite")
         if d is None:
-            _check_positive("theta", theta)
             d = r * theta
         elif theta is None:
-            _check_positive("d", d)
             theta = d / r
         else:
-            _check_positive("theta", theta)
-            _check_positive("d", d)
             expect = r * theta
             if abs(d - expect) > 1e-9 * max(abs(d), abs(expect)):
                 raise ValueError(f"inconsistent geometry: d={d!r} but r*theta={expect!r}")
@@ -306,21 +299,15 @@ class RelayConfig(ValidatedRecord, _RelayConfig):
     __slots__ = ()
 
     def _check(self) -> None:
-        _check_positive("p_a", self.p_a)
-        if not (math.isfinite(self.p_r) and self.p_r >= 0):
-            raise ValueError(f"p_r must be >= 0, got {self.p_r!r}")
-        for name in ("h_ab", "h_rb", "h_ae", "h_re"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be >= 0, got {v!r}")
-        _check_positive("sigma_b2", self.sigma_b2)
-        _check_positive("sigma_e2", self.sigma_e2)
-        _check_positive("w", self.w)
+        for name, value in zip(self._fields, self):
+            positive = name in ("p_a", "sigma_b2", "sigma_e2", "w")
+            real(name, value, "positive and finite" if positive else ">= 0")
 
 
 def gaussian_wiretap(p: float, noise: WiretapNoise) -> SecrecyResult:
     """Secrecy capacity of the real Gaussian wiretap channel (1/2-log form)."""
-    _check_positive("p", p)
+    p = real("p", p, "positive and finite")
+    instance("noise", noise, WiretapNoise)
     raw = 0.5 * _log2_1p(p / noise.n_m) - 0.5 * _log2_1p(p / noise.n_w)
     return SecrecyResult.from_raw(raw)
 
@@ -331,11 +318,8 @@ def fading_secrecy(p: float, n0: float, h_ab: float, h_ae: float) -> SecrecyResu
     The amplitudes are squared into power gains, so the sign of the result
     follows the sign of |h_ab| - |h_ae|.
     """
-    _check_positive("p", p)
-    _check_positive("n0", n0)
-    for name, v in (("h_ab", h_ab), ("h_ae", h_ae)):
-        if not (math.isfinite(v) and v >= 0):
-            raise ValueError(f"{name} must be >= 0, got {v!r}")
+    p, n0 = real("p", p, "positive and finite"), real("n0", n0, "positive and finite")
+    h_ab, h_ae = real("h_ab", h_ab, ">= 0"), real("h_ae", h_ae, ">= 0")
     return SecrecyResult.from_raw(_fading_raw(p, n0, h_ab, h_ae))
 
 
@@ -345,9 +329,9 @@ def geometric_secrecy(p: float, n0: float, geom: LinkGeometry, alpha: float) -> 
     Positive exactly when the legitimate pair is closer than the
     eavesdropper (d < r).
     """
-    _check_positive("p", p)
-    _check_positive("n0", n0)
-    _check_positive("alpha", alpha)
+    p, n0, alpha = (real(name, value, "positive and finite")
+                    for name, value in (("p", p), ("n0", n0), ("alpha", alpha)))
+    instance("geom", geom, LinkGeometry)
     return SecrecyResult.from_raw(_geometric_raw(p, n0, geom.d, geom.r, alpha))
 
 
@@ -359,6 +343,9 @@ def velocity_secrecy(
     v must be strictly positive: a stationary host gives d = 0, the
     singular point of the path-loss model.
     """
+    # the types first, as _velocity_raw's guard compares real numbers; it checks the ranges
+    p, n0, v, tau, r, alpha = (real(name, value, None) for name, value in zip(
+        ("p", "n0", "v", "tau", "r", "alpha"), (p, n0, v, tau, r, alpha)))
     return SecrecyResult.from_raw(_velocity_raw(p, n0, v, tau, r, alpha))
 
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from .channel import PowerBudget, awgn_capacity, db_to_linear
 from . import csenc
-from ._common import ComputationError, ValidatedRecord, fmt_num
+from ._common import ComputationError, ValidatedRecord, fmt_num, integer, real
 # encrypt stays importable from here: perfbench's tracer wraps it by this name
 from .csenc import CsKey, decrypt, encrypt, random_sparse_signal  # noqa: F401
 from .ergodic import DEFAULT_SEED, ErgodicSpec, draw_channel_states, estimate_on_states
@@ -123,9 +123,12 @@ class SweepFormatError(ValueError):
 def _point_count(start: float, stop: float, step: float) -> int:
     """Number of points of the inclusive grid over [start, stop] in steps of step.
 
-    The one range rule for every axis: a positive finite step, a finite
-    non-empty range and a finite point count, else :class:`SweepError`.
+    The one range rule for every axis: real numbers (else ``ValueError``),
+    a positive finite step, a finite non-empty range and a finite point
+    count, else :class:`SweepError`.
     """
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        real(name, value, None)
     if not (math.isfinite(step) and step > 0):
         raise SweepError(f"step must be > 0, got {step!r}")
     if not (math.isfinite(start) and math.isfinite(stop)):
@@ -162,8 +165,12 @@ class SweepSpec(ValidatedRecord, _SweepSpec):
         if self.axis not in AXES:
             raise SweepError(f"axis must be one of {AXES}, got {self.axis!r}")
         _point_count(self.start, self.stop, self.step)
-        if self.theta is not None and self.axis != "speed":
-            raise SweepError("theta variant applies to the speed axis only")
+        for name in ("r", "alpha", "tau", "pn0_db", "v_mps"):
+            real(name, getattr(self, name), None)  # the curve evaluator owns their ranges
+        if self.theta is not None:
+            real("theta", self.theta, None)
+            if self.axis != "speed":
+                raise SweepError("theta variant applies to the speed axis only")
 
 
 def _map_columns(each, columns: Sequence[Sequence],
@@ -329,7 +336,9 @@ def axis_points(start: float, stop: float, step: float) -> list[float]:
 
     Raises :class:`SweepError` for a range that ``_point_count`` refuses.
     """
-    return [start + i * step for i in range(_point_count(start, stop, step))]
+    n = _point_count(start, stop, step)
+    start, step = float(start), float(step)  # real numbers, by _point_count's rule
+    return [start + i * step for i in range(n)]
 
 
 def _until_refused(each, values: Iterable) -> tuple[list, ValueError | None]:
@@ -357,8 +366,9 @@ def _vtau_columns(spec: SweepSpec, points: list[float]) -> list[list]:
     error of a point either refuses is reported with the axis point; points
     before it are evaluated first, so the first refused point is named.
     """
-    axis, r, n = spec.axis, spec.r, len(points)
-    inputs = {"speed": spec.v_mps, "tau": spec.tau, "alpha": spec.alpha, "power_db": spec.pn0_db}
+    axis, r, n = spec.axis, float(spec.r), len(points)
+    inputs = {"speed": float(spec.v_mps), "tau": float(spec.tau), "alpha": float(spec.alpha),
+              "power_db": float(spec.pn0_db)}
     inputs[axis] = points  # the swept input takes the points, the rest one value each
     v, tau, alpha, pn0_db = inputs.values()
     if axis == "power_db":
@@ -640,12 +650,20 @@ def run_ergodic_compare(
 
 
 def run_cs_demo(n: int, m: int, k: int, trials: int, seed: int | None = None) -> list[str]:
-    """Correct-key and wrong-key recovery statistics over seeded trials."""
+    """Correct-key and wrong-key recovery statistics over seeded trials.
+
+    Trial t's keys are the seeds seed + 2t and seed + 2t + 1 (modulo 2**64).
+    The signals come from a stream spawned from the seed, as
+    :func:`~v2vsec.ergodic.draw_channel_states` spawns its links' streams,
+    so no signal is drawn from a key's own stream.
+    """
+    integer("trials", trials)
     if trials < 1:
         raise SweepError(f"trials must be >= 1, got {trials!r}")
     if seed is None:
         seed = DEFAULT_SEED
-    rng = np.random.default_rng(seed)
+    integer("seed", seed, "a 64-bit unsigned integer")
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     stats = {"correct_key": [0, 0.0], "wrong_key": [0, 0.0]}
     for t in range(trials):
         key = CsKey(seed=(seed + 2 * t) % 2**64, n=n, m=m)

@@ -40,6 +40,12 @@ class TestPathLoss:
         with pytest.raises(ValueError):
             path_loss_amplitude(d, 2.0)
 
+    def test_gain_beyond_the_float_range_is_value_error(self):
+        with pytest.raises(ValueError) as info:
+            path_loss_amplitude(1e-300, 2.0)
+        assert str(info.value) == ("path-loss amplitude out of float range: "
+                                   "distance=1e-300, alpha=2.0")
+
 
 class TestDecibels:
     def test_zero_db_is_unity(self):

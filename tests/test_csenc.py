@@ -270,8 +270,28 @@ def test_omp_coefficients_are_least_squares_on_their_support(shape, seed):
 def test_readme_cs_demo_counts():
     lines = run_cs_demo(n=256, m=64, k=8, trials=500, seed=12345)
     correct, wrong = (row.split(",") for row in lines[1:])
-    assert correct[5] == "500" and float(correct[7]) < 1e-12
-    assert wrong[5] == "0" and wrong[7] == "1.36162"
+    assert correct[5:] == ["498", "0.996", "0.000134807"]
+    assert wrong[5:] == ["0", "0", "1.35944"]
+
+
+@pytest.mark.parametrize("n, m, k", [(256, 64, 8), (1024, 256, 32)])
+@pytest.mark.parametrize("seed", [1, 12345, 987654321])
+def test_cs_demo_signal_is_not_drawn_from_its_key(monkeypatch, n, m, k, seed):
+    # the signal once came from default_rng(seed), the stream of trial 0's own
+    # key, so its nonzero values were entries of sqrt(m) * Phi
+    signals = []
+
+    def recording(*args):
+        signals.append(random_sparse_signal(*args))
+        return signals[-1]
+
+    monkeypatch.setattr("v2vsec.sweeps.random_sparse_signal", recording)
+    run_cs_demo(n=n, m=m, k=k, trials=1, seed=seed)
+    values = signals[0].values[signals[0].values != 0.0]
+    assert len(values) == k
+    draw = np.random.default_rng(seed).standard_normal((m, n))  # keygen's Phi, times sqrt(m)
+    assert np.array_equal(draw / math.sqrt(m), keygen(CsKey(seed=seed, n=n, m=m)))
+    assert not np.isin(values, draw).any()
 
 
 class TestSparseSignal:

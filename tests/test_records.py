@@ -4,16 +4,22 @@ A record with rules refuses each invalid field with the same ValueError
 text on every construction path: the constructor, ``_make`` and
 ``_replace``. Every record keeps the repr it had as a frozen dataclass,
 survives pickling and refuses field assignment; every record but
-``SparseSignal``, which holds an array, hashes by value.
+``SparseSignal``, which holds an array, hashes by value. A Hypothesis
+contract draws odd values into every field of every record with rules
+and into the arguments of the numeric entry points: each draw gives a
+result or a ValueError that names the field, never a TypeError or an
+AttributeError.
 """
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from v2vsec.channel import FadingModel, PowerBudget
+from v2vsec.channel import FadingModel, PowerBudget, awgn_capacity, db_to_linear, path_loss_amplitude
 from v2vsec.csenc import CsKey, SparseSignal
 from v2vsec.ergodic import ErgodicResult, ErgodicSpec
 from v2vsec.kinematics import VehicleState
@@ -27,9 +33,19 @@ from v2vsec.protocol import (
     RelayCandidate,
     RelaySelection,
     ThresholdSchedule,
+    decide,
 )
 from v2vsec.scenario import Scenario, TraceRecord
-from v2vsec.secrecy import LinkGeometry, RelayConfig, SecrecyResult, WiretapNoise
+from v2vsec.secrecy import (
+    LinkGeometry,
+    RelayConfig,
+    SecrecyResult,
+    WiretapNoise,
+    fading_secrecy,
+    gaussian_wiretap,
+    geometric_secrecy,
+    velocity_secrecy,
+)
 from v2vsec.sweeps import SweepSpec
 
 BUDGET = PowerBudget(p_linear=1000000.0, n0_linear=1.0)
@@ -157,6 +173,9 @@ INVALID = [
     (SIGNAL, {"k": True}, "k must be an integer, got True"),
     (SIGNAL, {"k": 3}, "signal has 2 nonzero entries, declared k=3"),
     (SIGNAL, {"values": [0.0, 0.0, 0.0], "k": 0}, "k must be >= 1, got 0"),
+    (SIGNAL, {"values": "x"}, "values must be a 1-d array of real numbers, got 'x'"),
+    (SIGNAL, {"values": [[1.0, 2.0]]},
+     "values must be a 1-d array of real numbers, got [[1.0, 2.0]]"),
 ]
 
 
@@ -338,3 +357,191 @@ class TestProtocolSession:
         monkeypatch.setattr(ProtocolSession, "process", traced)
         ProtocolSession(LINK, CONFIG).process(MESSAGE)
         assert calls == [1]
+
+
+# The field contract. Each field of every record with rules, and each argument of
+# the numeric entry points, is drawn from values of the wrong type or out of range
+# as well as ordinary ones; every draw must give a result or a ValueError (or a
+# subclass) whose message names the drawn field. A TypeError or an AttributeError
+# fails the test, since it escapes the ValueError a caller reports.
+
+NUMPY_SCALARS = [np.float64(1.5), np.float64(math.nan), np.float64(-math.inf), np.float32(0.25),
+                 np.int64(7), np.int64(-3), np.uint64(2**63), np.int8(0), np.bool_(True)]
+ODD = st.one_of(
+    st.sampled_from(["", "1", "1e6", "inf", "x|y", True, False, None, math.nan, math.inf,
+                     -math.inf, 0, -1, 0.0, -0.0, 2**64, [], [1.0], (), (1.0,),
+                     (0.0, math.inf, 1.0)]),
+    st.sampled_from(NUMPY_SCALARS),
+    st.text(max_size=3),
+    st.floats(),
+    st.integers(min_value=-10, max_value=10**6),
+    st.lists(st.floats(allow_nan=False), max_size=3),
+    st.tuples(st.sampled_from([0.0, 1.0, "0", None, math.inf]), st.floats()),
+)
+BANDS_ODD = st.one_of(ODD, st.tuples(st.tuples(ODD, ODD, ODD)),
+                      st.tuples(st.tuples(st.just(0.0), ODD, ODD)),
+                      st.tuples(st.just((0.0, 25.0, 1.0)), st.tuples(st.just(25.0), ODD, ODD)))
+
+
+def _sweep_table(**fixed):
+    """run_sweep over a short speed axis; the fixed parameters are the drawn fields."""
+    from v2vsec.sweeps import run_sweep
+
+    return run_sweep(SweepSpec(axis="speed", start=5.0, stop=6.0, step=0.5, **fixed))
+
+
+# (target, valid keyword arguments, the fields drawn from ODD)
+CONTRACT = [
+    (PowerBudget, BUDGET._asdict(), None),
+    (FadingModel, FadingModel.rician(3.0)._asdict(), None),
+    (FadingModel, FadingModel.nakagami(2.0)._asdict(), None),
+    (VehicleState, {"speed": 20.0, "accel": 5.0}, None),
+    (WiretapNoise, {"n_m": 1.0, "n_w": 2.0}, None),
+    (LinkGeometry, {"r": 100.0, "theta": 0.5}, ["r", "theta", "d"]),
+    (LinkGeometry, {"r": 100.0, "d": 50.0}, ["r", "theta", "d"]),
+    (RelayConfig, RELAY._asdict(), None),
+    (ThresholdSchedule, SCHEDULE._asdict(), None),
+    (RelayCandidate, CANDIDATE._asdict(), None),
+    (LinkScenario, LINK._asdict(), None),
+    (ProtocolConfig, CONFIG._asdict(), None),
+    (CsiMessage, MESSAGE._asdict(), None),
+    (SweepSpec, SWEEP._asdict(), None),
+    (ErgodicSpec, ERGODIC._asdict(), None),
+    (CsKey, KEY._asdict(), None),
+    (SparseSignal, {"values": [1.0, 0.0, 2.0], "k": 2}, None),
+    (_sweep_table, {"r": 1000.0, "alpha": 1.4, "tau": 0.2, "pn0_db": 70.0, "v_mps": 5.0,
+                    "theta": 0.01}, None),
+    (decide, {"csi": MESSAGE, "scenario": LINK, "config": CONFIG}, None),
+    (velocity_secrecy, {"p": 1e6, "n0": 1.0, "v": 20.0, "tau": 0.2, "r": 150.0, "alpha": 1.4},
+     None),
+    (geometric_secrecy, {"p": 1e6, "n0": 1.0, "geom": LinkGeometry(r=100.0, theta=0.5),
+                         "alpha": 1.4}, None),
+    (fading_secrecy, {"p": 10.0, "n0": 1.0, "h_ab": 1.0, "h_ae": 0.5}, None),
+    (gaussian_wiretap, {"p": 10.0, "noise": WiretapNoise(n_m=1.0, n_w=2.0)}, None),
+    (db_to_linear, {"x": 3.0}, None),
+    (path_loss_amplitude, {"distance": 10.0, "alpha": 2.0}, None),
+    (awgn_capacity, {"budget": BUDGET, "gain_power": 0.5}, None),
+]
+CONTRACT_IDS = [f"{getattr(t, '__name__', t)}-{i}" for i, (t, _, _) in enumerate(CONTRACT)]
+
+# Words a message may name a field by, where it does not spell the field's name.
+ALIASES = {
+    "k_factor": ["K-factor"],
+    "bands": ["band"],
+    "strategy_order": ["strategy"],
+    "tx_power_dbm": ["tx"],
+    "rx_power_dbm": ["rx"],
+    "noise_floor_dbm": ["noise"],
+    "snr_db": ["snr"],
+    "start": ["range"],
+    "stop": ["range"],
+    "x": ["dB"],
+    # a sweep's power p = db_to_linear(pn0_db): refused as x, as a dB overflow, or as p
+    "pn0_db": ["x", "dB", "p"],
+    "values": ["entries"],
+    "v": ["d"],  # d = v*tau, or d = r*theta, refused as itself
+    "tau": ["d"],
+    "theta": ["d"],
+}
+
+
+def _names(message: str, field: str) -> bool:
+    return any(re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", message)
+               for word in [field, *ALIASES.get(field, [])])
+
+
+def _outcome(target, **kwargs):
+    """What the call gives: its result, or the exception it raises."""
+    try:
+        return target(**kwargs)
+    except Exception as exc:  # noqa: BLE001  every exception is judged by the test
+        return exc
+
+
+def _odd_call(target, valid, drawn, every=False):
+    """A strategy for (target, keyword arguments, drawn fields): one field odd, or every one."""
+    fields = drawn or list(valid)
+
+    def odd(name):
+        return BANDS_ODD if name == "bands" else ODD
+
+    if every:
+        return st.builds(lambda **kw: (target, kw, fields), **{name: odd(name) for name in fields})
+    return st.sampled_from(fields).flatmap(lambda field: st.builds(
+        lambda **kw: (target, kw, [field]),
+        **{**{name: st.just(value) for name, value in valid.items()}, field: odd(field)}))
+
+
+def _assert_contract(case) -> None:
+    target, kwargs, fields = case
+    outcome = _outcome(target, **kwargs)
+    if isinstance(outcome, Exception):
+        assert isinstance(outcome, ValueError), repr(outcome)
+        assert any(_names(str(outcome), field) for field in fields), (str(outcome), fields)
+
+
+# Each a wrong-typed value that used to be accepted or to raise a TypeError:
+# (target, keyword arguments, the field, the message it gives now)
+REPRODUCTIONS = [
+    (WiretapNoise, {"n_m": "1", "n_w": 1.0}, "n_m", "n_m must be a real number, got '1'"),
+    (RelayConfig, {**RELAY._asdict(), "p_a": "1"}, "p_a", "p_a must be a real number, got '1'"),
+    (SweepSpec, {**SWEEP._asdict(), "r": "1"}, "r", "r must be a real number, got '1'"),
+    (db_to_linear, {"x": "3"}, "x", "x must be a real number, got '3'"),
+    (path_loss_amplitude, {"distance": "10", "alpha": 2}, "distance",
+     "distance must be a real number, got '10'"),
+    (PowerBudget, {"p_linear": True, "n0_linear": 1.0}, "p_linear",
+     "p_linear must be a real number, got True"),
+    (RelayCandidate, {**CANDIDATE._asdict(), "h_rb": True}, "h_rb",
+     "h_rb must be a real number, got True"),
+    (CsiMessage, {**MESSAGE._asdict(), "tx_power_dbm": True}, "tx_power_dbm",
+     "tx_power_dbm must be a real number, got True"),
+    (ErgodicSpec, {"legit_fading": FadingModel.rayleigh(), "p_budget": True}, "p_budget",
+     "p_budget must be a real number, got True"),
+    (velocity_secrecy, {"p": True, "n0": 1.0, "v": 20.0, "tau": 0.2, "r": 150.0, "alpha": 1.4},
+     "p", "p must be a real number, got True"),
+    (ThresholdSchedule, {"bands": ((0.0, "inf", 1.0),)}, "bands",
+     "band 0 high must be a real number, got 'inf'"),
+    (LinkScenario, {**LINK._asdict(), "r": "1"}, "r", "r must be a real number, got '1'"),
+    (ProtocolConfig, {"boost_step_db": "2"}, "boost_step_db",
+     "boost_step_db must be a real number, got '2'"),
+    (LinkGeometry, {"r": "1", "theta": 0.1}, "r", "r must be a real number, got '1'"),
+    (CsiMessage, {**MESSAGE._asdict(), "sender_id": 5}, "sender_id",
+     "sender_id must be a str, got 5"),
+    (velocity_secrecy, {"p": "1e6", "n0": 1.0, "v": 20.0, "tau": 0.2, "r": 150.0, "alpha": 1.4},
+     "p", "p must be a real number, got '1e6'"),
+]
+
+
+@pytest.mark.parametrize("target, kwargs, field, message", REPRODUCTIONS,
+                         ids=[f"{t.__name__}-{f}" for t, _, f, _ in REPRODUCTIONS])
+def test_reproduction_gives_its_field_named_error(target, kwargs, field, message):
+    with pytest.raises(ValueError) as info:
+        target(**kwargs)
+    assert str(info.value) == message
+
+
+def _with_reproductions(test):
+    for target, kwargs, field, _ in REPRODUCTIONS:
+        test = example(case=(target, kwargs, [field]))(test)
+    return test
+
+
+@_with_reproductions
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of([_odd_call(*contract) for contract in CONTRACT]))
+def test_any_entry_point_gives_a_result_or_a_field_named_error(case):
+    _assert_contract(case)
+
+
+@pytest.mark.parametrize("target, valid, drawn", CONTRACT, ids=CONTRACT_IDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_odd_field_gives_a_result_or_a_field_named_error(target, valid, drawn, data):
+    _assert_contract(data.draw(_odd_call(target, valid, drawn)))
+
+
+@pytest.mark.parametrize("target, valid, drawn", CONTRACT, ids=CONTRACT_IDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_odd_field_gives_a_result_or_a_field_named_error(target, valid, drawn, data):
+    _assert_contract(data.draw(_odd_call(target, valid, drawn, every=True)))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from v2vsec import secrecy
+from v2vsec._common import real
 from v2vsec.channel import db_to_linear, path_loss_amplitude
 from v2vsec.kinematics import kmh_to_ms
 from v2vsec.secrecy import (
@@ -13,7 +14,6 @@ from v2vsec.secrecy import (
     RelayConfig,
     SecrecyResult,
     WiretapNoise,
-    _check_positive,
     _fading_raw,
     _fading_rows,
     _relay_raw,
@@ -199,8 +199,8 @@ def _raw_or_error(fn, *args):
 def _velocity_chain_raw(p, n0, v, tau, r, alpha):
     """The velocity rule as the public functions compose it: v and tau checked,
     then the geometric formula at d = v*tau."""
-    _check_positive("v", v)
-    _check_positive("tau", tau)
+    real("v", v, "positive and finite")
+    real("tau", tau, "positive and finite")
     return geometric_secrecy(p, n0, LinkGeometry(r=r, d=v * tau), alpha).raw
 
 
