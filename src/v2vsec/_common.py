@@ -2,17 +2,20 @@
 
 ``fmt_num`` is the numeric CSV cell of the sweep tables and the protocol
 trace; ``ComputationError`` is the base of every failure the CLI reports
-with exit code 2; ``ValidatedRecord`` makes a named tuple check its fields
-on every construction path.
+with exit code 2; ``ValidatedRecord`` makes a named tuple check its fields,
+and store them as its rules return them, on every construction path.
 
 ``real``, ``integer``, ``text`` and ``instance`` are the one rule per kind
 of field: every record's ``_check`` and the numeric entry points (the
 secrecy formulas, the dB, path-loss and speed conversions, ``decide``)
-refuse a field through them, with a ``ValueError`` that names the field.
-A real number is a ``numbers.Real`` and an integer a ``numbers.Integral``,
-neither of them a ``bool``; numpy registers its scalars with
-:mod:`numbers`, so ``np.float64(1.0)`` and ``np.int64(5)`` count and this
-module needs no numpy.
+refuse a field through them, with a ``ValueError`` that names the field,
+and take what the rule returns: a float (+-inf beyond the float range), an
+``int``, the str or the object. So a record stores a field as its rule
+returns it, and no consumer converts a field itself. A real number is a
+``numbers.Real`` and an integer a ``numbers.Integral``, neither of them a
+``bool``; numpy registers its scalars with :mod:`numbers`, so
+``np.float64(1.0)`` and ``np.int64(5)`` count and this module needs no
+numpy.
 """
 
 from numbers import Integral, Real
@@ -48,11 +51,13 @@ def fmt_num(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _within(name: str, value, must: str | None) -> None:
+def _within(name: str, value, must: str | None):
+    """``value``, if it lies in the range ``must`` names (None: any)."""
     if must is not None:
         low, closed, high = _RANGES[must]
         if not (low < value < high or closed and value == low):
             raise ValueError(f"{name} must be {must}, got {value!r}")
+    return value
 
 
 def real(name: str, value, must: str | None = "finite") -> float:
@@ -68,47 +73,51 @@ def real(name: str, value, must: str | None = "finite") -> float:
         try:
             value = float(value)
         except OverflowError:
-            value = _INF
-    _within(name, value, must)
-    return value
+            value = _INF if value > 0 else -_INF
+    return _within(name, value, must)
 
 
-def integer(name: str, value, must: str | None = None) -> None:
-    """Refuse ``value`` unless it is an integer in the range ``must`` names (None: any)."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    _within(name, value, must)
+def integer(name: str, value, must: str | None = None) -> int:
+    """``value`` as an int, if it is an integer in the range ``must`` names (None: any)."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    return _within(name, value, must)
 
 
-def text(name: str, value) -> None:
-    """Refuse ``value`` unless it is a non-empty str."""
+def text(name: str, value) -> str:
+    """``value``, if it is a non-empty str."""
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a str, got {value!r}")
     if not value:
         raise ValueError(f"{name} must be nonempty")
+    return value
 
 
-def instance(name: str, value, kind: type) -> None:
-    """Refuse ``value`` unless it is an instance of ``kind``, a record type or ``tuple``."""
+def instance(name: str, value, kind: type):
+    """``value``, if it is an instance of ``kind``, a record type or ``tuple``."""
     if not isinstance(value, kind):
         raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 class ValidatedRecord:
-    """Mixin for an immutable named tuple that validates in ``__new__``.
+    """Mixin for an immutable named tuple that stores its fields as its rules return them.
 
     List it before the ``NamedTuple`` base and give the record a ``_check``
-    method that raises ``ValueError`` for the first invalid field. ``_make``
-    and ``_replace``, which calls ``_make``, go through ``__new__``, so no
-    construction path yields an unchecked record.
+    method that raises ``ValueError`` for the first invalid field and
+    otherwise returns the record's fields as its rules return them, in
+    field order. The constructor stores that tuple, and ``_make`` and
+    ``_replace``, which calls ``_make``, go through the constructor, so no
+    construction path yields an unchecked or unconverted record. The
+    record types define neither ``__new__`` nor ``_make`` of their own.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        record = super().__new__(cls, *args, **kwargs)
-        record._check()
-        return record
+        return tuple.__new__(cls, super().__new__(cls, *args, **kwargs)._check())
 
     @classmethod
     def _make(cls, iterable):

@@ -35,9 +35,9 @@ class PowerBudget(ValidatedRecord, _PowerBudget):
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        real("p_linear", self.p_linear, "positive and finite")
-        real("n0_linear", self.n0_linear, "positive and finite")
+    def _check(self) -> tuple:
+        return (real("p_linear", self.p_linear, "positive and finite"),
+                real("n0_linear", self.n0_linear, "positive and finite"))
 
     @property
     def snr(self) -> float:
@@ -46,7 +46,8 @@ class PowerBudget(ValidatedRecord, _PowerBudget):
     @classmethod
     def from_db(cls, pn0_db: float, n0_linear: float = 1.0) -> "PowerBudget":
         """Budget with the given power-to-noise ratio in dB at the given noise floor."""
-        return cls(p_linear=n0_linear * db_to_linear(pn0_db), n0_linear=n0_linear)
+        return cls(p_linear=n0_linear * db_to_linear(real("pn0_db", pn0_db)),
+                   n0_linear=n0_linear)
 
 
 class _FadingModel(NamedTuple):
@@ -64,11 +65,12 @@ class FadingModel(ValidatedRecord, _FadingModel):
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        if self.kind not in ("rayleigh", "rician", "nakagami"):
-            raise ValueError(f"unknown fading kind {self.kind!r}")
-        real("Rician K-factor", self.k_factor, ">= 0" if self.kind == "rician" else None)
-        real("Nakagami shape m", self.m, ">= 0.5" if self.kind == "nakagami" else None)
+    def _check(self) -> tuple:
+        kind = self.kind
+        if kind not in ("rayleigh", "rician", "nakagami"):
+            raise ValueError(f"unknown fading kind {kind!r}")
+        return (kind, real("Rician K-factor", self.k_factor, ">= 0" if kind == "rician" else None),
+                real("Nakagami shape m", self.m, ">= 0.5" if kind == "nakagami" else None))
 
     @classmethod
     def rayleigh(cls) -> "FadingModel":

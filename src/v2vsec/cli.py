@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ._common import ComputationError
+from ._common import ComputationError, real
 from .channel import FadingModel, db_to_linear
 from .secrecy import RelayConfig
 
@@ -146,7 +146,7 @@ def _cmd_relay_compare(args) -> str:
     from .sweeps import run_relay_compare
 
     base = RelayConfig(
-        p_a=args.sigma_b2 * db_to_linear(args.pa_db),
+        p_a=args.sigma_b2 * db_to_linear(real("pa_db", args.pa_db)),
         p_r=args.pr,
         h_ab=args.h_ab,
         h_rb=args.h_rb,

@@ -45,12 +45,12 @@ class CsKey(ValidatedRecord, _CsKey):
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        for name, value in zip(self._fields, self):
-            integer(name, value)
-        integer("seed", self.seed, "a 64-bit unsigned integer")
-        if not 0 < self.m < self.n:
-            raise ValueError(f"need 0 < m < n, got m={self.m!r}, n={self.n!r}")
+    def _check(self) -> tuple:
+        seed, n, m = (integer(name, value) for name, value in zip(self._fields, self))
+        integer("seed", seed, "a 64-bit unsigned integer")
+        if not 0 < m < n:
+            raise ValueError(f"need 0 < m < n, got m={m!r}, n={n!r}")
+        return seed, n, m
 
 
 class _SparseSignal(NamedTuple):
@@ -61,27 +61,26 @@ class _SparseSignal(NamedTuple):
 class SparseSignal(ValidatedRecord, _SparseSignal):
     """Length-n vector with exactly k nonzero entries, its ``values`` stored as float64.
 
-    It holds an array, so it is not hashable, and ``==`` on two signals
-    raises numpy's ambiguous-truth ``ValueError``.
+    ``_check`` converts ``values`` with ``np.asarray``, so a float64 array
+    is stored as it is, not copied. It holds an array, so it is not
+    hashable, and ``==`` on two signals raises numpy's ambiguous-truth
+    ``ValueError``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, values: np.ndarray, k: int) -> "SparseSignal":
+    def _check(self) -> tuple:
         try:
-            array = np.asarray(values, dtype=np.float64)
+            values = np.asarray(self.values, dtype=np.float64)
         except (TypeError, ValueError):  # not numbers, or ragged
-            array = None
-        if array is None or array.ndim != 1:
-            raise ValueError(f"values must be a 1-d array of real numbers, got {values!r}")
-        return super().__new__(cls, array, k)
-
-    def _check(self) -> None:
-        integer("k", self.k)
-        nnz = int(np.count_nonzero(self.values))
-        if nnz != self.k:
-            raise ValueError(f"signal has {nnz} nonzero entries, declared k={self.k!r}")
-        integer("k", self.k, ">= 1")
+            values = None
+        if values is None or values.ndim != 1:
+            raise ValueError(f"values must be a 1-d array of real numbers, got {self.values!r}")
+        k = integer("k", self.k)
+        nnz = int(np.count_nonzero(values))
+        if nnz != k:
+            raise ValueError(f"signal has {nnz} nonzero entries, declared k={k!r}")
+        return values, integer("k", k, ">= 1")
 
     @classmethod
     def from_dense(cls, values: np.ndarray) -> "SparseSignal":

@@ -91,16 +91,16 @@ class ErgodicSpec(ValidatedRecord, _ErgodicSpec):
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        real("p_budget", self.p_budget, "> 0")
-        integer("n_samples", self.n_samples, ">= 1000")
-        real("sigma_b2", self.sigma_b2, "> 0")
-        real("sigma_e2", self.sigma_e2, "> 0")
-        integer("seed", self.seed, ">= 0")
-        instance("legit_fading", self.legit_fading, FadingModel)
-        if not (self.eaves_fading is None or isinstance(self.eaves_fading, FadingModel)):
-            raise ValueError(
-                f"eaves_fading must be None or a FadingModel, got {self.eaves_fading!r}")
+    def _check(self) -> tuple:
+        p_budget = real("p_budget", self.p_budget, "> 0")
+        n_samples = integer("n_samples", self.n_samples, ">= 1000")
+        sigma_b2 = real("sigma_b2", self.sigma_b2, "> 0")
+        sigma_e2 = real("sigma_e2", self.sigma_e2, "> 0")
+        seed = integer("seed", self.seed, ">= 0")
+        legit, eaves = instance("legit_fading", self.legit_fading, FadingModel), self.eaves_fading
+        if not (eaves is None or isinstance(eaves, FadingModel)):
+            raise ValueError(f"eaves_fading must be None or a FadingModel, got {eaves!r}")
+        return legit, p_budget, eaves, sigma_b2, sigma_e2, n_samples, seed
 
 
 class ErgodicResult(NamedTuple):

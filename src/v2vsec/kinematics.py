@@ -28,9 +28,8 @@ class VehicleState(ValidatedRecord, _VehicleState):
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        real("speed", self.speed, ">= 0")
-        real("accel", self.accel, "> 0")
+    def _check(self) -> tuple:
+        return real("speed", self.speed, ">= 0"), real("accel", self.accel, "> 0")
 
 
 def safety_distance_full(host: VehicleState, target: VehicleState, tau: float) -> float:

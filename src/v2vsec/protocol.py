@@ -20,17 +20,18 @@ exponent, sign '+', digit separator, surrounding whitespace, or nan/inf.
 Every record here (messages, decisions, schedules, relay candidates and
 selections, link and protocol configuration) is an immutable named
 tuple: besides field access it unpacks, indexes, orders and compares
-equal to tuples of equal values. A record with rules validates in
-``__new__``, which its ``_make`` and ``_replace`` go through:
-``CsiMessage``, inline, and the configuration records through
-``ValidatedRecord``. The one other path to a ``CsiMessage`` is
-``parse_csi``, which builds one per report. It skips ``__new__`` only
-when the wire grammar has settled every rule but three and it has
-checked those three itself: a nonempty sender; finite tx, rx, noise,
-rx - noise and speed; speed >= 0. Otherwise it goes through ``__new__``.
-A Hypothesis test holds ``parse_csi`` to a reference parser that always
-calls ``__new__``. ``decide`` builds a direct ``LinkDecision``, which has no
-rules, the same way. Named tuples are the package's one record idiom, the
+equal to tuples of equal values. A record with rules is a
+``ValidatedRecord``: its constructor, ``_make`` and ``_replace`` store
+the fields as its ``_check`` returns them. The one other path to a
+``CsiMessage`` is ``parse_csi``, which builds one per report. It skips
+the constructor only when the wire grammar has settled every rule but
+three and it has checked those three itself: a nonempty sender; finite
+tx, rx, noise, rx - noise and speed; speed >= 0. Its fields are then
+already what the rules return: a str, two ints and five floats.
+Otherwise it goes through the constructor. A Hypothesis test holds
+``parse_csi`` to a reference parser that always calls the constructor.
+``decide`` builds a direct ``LinkDecision``, which has no rules, the same
+way. Named tuples are the package's one record idiom, the
 array layers' records included: a named tuple is cheap to create, class
 and instance alike, and needs nothing imported beyond ``typing``.
 :class:`ProtocolSession`, which changes as messages arrive, is a plain
@@ -157,57 +158,35 @@ class _CsiFields(NamedTuple):
     speed_mps: float
 
 
-class CsiMessage(_CsiFields):
+class CsiMessage(ValidatedRecord, _CsiFields):
     """One channel-state report; snr_db is always exactly rx - noise.
 
-    An immutable named tuple whose ``__new__`` validates; ``_make`` and
-    ``_replace`` go through it. ``parse_csi`` alone builds one without it,
-    and only after the wire grammar and its own checks of the three rules
-    the grammar leaves open (nonempty sender, finite fields, speed >= 0);
-    a parity test against a parser that always calls ``__new__`` pins
-    that. So every construction path is checked.
+    A :class:`ValidatedRecord`. ``parse_csi`` alone builds one without
+    ``_check``, and only after the wire grammar and its own checks of the
+    three rules the grammar leaves open (nonempty sender, finite fields,
+    speed >= 0); a parity test against a parser that always calls the
+    constructor pins that. So every construction path is checked.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        sender_id: str,
-        seq: int,
-        timestamp_ms: int,
-        tx_power_dbm: float,
-        rx_power_dbm: float,
-        noise_floor_dbm: float,
-        snr_db: float,
-        speed_mps: float,
-    ) -> "CsiMessage":
-        text("sender_id", sender_id)
+    def _check(self) -> tuple:
+        sender_id = text("sender_id", self.sender_id)
         if "|" in sender_id:
             raise ValueError(f"sender_id must not contain '|', got {sender_id!r}")
         if not LINE_BREAKS.isdisjoint(sender_id):
             raise ValueError(f"sender_id must not contain a line break, got {sender_id!r}")
-        integer("seq", seq, ">= 0")
-        integer("timestamp_ms", timestamp_ms, ">= 0")
-        powers = (tx_power_dbm, rx_power_dbm, noise_floor_dbm, snr_db)
-        for name, value in zip(cls._fields[3:7], powers):
-            real(name, value, None)
-        if not all(-_INF < value < _INF for value in powers):
-            raise ValueError(
-                f"power fields must be finite, got tx={tx_power_dbm!r} "
-                f"rx={rx_power_dbm!r} noise={noise_floor_dbm!r} snr={snr_db!r}"
-            )
-        if snr_db != rx_power_dbm - noise_floor_dbm:
-            raise ValueError(
-                f"snr_db={snr_db!r} must equal rx - noise = "
-                f"{rx_power_dbm - noise_floor_dbm!r}"
-            )
-        real("speed_mps", speed_mps, ">= 0")
-        return tuple.__new__(cls, (sender_id, seq, timestamp_ms, tx_power_dbm, rx_power_dbm,
-                                   noise_floor_dbm, snr_db, speed_mps))
-
-    @classmethod
-    def _make(cls, iterable) -> "CsiMessage":
-        return cls(*iterable)
+        seq, timestamp_ms = (integer(name, value, ">= 0")
+                             for name, value in zip(self._fields[1:3], self[1:3]))
+        tx, rx, noise, snr = (real(name, value, None)
+                              for name, value in zip(self._fields[3:7], self[3:7]))
+        if not all(-_INF < value < _INF for value in (tx, rx, noise, snr)):
+            raise ValueError(f"power fields must be finite, got tx={tx!r} rx={rx!r} "
+                             f"noise={noise!r} snr={snr!r}")
+        if snr != rx - noise:
+            raise ValueError(f"snr_db={snr!r} must equal rx - noise = {rx - noise!r}")
+        return (sender_id, seq, timestamp_ms, tx, rx, noise, snr,
+                real("speed_mps", self.speed_mps, ">= 0"))
 
     @classmethod
     def build(
@@ -311,27 +290,26 @@ class ThresholdSchedule(ValidatedRecord, _ThresholdSchedule):
 
     __slots__ = ()
 
-    def _check(self) -> None:
+    def _check(self) -> tuple:
         if not isinstance(self.bands, tuple):
             raise ValueError(f"bands must be a tuple of (low, high, threshold) tuples, "
                              f"got {self.bands!r}")
         if not self.bands:
             raise ValueError("schedule needs at least one band")
-        expected_low = 0.0
+        bands, high = [], 0.0
         for i, band in enumerate(self.bands):
             if not (isinstance(band, tuple) and len(band) == 3):
                 raise ValueError(f"band {i} must be a (low, high, threshold) tuple, got {band!r}")
-            low, high, threshold = band
-            real(f"band {i} low", low, None)
-            if low != expected_low:
-                raise ValueError(f"band {i} starts at {low!r}, expected {expected_low!r}")
-            real(f"band {i} high", high, None)
+            low = real(f"band {i} low", band[0], None)
+            if low != high:  # the previous band's high, or 0.0
+                raise ValueError(f"band {i} starts at {low!r}, expected {high!r}")
+            high = real(f"band {i} high", band[1], None)
             if not high > low:
                 raise ValueError(f"band {i} is empty: [{low!r}, {high!r})")
-            real(f"band {i} threshold", threshold, ">= 0")
-            expected_low = high
-        if self.bands[-1][1] != math.inf:
+            bands.append((low, high, real(f"band {i} threshold", band[2], ">= 0")))
+        if high != math.inf:
             raise ValueError("last band must extend to infinity")
+        return (tuple(bands),)
 
 
 DEFAULT_THRESHOLDS = ThresholdSchedule(bands=((0.0, 25.0, 2.0), (25.0, math.inf, 1.0)))
@@ -363,10 +341,9 @@ class RelayCandidate(ValidatedRecord, _RelayCandidate):
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        text("relay_id", self.relay_id)
-        for name, value in zip(("h_rb", "h_re", "p_max"), self[1:]):
-            real(name, value, ">= 0")
+    def _check(self) -> tuple:
+        return (text("relay_id", self.relay_id),
+                *(real(name, value, ">= 0") for name, value in zip(self._fields[1:], self[1:])))
 
 
 class _LinkScenario(NamedTuple):
@@ -381,10 +358,9 @@ class LinkScenario(ValidatedRecord, _LinkScenario):
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        for name, value in zip(("r", "alpha", "tau"), self):
-            real(name, value, "> 0")
-        instance("budget", self.budget, PowerBudget)
+    def _check(self) -> tuple:
+        return (*(real(name, value, "> 0") for name, value in zip(self._fields[:3], self)),
+                instance("budget", self.budget, PowerBudget))
 
 
 class _ProtocolConfig(NamedTuple):
@@ -402,27 +378,28 @@ class ProtocolConfig(ValidatedRecord, _ProtocolConfig):
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        instance("thresholds", self.thresholds, ThresholdSchedule)
-        real("boost_step_db", self.boost_step_db, "> 0")
-        real("boost_cap_db", self.boost_cap_db, ">= 0")
-        integer("max_boost_iterations", self.max_boost_iterations, ">= 1")
-        instance("relay_candidates", self.relay_candidates, tuple)
+    def _check(self) -> tuple:
+        thresholds = instance("thresholds", self.thresholds, ThresholdSchedule)
+        boost_step_db = real("boost_step_db", self.boost_step_db, "> 0")
+        boost_cap_db = real("boost_cap_db", self.boost_cap_db, ">= 0")
+        max_boost_iterations = integer("max_boost_iterations", self.max_boost_iterations, ">= 1")
+        relay_candidates = instance("relay_candidates", self.relay_candidates, tuple)
         relay_ids = set()
-        for i, candidate in enumerate(self.relay_candidates):
+        for i, candidate in enumerate(relay_candidates):
             instance(f"relay_candidates[{i}]", candidate, RelayCandidate)
             if candidate.relay_id in relay_ids:
                 raise ValueError(f"relay_candidates repeat relay_id {candidate.relay_id!r}")
             relay_ids.add(candidate.relay_id)
-        instance("strategy_order", self.strategy_order, tuple)
-        if not self.strategy_order:
+        strategy_order = instance("strategy_order", self.strategy_order, tuple)
+        if not strategy_order:
             raise ValueError("strategy_order must be nonempty")
-        for s in self.strategy_order:  # compared, not hashed: a list entry is unknown too
+        for s in strategy_order:  # compared, not hashed: a list entry is unknown too
             if s not in ("relay", "power_boost", "v2i_fallback"):
                 raise ValueError(f"unknown strategy {s!r}")
-        if len(set(self.strategy_order)) != len(self.strategy_order):
+        if len(set(strategy_order)) != len(strategy_order):
             raise ValueError("strategy_order must not repeat strategies")
-        real("freshness_ms", self.freshness_ms, "> 0")
+        return (thresholds, boost_step_db, boost_cap_db, max_boost_iterations, relay_candidates,
+                strategy_order, real("freshness_ms", self.freshness_ms, "> 0"))
 
 
 class LinkDecision(NamedTuple):
@@ -609,9 +586,9 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
     ``ValueError``: a standstill report, whose d is 0, a path-loss power
     or an SNR p/(n0*d^(2*alpha)) beyond the float range. Each power-boost
     step is evaluated as ``max(0.0, _velocity_raw(...))`` at the boosted
-    power; a step it refuses (the boosted power or its SNR left the float
-    range) ends the power-boost strategy, and the ladder goes on to the
-    next one.
+    power; a step it cannot evaluate (the step's power ratio, the boosted
+    power or its SNR left the float range) ends the power-boost strategy,
+    and the ladder goes on to the next one.
     """
     global _last_plan
     plan = _last_plan
@@ -657,10 +634,10 @@ def decide(csi: CsiMessage, scenario: LinkScenario, config: ProtocolConfig) -> L
                 total_db = k * config.boost_step_db
                 if total_db > config.boost_cap_db + 1e-12:
                     break
-                boosted = p * db_to_linear(total_db)
                 try:
+                    boosted = p * db_to_linear(total_db)
                     cs = max(0.0, _velocity_raw(boosted, n0, v, tau, r, alpha))
-                except ValueError:  # boosted or its SNR left the float range; so would later steps
+                except ValueError:  # the step's ratio, boosted or its SNR left the float range
                     break
                 if cs >= threshold:
                     return LinkDecision(

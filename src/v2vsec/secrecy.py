@@ -234,9 +234,9 @@ class WiretapNoise(ValidatedRecord, _WiretapNoise):
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        real("n_m", self.n_m, "positive and finite")
-        real("n_w", self.n_w, "positive and finite")
+    def _check(self) -> tuple:
+        return (real("n_m", self.n_m, "positive and finite"),
+                real("n_w", self.n_w, "positive and finite"))
 
 
 class _LinkGeometry(NamedTuple):
@@ -245,40 +245,33 @@ class _LinkGeometry(NamedTuple):
     d: float | None = None
 
 
-class LinkGeometry(_LinkGeometry):
+class LinkGeometry(ValidatedRecord, _LinkGeometry):
     """Host/target/eavesdropper placement: r to the eavesdropper, d = r*theta
     between the legitimate pair.
 
-    Exactly one of ``theta`` and ``d`` may be omitted; ``__new__`` derives
-    the other, and ``_make`` and ``_replace`` go through it. When both are
-    given they must satisfy d = r*theta. All three are stored as floats.
+    Exactly one of ``theta`` and ``d`` may be omitted; ``_check`` derives
+    the other. When both are given they must satisfy d = r*theta. All
+    three are stored as floats.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, r: float, theta: float | None = None, d: float | None = None
-    ) -> "LinkGeometry":
+    def _check(self) -> tuple:
+        r, theta, d = self
         r = real("r", r, "positive and finite")
         if theta is None and d is None:
             raise ValueError("one of theta or d is required")
         if theta is not None:
             theta = real("theta", theta, "positive and finite")
-        if d is not None:
-            d = real("d", d, "positive and finite")
         if d is None:
-            d = r * theta
-        elif theta is None:
-            theta = d / r
-        else:
-            expect = r * theta
-            if abs(d - expect) > 1e-9 * max(abs(d), abs(expect)):
-                raise ValueError(f"inconsistent geometry: d={d!r} but r*theta={expect!r}")
-        return tuple.__new__(cls, (r, theta, d))
-
-    @classmethod
-    def _make(cls, iterable) -> "LinkGeometry":
-        return cls(*iterable)
+            return r, theta, r * theta
+        d = real("d", d, "positive and finite")
+        if theta is None:
+            return r, d / r, d
+        expect = r * theta
+        if abs(d - expect) > 1e-9 * max(abs(d), abs(expect)):
+            raise ValueError(f"inconsistent geometry: d={d!r} but r*theta={expect!r}")
+        return r, theta, d
 
 
 class _RelayConfig(NamedTuple):
@@ -298,10 +291,10 @@ class RelayConfig(ValidatedRecord, _RelayConfig):
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        for name, value in zip(self._fields, self):
-            positive = name in ("p_a", "sigma_b2", "sigma_e2", "w")
-            real(name, value, "positive and finite" if positive else ">= 0")
+    def _check(self) -> tuple:
+        return tuple(real(name, value, "positive and finite"
+                          if name in ("p_a", "sigma_b2", "sigma_e2", "w") else ">= 0")
+                     for name, value in zip(self._fields, self))
 
 
 def gaussian_wiretap(p: float, noise: WiretapNoise) -> SecrecyResult:

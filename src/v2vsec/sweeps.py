@@ -120,15 +120,16 @@ class SweepFormatError(ValueError):
     """CSV text does not conform to the sweep table contract."""
 
 
-def _point_count(start: float, stop: float, step: float) -> int:
-    """Number of points of the inclusive grid over [start, stop] in steps of step.
+def _grid(start: float, stop: float, step: float) -> tuple[float, float, float, int]:
+    """start, stop and step as floats, and the number of points of the
+    inclusive grid over [start, stop] in steps of step.
 
     The one range rule for every axis: real numbers (else ``ValueError``),
     a positive finite step, a finite non-empty range and a finite point
     count, else :class:`SweepError`.
     """
-    for name, value in (("start", start), ("stop", stop), ("step", step)):
-        real(name, value, None)
+    start, stop, step = (real(name, value, None)
+                         for name, value in (("start", start), ("stop", stop), ("step", step)))
     if not (math.isfinite(step) and step > 0):
         raise SweepError(f"step must be > 0, got {step!r}")
     if not (math.isfinite(start) and math.isfinite(stop)):
@@ -140,7 +141,7 @@ def _point_count(start: float, stop: float, step: float) -> int:
         raise SweepError(
             f"range [{start!r}, {stop!r}] with step {step!r} has no finite point count"
         )
-    return int(math.floor(spans + 1e-9)) + 1
+    return start, stop, step, int(math.floor(spans + 1e-9)) + 1
 
 
 class _SweepSpec(NamedTuple):
@@ -161,16 +162,18 @@ class SweepSpec(ValidatedRecord, _SweepSpec):
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        if self.axis not in AXES:
-            raise SweepError(f"axis must be one of {AXES}, got {self.axis!r}")
-        _point_count(self.start, self.stop, self.step)
-        for name in ("r", "alpha", "tau", "pn0_db", "v_mps"):
-            real(name, getattr(self, name), None)  # the curve evaluator owns their ranges
-        if self.theta is not None:
-            real("theta", self.theta, None)
-            if self.axis != "speed":
+    def _check(self) -> tuple:
+        axis, theta = self.axis, self.theta
+        if axis not in AXES:
+            raise SweepError(f"axis must be one of {AXES}, got {axis!r}")
+        start, stop, step, _ = _grid(*self[1:4])
+        # the curve evaluator owns their ranges
+        fixed = [real(name, value, None) for name, value in zip(self._fields[4:9], self[4:9])]
+        if theta is not None:
+            theta = real("theta", theta, None)
+            if axis != "speed":
                 raise SweepError("theta variant applies to the speed axis only")
+        return axis, start, stop, step, *fixed, theta
 
 
 def _map_columns(each, columns: Sequence[Sequence],
@@ -334,10 +337,9 @@ def _columns(rows: Iterable[SweepRow]) -> Sequence[Sequence]:
 def axis_points(start: float, stop: float, step: float) -> list[float]:
     """Inclusive arithmetic grid start, start+step, ... capped at stop.
 
-    Raises :class:`SweepError` for a range that ``_point_count`` refuses.
+    Raises :class:`SweepError` for a range that ``_grid`` refuses.
     """
-    n = _point_count(start, stop, step)
-    start, step = float(start), float(step)  # real numbers, by _point_count's rule
+    start, _, step, n = _grid(start, stop, step)
     return [start + i * step for i in range(n)]
 
 
@@ -366,16 +368,15 @@ def _vtau_columns(spec: SweepSpec, points: list[float]) -> list[list]:
     error of a point either refuses is reported with the axis point; points
     before it are evaluated first, so the first refused point is named.
     """
-    axis, r, n = spec.axis, float(spec.r), len(points)
-    inputs = {"speed": float(spec.v_mps), "tau": float(spec.tau), "alpha": float(spec.alpha),
-              "power_db": float(spec.pn0_db)}
+    axis, r, n = spec.axis, spec.r, len(points)
+    inputs = {"speed": spec.v_mps, "tau": spec.tau, "alpha": spec.alpha, "power_db": spec.pn0_db}
     inputs[axis] = points  # the swept input takes the points, the rest one value each
     v, tau, alpha, pn0_db = inputs.values()
     if axis == "power_db":
         p, refused = _until_refused(db_to_linear, points)
     else:
         try:
-            p, refused = db_to_linear(pn0_db), None
+            p, refused = db_to_linear(real("pn0_db", pn0_db)), None
         except ValueError as exc:
             raise SweepError(f"axis point {axis}={fmt_num(points[0])}: {exc}") from None
     raws: list[float] = []

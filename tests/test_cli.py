@@ -110,7 +110,8 @@ class TestSweepCommand:
         assert main(["sweep", "--axis", "alpha", "--from", "1", "--to", "2", "--step", "0.5",
                      "--alpha", "1,2"]) == 1
 
-    @pytest.mark.parametrize("flag,value", [("--alpha", ""), ("--tau-ms", ""), ("--pn0-db", ",")])
+    @pytest.mark.parametrize("flag,value", [("--alpha", ""), ("--tau-ms", ""), ("--pn0-db", ","),
+                                            ("--alpha", "1.4,x")])
     def test_empty_float_list_is_usage_error(self, capsys, flag, value):
         assert main(["sweep", "--from", "5", "--to", "6", "--step", "1", flag, value]) == 1
         captured = capsys.readouterr()
@@ -216,11 +217,15 @@ class TestOutOfRangeInput:
             (["sweep", "--axis", "speed", "--from", "1e-4", "--to", "1e-4", "--step", "1",
               "--alpha", "4", "--tau-ms", "10", "--pn0-db", "3000", "--r-m", "10"],
              "axis point speed=0.0001: signal-to-noise ratio out of float range"),
+            (["sweep", "--axis", "speed", "--from", "5", "--to", "10", "--step", "1",
+              "--pn0-db", "nan"],
+             "axis point speed=5: pn0_db must be finite, got nan\n"),
+            (["relay-compare", "--pa-db", "inf"], "pa_db must be finite, got inf\n"),
         ],
         ids=["to-inf", "from-nan", "pn0-db-4000", "alpha-300", "alpha-axis-overflow",
              "relay-pa-db-4000", "relay-base-pa-db-4000", "sweep-point-count",
              "relay-point-count", "ergodic-to-inf", "ergodic-step-0", "ergodic-from-nan",
-             "snr-overflow"],
+             "snr-overflow", "pn0-db-nan", "relay-base-pa-db-inf"],
     )
     def test_exits_1_with_message(self, capsys, argv, message):
         assert main(argv) == 1
@@ -254,6 +259,17 @@ class TestOtherCommands:
         lines = out.read_text(encoding="utf-8").rstrip("\n").split("\n")
         assert lines[0].startswith("seq,")
         assert len(lines) == 3
+
+    def test_boost_step_beyond_the_float_power_ratio_ends_the_strategy(self, tmp_path, capsys):
+        # a 4000 dB step overflows the power ratio; the ladder goes on to v2i_fallback
+        text = (LADDER_SCENARIO_TEXT.replace("[csi]", "[protocol]\nboost_step_db = 4000\n"
+                                             "boost_cap_db = 5000\n\n[csi]"))
+        scn = tmp_path / "s.ini"
+        scn.write_text(text, encoding="utf-8")
+        assert main(["protocol-trace", "--scenario", str(scn)]) == 0
+        lines = capsys.readouterr().out.rstrip("\n").split("\n")[1:]
+        modes = [line.split(",")[6] for line in lines]
+        assert "power_boost" not in modes and "v2i_fallback" in modes
 
     def test_missing_scenario_file_is_usage_error(self, tmp_path):
         assert main(["protocol-trace", "--scenario", str(tmp_path / "nope.ini")]) == 1

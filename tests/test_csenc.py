@@ -114,6 +114,13 @@ class TestDecrypt:
             decrypt(np.zeros(64), KEY, 65)
 
 
+@pytest.mark.parametrize("k", [0, 9])
+def test_random_sparse_signal_needs_k_between_1_and_n(k):
+    with pytest.raises(ValueError) as info:
+        random_sparse_signal(8, k, np.random.default_rng(0))
+    assert str(info.value) == f"need 1 <= k <= n, got k={k}, n=8"
+
+
 class TestOmpInputRules:
     @pytest.mark.parametrize("y_len, k, message", [
         (64, 65, r"need 1 <= k <= m, got k=65, m=64"),

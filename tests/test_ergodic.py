@@ -764,6 +764,10 @@ class TestExactReference:
             assert abs(res.capacity - exact) <= 3.0 * res.ci_halfwidth
             assert res.multiplier == pytest.approx(g0, rel=0.01)
 
+    def test_constant_power_capacity_without_a_favorable_state_is_zero(self):
+        a, b = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.0])
+        assert constant_power_capacity(a, b, 1.0) == 0.0
+
     @pytest.mark.parametrize("p", [0.1, 1.0, 10.0])
     def test_constant_power_capacity_is_exact(self, p):
         # E[log2(1 + p g)] for g ~ Exp(1)

@@ -186,6 +186,14 @@ class TestCsiCodec:
             parse_csi(line)
         assert str(exc.value) == message
 
+    def test_seq_beyond_the_int_digit_limit(self):
+        # the grammar takes any run of digits; int() refuses more than 4,300 of them
+        with pytest.raises(CsiMalformedFieldError) as exc:
+            parse_csi(f"CSI1|B|{'1' * 4301}|0|23|-60|-90|30|22.22")
+        assert str(exc.value) == (
+            "bad integer field: Exceeds the limit (4300 digits) for integer string conversion: "
+            "value has 4301 digits; use sys.set_int_max_str_digits() to increase the limit")
+
     def test_finite_fields_whose_sum_overflows(self):
         msg = parse_csi(f"CSI1|B|1|0|{BIG}|{BIG}|{BIG}|0|22.22")
         assert msg == CsiMessage("B", 1, 0, 1e308, 1e308, 1e308, 0.0, 22.22)
@@ -596,8 +604,8 @@ def _oracle_decide(csi, scenario, config):
                 total_db = k * config.boost_step_db
                 if total_db > config.boost_cap_db + 1e-12:
                     break
-                boosted = p * db_to_linear(total_db)
                 try:
+                    boosted = p * db_to_linear(total_db)
                     cs = max(0.0, _velocity_raw(boosted, n0, v, tau, r, alpha))
                 except ValueError:
                     break
@@ -817,13 +825,14 @@ class TestDecisionPlanParity:
         for seq in (1, 2):
             assert _outcome(session.process, make_csi(speed=30.0, seq=seq, ts=100 * seq)) == want
 
-    def test_boost_beyond_the_float_power_ratio_raises(self):
-        # a 4000 dB boost overflows db_to_linear; the ladder raises its error, as it always has
+    def test_boost_beyond_the_float_power_ratio_ends_the_strategy(self):
+        # a 4000 dB boost overflows db_to_linear; like a boosted power beyond the
+        # float range, that step ends the power-boost strategy
         config = ProtocolConfig(thresholds=single_band(40.0), boost_step_db=4000.0,
                                 boost_cap_db=5000.0, strategy_order=("power_boost",))
         csi = make_csi(speed=30.0)
         want = _outcome(_oracle_decide, csi, SCENARIO, config)
-        assert want == (ValueError, "4000.0 dB overflows a float power ratio")
+        assert want[0] is LinkDecision and want[2][0] == "v2i_fallback"
         session = ProtocolSession(SCENARIO, config)
         assert _outcome(session.process, csi) == want
         assert _outcome(session.process, make_csi(speed=30.0, seq=2, ts=100)) == want

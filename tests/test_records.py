@@ -14,6 +14,7 @@ AttributeError.
 import math
 import pickle
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from v2vsec.protocol import (
     RelaySelection,
     ThresholdSchedule,
     decide,
+    optimize_relay_power,
+    select_relay,
 )
 from v2vsec.scenario import Scenario, TraceRecord
 from v2vsec.secrecy import (
@@ -46,7 +49,7 @@ from v2vsec.secrecy import (
     geometric_secrecy,
     velocity_secrecy,
 )
-from v2vsec.sweeps import SweepSpec
+from v2vsec.sweeps import SweepSpec, SweepTable, run_relay_compare, run_sweep
 
 BUDGET = PowerBudget(p_linear=1000000.0, n0_linear=1.0)
 LINK = LinkScenario(r=150.0, alpha=1.4, tau=0.2, budget=BUDGET)
@@ -436,8 +439,8 @@ ALIASES = {
     "start": ["range"],
     "stop": ["range"],
     "x": ["dB"],
-    # a sweep's power p = db_to_linear(pn0_db): refused as x, as a dB overflow, or as p
-    "pn0_db": ["x", "dB", "p"],
+    # a sweep's power p = db_to_linear(pn0_db): refused as a dB overflow, or as p
+    "pn0_db": ["dB", "p"],
     "values": ["entries"],
     "v": ["d"],  # d = v*tau, or d = r*theta, refused as itself
     "tau": ["d"],
@@ -545,3 +548,200 @@ def test_one_odd_field_gives_a_result_or_a_field_named_error(target, valid, draw
 @given(data=st.data())
 def test_every_odd_field_gives_a_result_or_a_field_named_error(target, valid, drawn, data):
     _assert_contract(data.draw(_odd_call(target, valid, drawn, every=True)))
+
+
+# A record stores a field as its rule returns it: a float (+-inf beyond the float
+# range), an int, the str or the record. Each number below was once stored as it
+# was handed in, so the record computed otherwise than the float it stands for;
+# now it gives the float field's outcome: (call, the odd number, its float, message)
+def _link(**changes):
+    return LinkScenario(**{**LINK._asdict(), **changes})
+
+
+STORED_AS_FLOAT = [
+    (lambda r: decide(MESSAGE, _link(r=r, alpha=2.0, budget=PowerBudget(1e7, 1.0)), CONFIG),
+     np.float64(1e300), 1e300, "path-loss power out of float range: d=1.0, r=1e+300, alpha=2.0"),
+    (lambda tau: optimize_relay_power(_link(tau=tau), CANDIDATE, 5.0), np.float64(1e-150), 1e-150,
+     "path-loss power out of float range: d=5e-150, r=150.0, alpha=1.4"),
+    (lambda tx: CsiMessage("B", 1, 0, tx, -60.0, -90.0, 30.0, 5.0), 10**400, math.inf,
+     "power fields must be finite, got tx=inf rx=-60.0 noise=-90.0 snr=30.0"),
+    (lambda r: run_sweep(SweepSpec("speed", 5.0, 6.0, 1.0, r=r)), 10**400, math.inf,
+     "axis point speed=5: r must be positive and finite, got inf"),
+    (lambda stop: SweepSpec("speed", 5.0, stop, 1.0), 10**400, math.inf,
+     "range [5.0, inf] must be finite"),
+]
+
+
+@pytest.mark.parametrize("call, odd, number, message", STORED_AS_FLOAT,
+                         ids=["decide-r", "optimize_relay_power-tau", "CsiMessage-tx",
+                              "run_sweep-r", "SweepSpec-stop"])
+def test_an_odd_number_gives_the_outcome_of_its_float(call, odd, number, message):
+    for value in (odd, number):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == message
+
+
+def test_negative_int_beyond_the_float_range_counts_as_minus_inf():
+    assert SweepSpec("speed", 5.0, 6.0, 1.0, pn0_db=-10**400).pn0_db == -math.inf
+
+
+# Every number of a valid record handed in as a numpy scalar, an int or a
+# Fraction. A recipe is a record type or tuple with the recipes of its fields,
+# or a leaf: ("leaf", kind, value), the kind being the valid value's type.
+
+def _recipe(value):
+    if hasattr(value, "_check") or type(value) is tuple:
+        return type(value), [_recipe(field) for field in value]
+    return "leaf", type(value), value
+
+
+def _forms(kind, value):
+    """The ways a valid value may be handed in; the first is the value itself."""
+    if kind is float:
+        forms = [value, np.float64(value)]
+        if abs(value) < 3e38 or math.isinf(value):  # float32 holds it, or its infinity
+            forms.append(np.float32(value))
+        if math.isfinite(value):
+            forms.append(Fraction(value))
+            if value.is_integer():
+                forms += [int(value), np.int64(value)] if abs(value) < 2**63 else [int(value)]
+                forms += [np.uint64(value)] if 0 <= value < 2**64 else []
+        else:
+            forms.append(10**400 if value > 0 else -10**400)
+        return forms
+    if kind is int:
+        return [value, np.int64(value) if abs(value) < 2**63 else value,
+                np.uint64(value) if 0 <= value < 2**64 else value]
+    if kind is np.ndarray:
+        return [value, value.tolist(), [int(x) if x.is_integer() else x for x in value.tolist()]]
+    return [value]
+
+
+def _returned(kind, value):
+    """What the field's rule returns for ``value``."""
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    if kind is int:
+        return int(value)
+    if kind is np.ndarray:
+        return np.asarray(value, dtype=np.float64)
+    return value
+
+
+def _odd_recipe(draw, recipe):
+    """The recipe with each leaf's value drawn from its forms."""
+    if recipe[0] == "leaf":
+        _, kind, value = recipe
+        return "leaf", kind, draw(st.sampled_from(_forms(kind, value)))
+    kind, fields = recipe
+    return kind, [_odd_recipe(draw, field) for field in fields]
+
+
+def _build_from(recipe, as_returned: bool):
+    """The value a recipe builds: from its odd leaves, or from what their rules return."""
+    if recipe[0] == "leaf":
+        _, kind, value = recipe
+        return _returned(kind, value) if as_returned else value
+    kind, fields = recipe
+    values = [_build_from(field, as_returned) for field in fields]
+    return tuple(values) if kind is tuple else kind(*values)
+
+
+def _assert_stored(recipe, stored):
+    """Each field stored is the float, int, str, array or record that its rule returns."""
+    if recipe[0] == "leaf":
+        kind = recipe[1]
+        assert type(stored) is kind, (stored, kind)
+        if kind is np.ndarray:
+            assert stored.dtype == np.float64
+        return
+    assert type(stored) is recipe[0]
+    for field, value in zip(recipe[1], stored):
+        _assert_stored(field, value)
+
+
+def _result(call, *args):
+    """A call's outcome, comparable across calls: its repr, or its error type and text."""
+    try:
+        result = call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, SweepTable):
+        result = result.columns
+    return repr(result)  # numpy 2 spells a numpy scalar as np.float64(...), so one shows
+
+
+TYPED_RECORDS = [
+    BUDGET, FadingModel.rician(3.0), FadingModel.nakagami(2.0),
+    VehicleState(speed=20.0, accel=5.0), WiretapNoise(n_m=1.0, n_w=2.0),
+    LinkGeometry(r=100.0, theta=0.5), LinkGeometry(r=150.0, d=20.0), RELAY, SCHEDULE,
+    CANDIDATE, LINK, CONFIG, MESSAGE, SWEEP, ERGODIC, ERGODIC._replace(eaves_fading=None),
+    KEY, SIGNAL,
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(record=st.sampled_from(TYPED_RECORDS), data=st.data())
+def test_a_record_stores_each_field_as_its_rule_returns_it(record, data):
+    recipe = _odd_recipe(data.draw, _recipe(record))
+    odd, plain = _result(_build_from, recipe, False), _result(_build_from, recipe, True)
+    assert odd == plain
+    if isinstance(odd, str):  # built: the same record, each field of the kind its rule returns
+        _assert_stored(_recipe(record), _build_from(recipe, False))
+
+
+def _numbers(low, high):
+    """Floats in [low, high], whole numbers among them, so that int forms are drawn too."""
+    return st.one_of(st.integers(math.ceil(low), math.floor(high)).map(float),
+                     st.floats(low, high))
+
+
+@st.composite
+def _linked_records(draw):
+    """The records the entry points take, valid, with their numbers drawn."""
+    link = LinkScenario(r=draw(_numbers(20.0, 2000.0)), alpha=draw(st.sampled_from([1.4, 2.0, 3.0])),
+                        tau=draw(st.sampled_from([0.1, 0.2, 0.25])),
+                        budget=PowerBudget(draw(_numbers(1.0, 1e8)), 1.0))
+    candidates = (CANDIDATE, RelayCandidate("b", draw(_numbers(0.0, 1e-6)),
+                                            draw(_numbers(0.0, 1e-4)), draw(_numbers(0.0, 1e9))))
+    low = draw(_numbers(1.0, 40.0))
+    schedule = ThresholdSchedule(((0.0, low, draw(_numbers(0.0, 20.0))),
+                                  (low, math.inf, draw(_numbers(0.0, 20.0)))))
+    config = ProtocolConfig(thresholds=schedule, boost_step_db=draw(_numbers(0.5, 5.0)),
+                            boost_cap_db=draw(_numbers(0.0, 20.0)),
+                            max_boost_iterations=draw(st.integers(1, 5)),
+                            relay_candidates=candidates)
+    csi = CsiMessage.build("B", draw(st.integers(0, 2**40)), draw(st.integers(0, 2**40)), 23.0,
+                           -60.0, -90.0, draw(_numbers(0.5, 60.0)))
+    relay = RELAY._replace(p_r=draw(_numbers(0.0, 4.0)), h_rb=draw(_numbers(0.0, 1.0)))
+    sweep = SweepSpec("speed", 5.0, 8.0, 1.0, r=link.r, alpha=link.alpha, tau=link.tau,
+                      pn0_db=draw(_numbers(0.0, 90.0)), theta=draw(st.sampled_from([None, 0.01])))
+    return link, config, csi, relay, sweep
+
+
+def _entry_point_results(link, config, csi, relay, sweep):
+    speed = csi.speed_mps
+    return [
+        _result(decide, csi, link, config),
+        _result(select_relay, config.relay_candidates, link, speed),
+        _result(optimize_relay_power, link, config.relay_candidates[1], speed),
+        _result(run_relay_compare, "pa_db", 0.0, 3.0, 1.0, relay),
+        _result(run_sweep, sweep),
+    ]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(records=_linked_records(), data=st.data())
+def test_entry_points_give_the_outcome_of_the_returned_values(records, data):
+    recipe = _odd_recipe(data.draw, _recipe(records))
+    odd, plain = _result(_build_from, recipe, False), _result(_build_from, recipe, True)
+    assert odd == plain
+    if isinstance(odd, str):
+        assert (_entry_point_results(*_build_from(recipe, False))
+                == _entry_point_results(*_build_from(recipe, True)))

@@ -130,7 +130,7 @@ class TestLoadScenario:
             ("seed = 7", "seed = 7.5", "scenario.seed: not an integer: '7.5'"),
             ("[csi]", "[protocol]\nmax_boost_iterations = 2.5\n\n[csi]",
              "protocol.max_boost_iterations: not an integer: '2.5'"),
-            ("pn0_db = 70", "pn0_db = inf", "link: x must be finite, got inf"),
+            ("pn0_db = 70", "pn0_db = inf", "link: pn0_db must be finite, got inf"),
             ("[csi]", "[relay.r1]\nh_rb = 0.1\nh_re = 1\n\n[csi]", "relay.r1.p_max: missing"),
             ("[csi]", "[relay.r1]\nh_rb = -0.1\nh_re = 1\np_max = 2\n\n[csi]",
              "relay.r1: h_rb must be >= 0, got -0.1"),
@@ -144,6 +144,13 @@ class TestLoadScenario:
             ("seed = 7", "seed = 7\nmood = calm", "scenario.mood: unknown key"),
             ("alpha = 1.4", "ALPHA = 1.4", "link.ALPHA: unknown key"),
             ("[link]", "[Link]", "Link: unknown section"),
+            (BASE[BASE.index("[csi]"):], "", "csi: missing section"),
+            (BASE[BASE.index("[csi]"):], "[csi]\n", "csi: needs at least one line"),
+            ("line.0 =", "foo = 1\nline.0 =", "csi.foo: expected keys like line.0"),
+            ("band.0 = 0, inf, 16.0", "band.0 = 0, inf",
+             "thresholds.band.0: expected low,high,threshold"),
+            ("band.0 = 0, inf, 16.0", "band.0 = 0, x, 1",
+             "thresholds.band.0: not numeric: '0, x, 1'"),
         ],
     )
     def test_error_message_names_the_field(self, tmp_path, old, new, message):

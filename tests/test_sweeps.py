@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from v2vsec._common import real
 from v2vsec.channel import FadingModel, db_to_linear
 from v2vsec import sweeps
 from v2vsec.secrecy import (
@@ -470,7 +471,9 @@ class TestBadAxisPoint:
         point = {"speed": "v_mps", "power_db": "pn0_db", "tau": "tau", "alpha": "alpha"}[axis]
         at = spec._replace(**{point: value})
         with pytest.raises(ValueError) as public:
-            velocity_secrecy(db_to_linear(at.pn0_db), 1.0, at.v_mps, at.tau, at.r, at.alpha)
+            # the sweep checks a fixed pn0_db by its own name before converting it
+            p = db_to_linear(real("pn0_db", at.pn0_db))
+            velocity_secrecy(p, 1.0, at.v_mps, at.tau, at.r, at.alpha)
         with pytest.raises(SweepError) as info:
             run_sweep(spec)
         assert str(info.value) == f"axis point {axis}={fmt_num(value)}: {public.value}"
