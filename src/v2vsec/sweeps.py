@@ -121,9 +121,9 @@ class SweepFormatError(ValueError):
 
 
 def _grid(start: float, stop: float, step: float) -> tuple[float, float, float, int]:
-    """start, stop and step as floats, and the number of points of the
-    inclusive grid over [start, stop] in steps of step.
+    """start, stop and step as floats, and the number of points of their grid.
 
+    The grid runs over [start, stop] in steps of step, both ends included.
     The one range rule for every axis: real numbers (else ``ValueError``),
     a positive finite step, a finite non-empty range and a finite point
     count, else :class:`SweepError`.

@@ -8,7 +8,10 @@ survives pickling and refuses field assignment; every record but
 contract draws odd values into every field of every record with rules
 and into the arguments of the numeric entry points: each draw gives a
 result or a ValueError that names the field, never a TypeError or an
-AttributeError.
+AttributeError. Another builds every record with rules from numpy
+scalars, ints and Fractions: each field is stored as the float, int, str
+or record its rule returns, and the entry points answer as on records
+built from those values.
 """
 
 import math
