@@ -2,8 +2,8 @@
 
 ``fmt_num`` is the numeric CSV cell of the sweep tables and the protocol
 trace; ``ComputationError`` is the base of every failure the CLI reports
-with exit code 2; ``ValidatedRecord`` makes a named tuple check its fields,
-and store them as its rules return them, on every construction path.
+with exit code 2; ``validated`` makes a named tuple check its fields, and
+store them as its rules return them, on every construction path.
 
 ``real``, ``integer``, ``text`` and ``instance`` are the one rule per kind
 of field: every record's ``_check`` and the numeric entry points (the
@@ -18,10 +18,11 @@ returns it, and no consumer converts a field itself. A real number is a
 numpy.
 """
 
+from functools import wraps
 from numbers import Integral, Real
 
 __all__ = [
-    "ComputationError", "ValidatedRecord", "fmt_num", "instance", "integer", "real", "text",
+    "ComputationError", "fmt_num", "instance", "integer", "real", "text", "validated",
 ]
 
 _INF = float("inf")
@@ -102,23 +103,26 @@ def instance(name: str, value, kind: type):
     return value
 
 
-class ValidatedRecord:
-    """Mixin for an immutable named tuple that stores its fields as its rules return them.
+def validated(cls):
+    """Make the named tuple ``cls`` store its fields as its ``_check`` returns them.
 
-    List it before the ``NamedTuple`` base and give the record a ``_check``
-    method that raises ``ValueError`` for the first invalid field and
-    otherwise returns the record's fields as its rules return them, in
-    field order. The constructor stores that tuple, and ``_make`` and
-    ``_replace``, which calls ``_make``, go through the constructor, so no
-    construction path yields an unchecked or unconverted record. The
-    record types define neither ``__new__`` nor ``_make`` of their own.
+    ``_check`` raises ``ValueError`` for the first invalid field and
+    otherwise returns the fields as its rules return them, in field order.
+    The constructor, which keeps the generated signature, stores that
+    tuple, and ``_make`` and ``_replace``, which calls ``_make``, go
+    through the constructor, so no construction path yields an unchecked
+    or unconverted record. ``cls`` is changed in place.
     """
+    fields_new = cls.__new__
 
-    __slots__ = ()
-
+    @wraps(fields_new)
     def __new__(cls, *args, **kwargs):
-        return tuple.__new__(cls, super().__new__(cls, *args, **kwargs)._check())
+        return tuple.__new__(cls, fields_new(cls, *args, **kwargs)._check())
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(_make)
+    return cls
+
+
+def _make(cls, iterable):
+    return cls(*iterable)

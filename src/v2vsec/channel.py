@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._common import ValidatedRecord, instance, real
+from ._common import instance, real, validated
 
 __all__ = [
     "PowerBudget",
@@ -25,15 +25,12 @@ _LN2 = math.log(2.0)
 _INF = math.inf
 
 
-class _PowerBudget(NamedTuple):
-    p_linear: float
-    n0_linear: float
-
-
-class PowerBudget(ValidatedRecord, _PowerBudget):
+@validated
+class PowerBudget(NamedTuple):
     """Transmit power and noise variance on a common linear scale."""
 
-    __slots__ = ()
+    p_linear: float
+    n0_linear: float
 
     def _check(self) -> tuple:
         return (real("p_linear", self.p_linear, "positive and finite"),
@@ -46,24 +43,22 @@ class PowerBudget(ValidatedRecord, _PowerBudget):
     @classmethod
     def from_db(cls, pn0_db: float, n0_linear: float = 1.0) -> "PowerBudget":
         """Budget with the given power-to-noise ratio in dB at the given noise floor."""
-        return cls(p_linear=n0_linear * db_to_linear(real("pn0_db", pn0_db)),
-                   n0_linear=n0_linear)
+        ratio = db_to_linear(real("pn0_db", pn0_db))
+        n0_linear = real("n0_linear", n0_linear, "positive and finite")
+        return cls(p_linear=n0_linear * ratio, n0_linear=n0_linear)
 
 
-class _FadingModel(NamedTuple):
-    kind: str
-    k_factor: float = 0.0
-    m: float = 1.0
-
-
-class FadingModel(ValidatedRecord, _FadingModel):
+@validated
+class FadingModel(NamedTuple):
     """One of the three small-scale fading families, unit mean power.
 
     ``kind`` is ``"rayleigh"``, ``"rician"`` (with ``k_factor`` >= 0) or
     ``"nakagami"`` (with shape ``m`` >= 0.5).
     """
 
-    __slots__ = ()
+    kind: str
+    k_factor: float = 0.0
+    m: float = 1.0
 
     def _check(self) -> tuple:
         kind = self.kind

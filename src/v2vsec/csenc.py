@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._common import ComputationError, ValidatedRecord, integer
+from ._common import ComputationError, integer, validated
 
 __all__ = [
     "CsKey",
@@ -34,16 +34,13 @@ class RecoveryError(ComputationError):
     """Sparse recovery hit a rank-deficient support."""
 
 
-class _CsKey(NamedTuple):
+@validated
+class CsKey(NamedTuple):
+    """Seed plus dimensions of the secret measurement matrix (m x n, m < n)."""
+
     seed: int
     n: int
     m: int
-
-
-class CsKey(ValidatedRecord, _CsKey):
-    """Seed plus dimensions of the secret measurement matrix (m x n, m < n)."""
-
-    __slots__ = ()
 
     def _check(self) -> tuple:
         seed, n, m = (integer(name, value) for name, value in zip(self._fields, self))
@@ -53,12 +50,8 @@ class CsKey(ValidatedRecord, _CsKey):
         return seed, n, m
 
 
-class _SparseSignal(NamedTuple):
-    values: np.ndarray
-    k: int
-
-
-class SparseSignal(ValidatedRecord, _SparseSignal):
+@validated
+class SparseSignal(NamedTuple):
     """Length-n vector with exactly k nonzero entries, its ``values`` stored as float64.
 
     ``_check`` converts ``values`` with ``np.asarray``, so a float64 array
@@ -67,7 +60,8 @@ class SparseSignal(ValidatedRecord, _SparseSignal):
     ``ValueError``.
     """
 
-    __slots__ = ()
+    values: np.ndarray
+    k: int
 
     def _check(self) -> tuple:
         try:
@@ -84,7 +78,10 @@ class SparseSignal(ValidatedRecord, _SparseSignal):
 
     @classmethod
     def from_dense(cls, values: np.ndarray) -> "SparseSignal":
-        values = np.asarray(values, dtype=np.float64)
+        try:
+            values = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError):
+            return cls(values=values, k=0)  # raises _check's error, which names the field
         return cls(values=values, k=int(np.count_nonzero(values)))
 
 

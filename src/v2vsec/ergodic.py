@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from ._common import ComputationError, ValidatedRecord, instance, integer, real
+from ._common import ComputationError, instance, integer, real, validated
 from .channel import FadingModel, sample_fading
 
 __all__ = [
@@ -72,7 +72,14 @@ class ErgodicConvergenceError(ComputationError):
     """The multiplier search failed to meet the power-budget tolerance."""
 
 
-class _ErgodicSpec(NamedTuple):
+@validated
+class ErgodicSpec(NamedTuple):
+    """Monte-Carlo setup for one ergodic estimate.
+
+    ``eaves_fading=None`` models an absent eavesdropper (zero gain in
+    every state).
+    """
+
     legit_fading: FadingModel
     p_budget: float
     eaves_fading: FadingModel | None = None
@@ -80,16 +87,6 @@ class _ErgodicSpec(NamedTuple):
     sigma_e2: float = 1.0
     n_samples: int = 100_000
     seed: int = DEFAULT_SEED
-
-
-class ErgodicSpec(ValidatedRecord, _ErgodicSpec):
-    """Monte-Carlo setup for one ergodic estimate.
-
-    ``eaves_fading=None`` models an absent eavesdropper (zero gain in
-    every state).
-    """
-
-    __slots__ = ()
 
     def _check(self) -> tuple:
         p_budget = real("p_budget", self.p_budget, "> 0")

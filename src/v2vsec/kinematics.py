@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._common import ValidatedRecord, real
+from ._common import real, validated
 
 __all__ = [
     "VehicleState",
@@ -18,15 +18,12 @@ __all__ = [
 ]
 
 
-class _VehicleState(NamedTuple):
-    speed: float
-    accel: float
-
-
-class VehicleState(ValidatedRecord, _VehicleState):
+@validated
+class VehicleState(NamedTuple):
     """Speed and usable braking deceleration of one vehicle."""
 
-    __slots__ = ()
+    speed: float
+    accel: float
 
     def _check(self) -> tuple:
         return real("speed", self.speed, ">= 0"), real("accel", self.accel, "> 0")

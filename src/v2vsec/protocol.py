@@ -20,9 +20,9 @@ exponent, sign '+', digit separator, surrounding whitespace, or nan/inf.
 Every record here (messages, decisions, schedules, relay candidates and
 selections, link and protocol configuration) is an immutable named
 tuple: besides field access it unpacks, indexes, orders and compares
-equal to tuples of equal values. A record with rules is a
-``ValidatedRecord``: its constructor, ``_make`` and ``_replace`` store
-the fields as its ``_check`` returns them. The one other path to a
+equal to tuples of equal values. A record with rules is one
+``@validated`` named tuple: its constructor, ``_make`` and ``_replace``
+store the fields as its ``_check`` returns them. The one other path to a
 ``CsiMessage`` is ``parse_csi``, which builds one per report. It skips
 the constructor only when the wire grammar has settled every rule but
 three and it has checked those three itself: a nonempty sender; finite
@@ -56,7 +56,7 @@ import re
 from math import log1p
 from typing import NamedTuple
 
-from ._common import ValidatedRecord, instance, integer, real, text
+from ._common import instance, integer, real, text, validated
 from .channel import PowerBudget, db_to_linear
 from .secrecy import (
     _LN2,
@@ -147,7 +147,18 @@ class NoRelayError(ValueError):
     """Relay selection was invoked with no candidates."""
 
 
-class _CsiFields(NamedTuple):
+@validated
+class CsiMessage(NamedTuple):
+    """One channel-state report; snr_db is always exactly rx - noise.
+
+    Its constructor, ``_make`` and ``_replace`` store the fields as
+    ``_check`` returns them. ``parse_csi`` alone builds one without
+    ``_check``, and only after the wire grammar and its own checks of the
+    three rules the grammar leaves open (nonempty sender, finite fields,
+    speed >= 0); a parity test against a parser that always calls the
+    constructor pins that. So every construction path is checked.
+    """
+
     sender_id: str
     seq: int
     timestamp_ms: int
@@ -156,19 +167,6 @@ class _CsiFields(NamedTuple):
     noise_floor_dbm: float
     snr_db: float
     speed_mps: float
-
-
-class CsiMessage(ValidatedRecord, _CsiFields):
-    """One channel-state report; snr_db is always exactly rx - noise.
-
-    A :class:`ValidatedRecord`. ``parse_csi`` alone builds one without
-    ``_check``, and only after the wire grammar and its own checks of the
-    three rules the grammar leaves open (nonempty sender, finite fields,
-    speed >= 0); a parity test against a parser that always calls the
-    constructor pins that. So every construction path is checked.
-    """
-
-    __slots__ = ()
 
     def _check(self) -> tuple:
         sender_id = text("sender_id", self.sender_id)
@@ -278,17 +276,14 @@ def parse_csi(line: str) -> CsiMessage:
         raise CsiMalformedFieldError(str(exc)) from None
 
 
-class _ThresholdSchedule(NamedTuple):
-    bands: tuple[tuple[float, float, float], ...]
-
-
-class ThresholdSchedule(ValidatedRecord, _ThresholdSchedule):
+@validated
+class ThresholdSchedule(NamedTuple):
     """Speed bands [low, high) mapped to secrecy-capacity thresholds.
 
     Bands must partition [0, inf) with no gap or overlap.
     """
 
-    __slots__ = ()
+    bands: tuple[tuple[float, float, float], ...]
 
     def _check(self) -> tuple:
         if not isinstance(self.bands, tuple):
@@ -329,41 +324,38 @@ def _band_threshold(bands: tuple[tuple[float, float, float], ...], speed: float)
     raise AssertionError("schedule bands do not cover the speed axis")
 
 
-class _RelayCandidate(NamedTuple):
+@validated
+class RelayCandidate(NamedTuple):
+    """A relay node's power-domain gains toward target and eavesdropper."""
+
     relay_id: str
     h_rb: float
     h_re: float
     p_max: float
-
-
-class RelayCandidate(ValidatedRecord, _RelayCandidate):
-    """A relay node's power-domain gains toward target and eavesdropper."""
-
-    __slots__ = ()
 
     def _check(self) -> tuple:
         return (text("relay_id", self.relay_id),
                 *(real(name, value, ">= 0") for name, value in zip(self._fields[1:], self[1:])))
 
 
-class _LinkScenario(NamedTuple):
+@validated
+class LinkScenario(NamedTuple):
+    """Static link parameters the decision engine needs besides the CSI."""
+
     r: float
     alpha: float
     tau: float
     budget: PowerBudget
-
-
-class LinkScenario(ValidatedRecord, _LinkScenario):
-    """Static link parameters the decision engine needs besides the CSI."""
-
-    __slots__ = ()
 
     def _check(self) -> tuple:
         return (*(real(name, value, "> 0") for name, value in zip(self._fields[:3], self)),
                 instance("budget", self.budget, PowerBudget))
 
 
-class _ProtocolConfig(NamedTuple):
+@validated
+class ProtocolConfig(NamedTuple):
+    """Thresholds, boost policy, relay candidates and strategy ordering."""
+
     thresholds: ThresholdSchedule = DEFAULT_THRESHOLDS
     boost_step_db: float = 2.0
     boost_cap_db: float = 10.0
@@ -371,12 +363,6 @@ class _ProtocolConfig(NamedTuple):
     relay_candidates: tuple[RelayCandidate, ...] = ()
     strategy_order: tuple[str, ...] = ("relay", "power_boost", "v2i_fallback")
     freshness_ms: float = 500.0
-
-
-class ProtocolConfig(ValidatedRecord, _ProtocolConfig):
-    """Thresholds, boost policy, relay candidates and strategy ordering."""
-
-    __slots__ = ()
 
     def _check(self) -> tuple:
         thresholds = instance("thresholds", self.thresholds, ThresholdSchedule)

@@ -27,7 +27,7 @@ from itertools import repeat
 from math import log1p
 from typing import NamedTuple
 
-from ._common import ValidatedRecord, instance, real
+from ._common import instance, real, validated
 
 __all__ = [
     "SecrecyResult",
@@ -224,28 +224,20 @@ class SecrecyResult(NamedTuple):
         return cls(raw=raw, clamped=max(0.0, raw))
 
 
-class _WiretapNoise(NamedTuple):
-    n_m: float
-    n_w: float
-
-
-class WiretapNoise(ValidatedRecord, _WiretapNoise):
+@validated
+class WiretapNoise(NamedTuple):
     """Noise variances at the legitimate receiver and at the eavesdropper."""
 
-    __slots__ = ()
+    n_m: float
+    n_w: float
 
     def _check(self) -> tuple:
         return (real("n_m", self.n_m, "positive and finite"),
                 real("n_w", self.n_w, "positive and finite"))
 
 
-class _LinkGeometry(NamedTuple):
-    r: float
-    theta: float | None = None
-    d: float | None = None
-
-
-class LinkGeometry(ValidatedRecord, _LinkGeometry):
+@validated
+class LinkGeometry(NamedTuple):
     """Host/target/eavesdropper placement: r to the eavesdropper, d = r*theta
     between the legitimate pair.
 
@@ -254,7 +246,9 @@ class LinkGeometry(ValidatedRecord, _LinkGeometry):
     three are stored as floats.
     """
 
-    __slots__ = ()
+    r: float
+    theta: float | None = None
+    d: float | None = None
 
     def _check(self) -> tuple:
         r, theta, d = self
@@ -274,7 +268,10 @@ class LinkGeometry(ValidatedRecord, _LinkGeometry):
         return r, theta, d
 
 
-class _RelayConfig(NamedTuple):
+@validated
+class RelayConfig(NamedTuple):
+    """Powers, power-domain channel gains, and noises of the four-link relay model."""
+
     p_a: float
     p_r: float
     h_ab: float
@@ -284,12 +281,6 @@ class _RelayConfig(NamedTuple):
     sigma_b2: float
     sigma_e2: float
     w: float = 1.0
-
-
-class RelayConfig(ValidatedRecord, _RelayConfig):
-    """Powers, power-domain channel gains, and noises of the four-link relay model."""
-
-    __slots__ = ()
 
     def _check(self) -> tuple:
         return tuple(real(name, value, "positive and finite"

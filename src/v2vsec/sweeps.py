@@ -52,7 +52,7 @@ import numpy as np
 
 from .channel import PowerBudget, awgn_capacity, db_to_linear
 from . import csenc
-from ._common import ComputationError, ValidatedRecord, fmt_num, integer, real
+from ._common import ComputationError, fmt_num, integer, real, validated
 # encrypt stays importable from here: perfbench's tracer wraps it by this name
 from .csenc import CsKey, decrypt, encrypt, random_sparse_signal  # noqa: F401
 from .ergodic import DEFAULT_SEED, ErgodicSpec, draw_channel_states, estimate_on_states
@@ -144,7 +144,10 @@ def _grid(start: float, stop: float, step: float) -> tuple[float, float, float, 
     return start, stop, step, int(math.floor(spans + 1e-9)) + 1
 
 
-class _SweepSpec(NamedTuple):
+@validated
+class SweepSpec(NamedTuple):
+    """One curve: a swept axis over [start, stop] plus fixed parameters."""
+
     axis: str
     start: float
     stop: float
@@ -155,12 +158,6 @@ class _SweepSpec(NamedTuple):
     pn0_db: float = 70.0
     v_mps: float = DEFAULT_SPEED_MPS
     theta: float | None = None
-
-
-class SweepSpec(ValidatedRecord, _SweepSpec):
-    """One curve: a swept axis over [start, stop] plus fixed parameters."""
-
-    __slots__ = ()
 
     def _check(self) -> tuple:
         axis, theta = self.axis, self.theta

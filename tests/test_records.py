@@ -14,6 +14,7 @@ or record its rule returns, and the entry points answer as on records
 built from those values.
 """
 
+import inspect
 import math
 import pickle
 import re
@@ -236,6 +237,8 @@ REPRS = [
                        "max_boost_iterations=5, relay_candidates=(), "
                        "strategy_order=('relay', 'power_boost', 'v2i_fallback'), "
                        "freshness_ms=500.0)"),
+    (MESSAGE, "CsiMessage(sender_id='B', seq=1, timestamp_ms=0, tx_power_dbm=23.0, "
+              "rx_power_dbm=-60.0, noise_floor_dbm=-90.0, snr_db=30.0, speed_mps=5.0)"),
     (RelaySelection(relay_id="a", relay_power=0.5, capacity=1.25),
      "RelaySelection(relay_id='a', relay_power=0.5, capacity=1.25)"),
     (Scenario(link=LINK, config=ProtocolConfig(), messages=(MESSAGE,)),
@@ -288,6 +291,15 @@ def test_equal_records_hash_equal(record):
 @pytest.mark.parametrize("record", BY_VALUE, ids=BY_VALUE_IDS)
 def test_pickle_round_trip(record):
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+def test_one_class_whose_signature_names_its_fields(record):
+    cls = type(record)
+    assert cls.__mro__ == (cls, tuple, object)
+    parameters = inspect.signature(cls).parameters.values()
+    assert [p.name for p in parameters] == list(cls._fields)
+    assert {p.name: p.default for p in parameters if p.default is not p.empty} == cls._field_defaults
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
@@ -515,6 +527,14 @@ REPRODUCTIONS = [
      "sender_id must be a str, got 5"),
     (velocity_secrecy, {"p": "1e6", "n0": 1.0, "v": 20.0, "tau": 0.2, "r": 150.0, "alpha": 1.4},
      "p", "p must be a real number, got '1e6'"),
+    (PowerBudget.from_db, {"pn0_db": 70.0, "n0_linear": "1"}, "n0_linear",
+     "n0_linear must be a real number, got '1'"),
+    (PowerBudget.from_db, {"pn0_db": 70.0, "n0_linear": None}, "n0_linear",
+     "n0_linear must be a real number, got None"),
+    (PowerBudget.from_db, {"pn0_db": 70.0, "n0_linear": math.inf}, "n0_linear",
+     "n0_linear must be positive and finite, got inf"),
+    (SparseSignal.from_dense, {"values": "x"}, "values",
+     "values must be a 1-d array of real numbers, got 'x'"),
 ]
 
 

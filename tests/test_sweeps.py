@@ -843,6 +843,15 @@ class TestSweepTable:
         assert table.columns[4] == [spec.alpha] * 6 and table[-1].variant == "theta"
         assert read_sweep_csv(SWEEP_HEADER + "\n") == [] == SweepTable([[]] * 11)
 
+    def test_repr_lists_its_rows(self):
+        assert repr(SweepTable([[]] * 11)) == "SweepTable([])"
+        table = SweepTable([["speed"], [5.0], [5.0], [18.0], [1.4], [0.2], [1000.0], [70.0],
+                            [3.5], [3.5], ["vtau"]])
+        assert repr(table) == (
+            "SweepTable([SweepRow(axis='speed', axis_value=5.0, v_mps=5.0, v_kmh=18.0, "
+            "alpha=1.4, tau_s=0.2, r_m=1000.0, pn0_db=70.0, cs_raw=3.5, cs_clamped=3.5, "
+            "variant='vtau')])")
+
     @pytest.mark.parametrize("columns", [
         [[1.0]] * 10,
         [[1.0]] * 10 + [[1.0, 2.0]],
