@@ -299,7 +299,8 @@ def test_one_class_whose_signature_names_its_fields(record):
     assert cls.__mro__ == (cls, tuple, object)
     parameters = inspect.signature(cls).parameters.values()
     assert [p.name for p in parameters] == list(cls._fields)
-    assert {p.name: p.default for p in parameters if p.default is not p.empty} == cls._field_defaults
+    defaults = {p.name: p.default for p in parameters if p.default is not p.empty}
+    assert defaults == cls._field_defaults
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
