@@ -79,10 +79,13 @@ class SparseSignal(NamedTuple):
     @classmethod
     def from_dense(cls, values: np.ndarray) -> "SparseSignal":
         try:
-            values = np.asarray(values, dtype=np.float64)
+            array = np.asarray(values, dtype=np.float64)
         except (TypeError, ValueError):
-            return cls(values=values, k=0)  # raises _check's error, which names the field
-        return cls(values=values, k=int(np.count_nonzero(values)))
+            array = None
+        if array is None or array.ndim != 1:
+            # _check's error, which names the field and shows the argument as given
+            return cls(values=values, k=0)
+        return cls(values=array, k=int(np.count_nonzero(array)))
 
 
 def keygen(key: CsKey) -> np.ndarray:

@@ -33,19 +33,28 @@ column gets ``%.6g`` per cell. A sweep table goes through that rule block
 by block, a block being a maximal run of rows with one variant, and a
 block column equal to one of the previous block's reuses that block's
 cells too, so a theta block maps only its own capacity. A table with more
-than one run per 64 rows is mapped as one block. The reader works by
-block too: it checks the structure of the whole table at once, slices
-each block's cells out of the split text and parses each distinct column
-once. Only when that check fails does it walk the table line by line, to
-raise the first bad line's error.
+than one run per 64 rows is mapped as one block. Within a block, each run
+of adjacent constant columns is joined into one cell once: a speed
+curve's vtau line joins 8 cells and its theta line 5, not 11, and a
+relay-compare line 8, not 15.
+
+The reader works by block too: it checks the structure of the whole
+table at once, slices each block's cells out of the split text and
+parses each distinct column once. A line joint, the text between one
+line's last comma and the next line's first, holds a variant, the line
+break and an axis. The reader takes the joints in runs of equal ones,
+checks each run once and expands it into repeated axis and variant
+cells. A table whose joints change more than once per 64 lines, or mix
+axes, is checked joint by joint. Only when the check fails does the
+reader walk the table line by line, to raise the first bad line's error.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import repeat
-from operator import add
+from itertools import groupby, islice, repeat
+from operator import add, gt, itemgetter, lt
 from typing import NamedTuple
 
 import numpy as np
@@ -90,6 +99,7 @@ __all__ = [
 ]
 
 SWEEP_HEADER = "axis,axis_value,v_mps,v_kmh,alpha,tau_s,r_m,pn0_db,cs_raw,cs_clamped,variant"
+_HEADER_LINE = SWEEP_HEADER + "\n"
 RELAY_COMPARE_HEADER = (
     "axis,axis_value,p_a,p_r,h_ab,h_rb,h_ae,h_re,sigma_b2,sigma_e2,w,"
     "cs_on_raw,cs_on_clamped,cs_off_raw,cs_off_clamped"
@@ -174,26 +184,29 @@ class SweepSpec(NamedTuple):
 
 
 def _map_columns(each, columns: Sequence[Sequence],
-                 seed: Iterable[tuple[Sequence, list]] = ()) -> list[list]:
+                 seed: Iterable[tuple[Sequence, list, bool]] = ()) -> tuple[list, list[bool]]:
     """``[each(column) for column in columns]``, working out each distinct column once.
 
     A constant column maps its first cell and repeats the result, and a
     column equal to an earlier one, or to a column of ``seed``'s
-    ``(column, result)`` pairs, reuses that result, so ``each`` must map
-    cell by cell and map equal cells alike.
+    ``(column, result, constant)`` triples, reuses that result, so ``each``
+    must map cell by cell and map equal cells alike. Returns the results
+    and, per column, whether its result is one cell repeated.
     """
     done = list(seed)
-    out = []
+    out, constant = [], []
     for column in columns:
-        for earlier, result in done:
+        for earlier, result, same in done:
             if column == earlier:
                 break
         else:
             n = len(column)
-            result = each(column[:1]) * n if column.count(column[0]) == n else each(column)
-            done.append((column, result))
+            same = column.count(column[0]) == n
+            result = each(column[:1]) * n if same else each(column)
+            done.append((column, result, same))
         out.append(result)
-    return out
+        constant.append(same)
+    return out, constant
 
 
 def _blocks(variants: Sequence[str]) -> list[tuple[int, int]]:
@@ -218,19 +231,21 @@ def _blocks(variants: Sequence[str]) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:]))
 
 
-def _map_blocks(each, variants: Sequence[str], block_columns) -> Iterator[tuple[int, int, list]]:
-    """``(start, stop, cells)`` per block: its nine numeric columns mapped by ``each``.
+def _map_blocks(each, variants: Sequence[str],
+                block_columns) -> Iterator[tuple[int, int, list, list[bool]]]:
+    """``(start, stop, cells, constant)`` per block: its nine numeric columns mapped by ``each``.
 
     ``block_columns(start, stop)`` gives a block's columns, and each block
     goes through :func:`_map_columns` seeded with the previous block's
-    columns and cells, so a block that repeats them maps only the rest.
+    columns, cells and constant flags, so a block that repeats them maps
+    only the rest.
     """
     seed: tuple = ()
     for start, stop in _blocks(variants):
         columns = block_columns(start, stop)
-        cells = _map_columns(each, columns, seed)
-        seed = tuple(zip(columns, cells))
-        yield start, stop, cells
+        cells, constant = _map_columns(each, columns, seed)
+        seed = tuple(zip(columns, cells, constant))
+        yield start, stop, cells, constant
 
 
 def _format_cells(column: Sequence[float]) -> list[str]:
@@ -252,15 +267,33 @@ def _cut(columns: Sequence[Sequence], start: int, stop: int) -> Sequence[Sequenc
     return columns if stop - start == len(columns[0]) else [c[start:stop] for c in columns]
 
 
+def _join_lines(columns: Sequence[Sequence[str]], constant: Sequence[bool]) -> list[str]:
+    """``",".join`` of each row of the cell columns, joining each run of constant columns once.
+
+    ``constant[i]`` tells that ``columns[i]`` repeats one cell, and a run of
+    adjacent such columns becomes one cell, so a line joins fewer cells.
+    """
+    n = len(columns[0])
+    merged: list[Sequence[str]] = []
+    for same, run in groupby(zip(constant, columns), key=itemgetter(0)):
+        if same:
+            merged.append([",".join([column[0] for _, column in run])] * n)
+        else:
+            merged += [column for _, column in run]
+    return list(map(",".join, zip(*merged)))
+
+
 def _csv_lines(columns: Sequence[Sequence]) -> list[str]:
     """Sweep-table lines from the 11 columns, without the header, block by block."""
     if not columns or not columns[0]:
         return []
     lines: list[str] = []
-    for start, stop, cells in _map_blocks(_format_cells, columns[10],
-                                          lambda i, j: _cut(columns[1:10], i, j)):
+    for start, stop, cells, constant in _map_blocks(_format_cells, columns[10],
+                                                    lambda i, j: _cut(columns[1:10], i, j)):
         axes, variants = _cut((columns[0], columns[10]), start, stop)
-        lines += map(",".join, zip(axes, *cells, variants))
+        n = stop - start
+        lines += _join_lines([axes, *cells, variants], [axes.count(axes[0]) == n, *constant,
+                                                        variants.count(variants[0]) == n])
     return lines
 
 
@@ -420,6 +453,16 @@ def check_sweep_orderings(spec: SweepSpec, rows: Iterable[SweepRow]) -> None:
     Raw capacity must fall strictly with speed and with tau, and rise
     strictly with power. The path-loss exponent has no asserted direction,
     and the fixed-angle variant rows are constant by construction.
+
+    The rule is that of a walk over the vtau rows in table order: each raw
+    value is compared with that of the previous vtau row, across any theta
+    rows between them, unless either lies at or beyond r. The check reads
+    whole columns first: when the table's variants come in blocks and the
+    raw values of all its vtau rows are strictly ordered, the walk would
+    find nothing, since it compares only neighbours in that sequence, and
+    the table passes without a step per row. Only otherwise (a violation,
+    a nan, rows at or beyond r out of order) does :func:`_walk_orderings`
+    walk the rows, to raise the first violation.
     """
     direction = {"speed": -1, "tau": -1, "power_db": +1, "alpha": 0}[spec.axis]
     if direction == 0:
@@ -427,6 +470,23 @@ def check_sweep_orderings(spec: SweepSpec, rows: Iterable[SweepRow]) -> None:
     columns = _columns(rows)
     if not columns:
         return
+    raws, variants = columns[8], columns[10]
+    vtau_raws: list[float] = []  # in table order
+    for start, stop in _blocks(variants):
+        variant = variants[start]
+        if variants[start:stop].count(variant) != stop - start:
+            break  # a block of mixed variants
+        if variant == VARIANT_VTAU:
+            vtau_raws += raws[start:stop]
+    else:
+        # for floats, a strict comparison has the sign of the walk's difference
+        if all(map(gt if direction < 0 else lt, vtau_raws, islice(vtau_raws, 1, None))):
+            return
+    _walk_orderings(spec.axis, direction, columns)
+
+
+def _walk_orderings(axis: str, direction: int, columns: Sequence[Sequence]) -> None:
+    """:func:`check_sweep_orderings`' rule, row by row: raises the first violation."""
     _, values, vs, _, _, taus, rs, _, raws, _, variants = columns
     prev_raw = None  # raw capacity of the previous vtau row, if it lies inside r
     for value, v, tau, r, raw, variant in zip(values, vs, taus, rs, raws, variants):
@@ -437,7 +497,7 @@ def check_sweep_orderings(spec: SweepSpec, rows: Iterable[SweepRow]) -> None:
             continue
         if prev_raw is not None and direction * (raw - prev_raw) <= 0:
             raise SweepOrderingError(
-                f"{spec.axis} ordering violated between "
+                f"{axis} ordering violated between "
                 f"{fmt_num(prev_value)} and {fmt_num(value)}: "
                 f"raw {prev_raw!r} -> {raw!r}"
             )
@@ -449,9 +509,39 @@ def rows_to_csv(rows: Iterable[SweepRow]) -> str:
 
 
 # A line break in a valid table sits between one line's variant and the
-# next line's axis; these map each such "<variant>\n<axis>" cell to its halves.
+# next line's axis. These map each such "<variant>\n<axis>" joint to its
+# halves, and to the joint of the same axis and the other variant.
 _VARIANT_BEFORE = {f"{v}\n{a}": v for v in VARIANTS for a in AXES}
 _AXIS_AFTER = {f"{v}\n{a}": a for v in VARIANTS for a in AXES}
+_OTHER_JOINT = {f"{v}\n{a}": f"{o}\n{a}" for v, o in zip(VARIANTS, VARIANTS[::-1]) for a in AXES}
+
+
+def _joint_runs(joints: list[str]) -> list[tuple[str, int]] | None:
+    """``(joint, length)`` of each run of equal joints, or None for the per-joint path.
+
+    A run ends at the next joint of its axis and the other variant, found
+    with ``index``, and one ``count`` over its slice proves it. None when
+    a joint is unknown, a run holds another joint (as when a table mixes
+    axes), or there would be more than one run per 64 joints.
+    """
+    runs: list[tuple[str, int]] = []
+    start, n = 0, len(joints)
+    while start < n:
+        if len(runs) * 64 > n:
+            return None
+        joint = joints[start]
+        other = _OTHER_JOINT.get(joint)
+        if other is None:
+            return None
+        try:
+            stop = joints.index(other, start)
+        except ValueError:
+            stop = n
+        if joints[start:stop].count(joint) != stop - start:
+            return None
+        runs.append((joint, stop - start))
+        start = stop
+    return runs
 
 
 def _first_bad_line(text: str) -> SweepFormatError | None:
@@ -492,14 +582,14 @@ def read_sweep_csv(text: str) -> SweepTable:
     line 1, and within that line the first failing check: the field count,
     the axis, the variant, then the numeric cells from left to right.
     """
-    header = text.partition("\n")[0]
-    if header != SWEEP_HEADER:
+    if not text.startswith(_HEADER_LINE) and text != SWEEP_HEADER:
+        header = text.partition("\n")[0]
         raise SweepFormatError(f"bad header: {header!r}")
     if not text.endswith("\n"):
         raise SweepFormatError("missing trailing newline")
-    if len(text) == len(SWEEP_HEADER) + 1:
+    if len(text) == len(_HEADER_LINE):
         return SweepTable([[]] * 11)
-    body = text[len(SWEEP_HEADER) + 1:-1]
+    body = text[len(_HEADER_LINE):-1]
     n = body.count("\n") + 1
     # Split at commas alone: in a valid table cell k of line j is
     # parts[10 * j + k], and parts[10 * j] holds line j-1's variant, the
@@ -508,15 +598,23 @@ def read_sweep_csv(text: str) -> SweepTable:
     parts = body.split(",")
     del body  # each step drops what the next no longer needs, to bound peak memory
     joints = parts[10:-1:10]
-    if not (len(parts) == 10 * n + 1 and parts[0] in AXES
-            and parts[-1] in VARIANTS
-            and _AXIS_AFTER.keys() >= set(joints)):
+    if not (len(parts) == 10 * n + 1 and parts[0] in AXES and parts[-1] in VARIANTS):
         raise _first_bad_line(text)
-    axes = [parts[0], *map(_AXIS_AFTER.__getitem__, joints)]
-    variants = [*map(_VARIANT_BEFORE.__getitem__, joints), parts[-1]]
+    runs = _joint_runs(joints)
+    if runs is not None:  # each run's halves are repeated cells
+        axes, variants = [parts[0]], []
+        for joint, length in runs:
+            axes += [_AXIS_AFTER[joint]] * length
+            variants += [_VARIANT_BEFORE[joint]] * length
+        variants.append(parts[-1])
+    elif _AXIS_AFTER.keys() >= set(joints):
+        axes = [parts[0], *map(_AXIS_AFTER.__getitem__, joints)]
+        variants = [*map(_VARIANT_BEFORE.__getitem__, joints), parts[-1]]
+    else:
+        raise _first_bad_line(text)
     del joints
     try:  # each block's cells are sliced straight out of parts
-        blocks = [cells for _, _, cells in _map_blocks(
+        blocks = [cells for _, _, cells, _ in _map_blocks(
             _parse_cells, variants,
             lambda i, j: [parts[10 * i + k:10 * j:10] for k in range(1, 10)])]
     except ValueError:
@@ -584,9 +682,9 @@ def run_relay_compare(
     n = len(values)
     p_as, p_rs, offs = ([x] * n if type(x) is not list else x for x in (p_a, p_r, offs))
     fixed = [[x] * n for x in (*gains, sigma_b2, sigma_e2, w)]
-    cells = _map_columns(_format_cells, [values, p_as, p_rs, *fixed, ons, _clamped(ons), offs,
-                                         _clamped(offs)])
-    return [RELAY_COMPARE_HEADER, *map(",".join, zip(repeat(axis), *cells))]
+    cells, constant = _map_columns(_format_cells, [values, p_as, p_rs, *fixed, ons,
+                                                   _clamped(ons), offs, _clamped(offs)])
+    return [RELAY_COMPARE_HEADER, *_join_lines([[axis] * n, *cells], [True, *constant])]
 
 
 def run_ergodic_compare(

@@ -310,6 +310,16 @@ class TestSparseSignal:
         sig = SparseSignal.from_dense(np.array([0.0, 1.5, 0.0, -2.0]))
         assert sig.k == 2
 
+    @pytest.mark.parametrize("values", [[[1, 0], [0, 2]], None, 3.0, "x", [[1], [2, 3]]],
+                             ids=["2-d", "none", "scalar", "text", "ragged"])
+    def test_from_dense_refuses_as_the_constructor_does(self, values):
+        with pytest.raises(ValueError) as expected:
+            SparseSignal(values=values, k=1)
+        with pytest.raises(ValueError) as info:
+            SparseSignal.from_dense(values)
+        assert str(info.value) == str(expected.value)
+        assert str(info.value).endswith(f"got {values!r}")
+
     def test_generator_is_exactly_k_sparse(self):
         sig = random_sparse_signal(100, 7, np.random.default_rng(13))
         assert sig.k == 7

@@ -646,14 +646,56 @@ def _row_lists(draw, max_rows=6):
 
 
 # Text that breaks a table when it replaces a cell or a separator.
-_DAMAGE = st.sampled_from(["x", "", ",", "\n", ",,", "\n\n", "vtau", "theta", "speed", "warp",
-                           "1e", "nan", " 5", "5,", ",5", "vtau\nspeed", "\r"])
+_DAMAGE = st.sampled_from(["x", "", ",", "\n", ",,", "\n\n", "vtau", "theta", "speed", "tau",
+                           "warp", "1e", "nan", " 5", "5,", ",5", "vtau\nspeed", "\r"])
+
+
+# Run lengths on both sides of the codec's rule that a table with more than
+# one variant run per 64 rows is mapped as one block.
+_RUN_LENGTHS = st.one_of(st.integers(1, 3), st.integers(60, 140))
+
+
+# Each axis's first point and step in _joined_curves.
+_CURVE_GRIDS = {"speed": (5.0, 0.5), "tau": (0.05, 0.01), "power_db": (40.0, 0.5),
+                "alpha": (1.0, 0.05)}
+
+
+@st.composite
+def _joined_curves(draw):
+    """run_sweep curves joined into one table, as a multi-curve ``v2vsec sweep`` joins them.
+
+    One to three curves, of one axis or of two, each of a run length's
+    points at a drawn alpha, tau and r (at r = 10 the longer speed and tau
+    curves reach r), a speed curve with or without its theta block. So
+    the columns repeat in runs, and a table of one axis has its line
+    joints in runs too. The variant column may be redrawn to change every
+    one to three rows, more often than once per 64 rows, starting with
+    either variant.
+    """
+    kinds = draw(st.lists(st.sampled_from(sweeps.AXES), min_size=1, max_size=2, unique=True))
+    columns = [[] for _ in range(11)]
+    for _ in range(draw(st.integers(1, 3))):
+        axis = draw(st.sampled_from(kinds))
+        start, step = _CURVE_GRIDS[axis]
+        n = draw(_RUN_LENGTHS)
+        spec = SweepSpec(axis=axis, start=start, stop=start + (n - 0.5) * step, step=step,
+                         r=draw(st.sampled_from([1000.0, 10.0])),
+                         alpha=draw(st.sampled_from([1.4, 2.0])),
+                         tau=draw(st.sampled_from([0.1, 0.2])), v_mps=30.0,
+                         theta=draw(st.sampled_from([None, 0.01])) if axis == "speed" else None)
+        for column, part in zip(columns, run_sweep(spec).columns):
+            column += part
+    if draw(st.booleans()):
+        period, shift = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+        columns[10] = [sweeps.VARIANTS[(i + shift) // period % 2] for i in range(len(columns[0]))]
+    return [SweepRow._make(row) for row in zip(*columns)]
 
 
 class TestColumnCodec:
     """The column-wise writer and reader against the per-row oracle above."""
 
-    @given(_row_lists())
+    @settings(deadline=None)
+    @given(st.one_of(_row_lists(), _joined_curves()))
     def test_writer_matches_the_per_row_writer(self, rows):
         text = rows_to_csv(rows)
         assert text == _rows_to_csv_by_row(rows)
@@ -701,11 +743,6 @@ class TestColumnCodec:
         assert rows_to_csv(read_sweep_csv(text)) == text
 
 
-# Run lengths on both sides of the codec's rule that a table with more than
-# one variant run per 64 rows is mapped as one block.
-_RUN_LENGTHS = st.one_of(st.integers(1, 3), st.integers(60, 140))
-
-
 @st.composite
 def _block_tables(draw, max_blocks=5):
     """Rows in variant runs, each repeating a few drawn rows to its length.
@@ -734,7 +771,7 @@ class TestBlockCodec:
     """The codec, which maps each variant run once, against the per-row oracle."""
 
     @settings(deadline=None)
-    @given(_block_tables(), st.data())
+    @given(st.one_of(_block_tables(), _joined_curves()), st.data())
     def test_matches_the_per_row_codec(self, rows, data):
         # each check is a bool before it is asserted: pytest's diff of two
         # texts of hundreds of lines would take seconds per failing example
@@ -762,6 +799,22 @@ class TestBlockCodec:
             got = f"SweepFormatError: {exc}"
         checks["damaged reader"] = got == expected
         assert all(checks.values()), checks
+
+    def test_line_joints_are_read_in_runs(self):
+        # the benchmark's curve: its 4,501 joints are two runs, one per block
+        table = run_sweep(SweepSpec(axis="speed", start=5.0, stop=50.0, step=0.02, r=1000.0,
+                                    alpha=1.4, tau=0.2, pn0_db=70.0, theta=0.01))
+        joints = rows_to_csv(table).split(",")[20:-1:10]
+        assert sweeps._joint_runs(joints) == [("vtau\nspeed", 2251), ("theta\nspeed", 2250)]
+        # a variant that changes every line, and a table that joins two axes,
+        # are read joint by joint
+        alternating = SweepTable([*table.columns[:10], ["vtau", "theta"] * (len(table) // 2)])
+        tau = run_sweep(SweepSpec(axis="tau", start=0.05, stop=1.0, step=0.01, v_mps=30.0))
+        two_axes = SweepTable([a + b for a, b in zip(table.columns, tau.columns)])
+        for rows in (alternating, two_axes):
+            text = rows_to_csv(rows)
+            assert sweeps._joint_runs(text.split(",")[20:-1:10]) is None
+            assert rows_to_csv(read_sweep_csv(text)) == text
 
     def test_a_theta_block_maps_only_its_own_capacity(self, monkeypatch):
         counts = {}
@@ -795,6 +848,107 @@ def _ordering_verdict(axis, rows):
     except SweepOrderingError as exc:
         return str(exc)
     return None
+
+
+def _orderings_by_row(axis, rows):
+    """The per-row walk that the column-wise check_sweep_orderings replaced, kept as its oracle.
+
+    Returns the message of the first violation, or None.
+    """
+    direction = {"speed": -1, "tau": -1, "power_db": +1, "alpha": 0}[axis]
+    if direction == 0:
+        return None
+    prev_raw = None  # raw capacity of the previous vtau row, if it lies inside r
+    for row in rows:
+        if row.variant != "vtau":
+            continue
+        if row.v_mps * row.tau_s >= row.r_m:
+            prev_raw = None
+            continue
+        if prev_raw is not None and direction * (row.cs_raw - prev_raw) <= 0:
+            return (f"{axis} ordering violated between "
+                    f"{fmt_num(prev_value)} and {fmt_num(row.axis_value)}: "
+                    f"raw {prev_raw!r} -> {row.cs_raw!r}")
+        prev_value, prev_raw = row.axis_value, row.cs_raw
+    return None
+
+
+@st.composite
+def _doctored_curves(draw):
+    """An axis, and joined curves with up to three cells doctored.
+
+    Each doctored cell is one row's raw value (non-finite, a neighbour's,
+    or any float), its speed (non-finite, zero, or far beyond r) or its r
+    (non-finite, or at or below v*tau). The axis is mostly the first
+    curve's, so that undoctored tables pass.
+    """
+    rows = draw(_joined_curves())
+    columns = [list(c) for c in zip(*rows)]
+    n = len(rows)
+    raws, vs, taus, rs = (columns[SweepRow._fields.index(f)]
+                          for f in ("cs_raw", "v_mps", "tau_s", "r_m"))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n - 1))
+        column, odd = draw(st.sampled_from([
+            (raws, [math.nan, math.inf, -math.inf, raws[i - 1], raws[(i + 1) % n]]),
+            (vs, [math.nan, math.inf, 0.0, vs[i] * 1e4]),
+            (rs, [math.nan, math.inf, vs[i] * taus[i], vs[i] * taus[i] / 2]),
+        ]))
+        column[i] = draw(st.one_of(st.sampled_from(odd), st.floats()))
+    axis = rows[0].axis if draw(st.booleans()) else draw(st.sampled_from(sweeps.AXES))
+    return axis, SweepTable(columns)
+
+
+class TestOrderingOracle:
+    """The column-wise ordering check against the per-row walk it replaced."""
+
+    @settings(deadline=None)
+    @given(_doctored_curves())
+    def test_matches_the_per_row_walk(self, case):
+        axis, table = case
+        expected = _orderings_by_row(axis, table)
+        assert _ordering_verdict(axis, table) == expected
+        assert _ordering_verdict(axis, list(table)) == expected
+
+    def test_an_ordered_table_is_checked_without_a_walk(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("walked the rows")
+
+        monkeypatch.setattr(sweeps, "_walk_orderings", no_walk)
+        # the benchmark's curve: a vtau and a theta block of 2,251 rows each
+        spec = SweepSpec(axis="speed", start=5.0, stop=50.0, step=0.02, r=1000.0, alpha=1.4,
+                         tau=0.2, pn0_db=70.0, theta=0.01)
+        check_sweep_orderings(spec, run_sweep(spec))
+        for axis, start, stop, step in (("tau", 0.05, 1.0, 0.01),
+                                        ("power_db", 40.0, 80.0, 0.25)):
+            spec = SweepSpec(axis=axis, start=start, stop=stop, step=step, v_mps=30.0)
+            check_sweep_orderings(spec, run_sweep(spec))
+
+    def test_the_previous_raw_value_carries_across_theta_rows(self):
+        # two curves with theta blocks of 91 rows, joined: the second curve's
+        # first vtau row is compared with the first curve's last one
+        curves = [run_sweep(SweepSpec(axis="speed", start=5.0, stop=50.0, step=0.5, tau=tau,
+                                      theta=0.01)) for tau in (0.2, 0.4)]
+        table = SweepTable([a + b for a, b in zip(curves[0].columns, curves[1].columns)])
+        message = (f"speed ordering violated between 50 and 5: "
+                   f"raw {curves[0][90].cs_raw!r} -> {curves[1][0].cs_raw!r}")
+        assert _orderings_by_row("speed", table) == message
+        assert _ordering_verdict("speed", table) == message
+
+    @pytest.mark.parametrize("raw,message", [
+        (math.nan, None),  # a nan compares as no violation, and breaks the chain
+        (math.inf, "speed ordering violated between 5.02 and 5.04: raw {a!r} -> inf"),
+        (-math.inf, "speed ordering violated between 5.04 and 5.06: raw -inf -> {b!r}"),
+    ], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_raw_value_is_walked(self, raw, message):
+        spec = SweepSpec(axis="speed", start=5.0, stop=6.0, step=0.02, theta=0.01)
+        columns = [list(c) for c in run_sweep(spec).columns]
+        a, b = columns[8][1], columns[8][3]
+        columns[8][2] = raw
+        table = SweepTable(columns)
+        expected = message and message.format(a=a, b=b)
+        assert _orderings_by_row("speed", table) == expected
+        assert _ordering_verdict("speed", table) == expected
 
 
 _INDEX = st.one_of(st.none(), st.integers(-8, 8))
@@ -986,6 +1140,9 @@ class TestRelayCompare:
             assert cells[2:4] == [fmt_num(cfg.p_a), fmt_num(cfg.p_r)]
             assert cells[11:] == [fmt_num(on.raw), fmt_num(on.clamped),
                                   fmt_num(off.raw), fmt_num(off.clamped)], line
+            # the writer joins runs of constant cells once; the line is a per-cell join
+            assert line == ",".join([axis, *map(fmt_num, (
+                value, *cfg[:9], on.raw, on.clamped, off.raw, off.clamped))])
 
 
 class TestErgodicCompare:
