@@ -36,7 +36,8 @@ cells too, so a theta block maps only its own capacity. A table with more
 than one run per 64 rows is mapped as one block. Within a block, each run
 of adjacent constant columns is joined into one cell once: a speed
 curve's vtau line joins 8 cells and its theta line 5, not 11, and a
-relay-compare line 8, not 15.
+relay-compare line 8, not 15. One run finder, ``_runs``, finds the runs
+for the writer, the reader and the ordering check.
 
 The reader works by block too: it checks the structure of the whole
 table at once, slices each block's cells out of the split text and
@@ -45,8 +46,8 @@ line's last comma and the next line's first, holds a variant, the line
 break and an axis. The reader takes the joints in runs of equal ones,
 checks each run once and expands it into repeated axis and variant
 cells. A table whose joints change more than once per 64 lines, or mix
-axes, is checked joint by joint. Only when the check fails does the
-reader walk the table line by line, to raise the first bad line's error.
+axes, or that breaks the contract, is read line by line instead, which
+raises the first bad line's error.
 """
 
 from __future__ import annotations
@@ -114,6 +115,7 @@ AXES = ("speed", "power_db", "tau", "alpha")
 VARIANT_VTAU = "vtau"
 VARIANT_THETA = "theta"
 VARIANTS = (VARIANT_VTAU, VARIANT_THETA)
+_OTHER_VARIANT = dict(zip(VARIANTS, VARIANTS[::-1]))
 
 DEFAULT_SPEED_MPS = 80.0 / 3.6  # the most-swept operating point, 80 km/h
 
@@ -209,39 +211,45 @@ def _map_columns(each, columns: Sequence[Sequence],
     return out, constant
 
 
-def _blocks(variants: Sequence[str]) -> list[tuple[int, int]]:
-    """``(start, stop)`` of each maximal run of one variant, found with ``index``.
+def _runs(items: Sequence, other: dict) -> list[tuple[int, int]] | None:
+    """``(start, stop)`` of each run of equal items, or None.
 
-    A table with more than one run per 64 rows is one block, since there
-    the work per block outweighs the cells it saves. Blocks only share
-    work, so any split gives the same cells: a variant outside VARIANTS
-    just joins the theta rows' runs.
+    A run ends at the next ``other[item]``, found with ``index``, and one
+    ``count`` over its slice proves it. None when an item is not a key of
+    ``other``, a run holds a third item, or there would be more than one
+    run per 64 items, since there the work per run outweighs what it saves.
     """
-    n = len(variants)
-    starts = [0]
-    while starts[-1] < n:
-        if len(starts) * 64 > n:
-            return [(0, n)]
-        start = starts[-1]
-        other = VARIANT_THETA if variants[start] == VARIANT_VTAU else VARIANT_VTAU
+    runs: list[tuple[int, int]] = []
+    start, n = 0, len(items)
+    while start < n:
+        if len(runs) * 64 > n:
+            return None
+        item = items[start]
+        if item not in other:
+            return None
         try:
-            starts.append(variants.index(other, start))
+            stop = items.index(other[item], start)
         except ValueError:
-            starts.append(n)
-    return list(zip(starts, starts[1:]))
+            stop = n
+        if items[start:stop].count(item) != stop - start:
+            return None
+        runs.append((start, stop))
+        start = stop
+    return runs
 
 
 def _map_blocks(each, variants: Sequence[str],
                 block_columns) -> Iterator[tuple[int, int, list, list[bool]]]:
     """``(start, stop, cells, constant)`` per block: its nine numeric columns mapped by ``each``.
 
-    ``block_columns(start, stop)`` gives a block's columns, and each block
+    A block is a run of one variant, or the whole table when the variants
+    have no runs. ``block_columns(start, stop)`` gives a block's columns, and each block
     goes through :func:`_map_columns` seeded with the previous block's
     columns, cells and constant flags, so a block that repeats them maps
     only the rest.
     """
     seed: tuple = ()
-    for start, stop in _blocks(variants):
+    for start, stop in _runs(variants, _OTHER_VARIANT) or [(0, len(variants))]:
         columns = block_columns(start, stop)
         cells, constant = _map_columns(each, columns, seed)
         seed = tuple(zip(columns, cells, constant))
@@ -455,14 +463,18 @@ def check_sweep_orderings(spec: SweepSpec, rows: Iterable[SweepRow]) -> None:
     and the fixed-angle variant rows are constant by construction.
 
     The rule is that of a walk over the vtau rows in table order: each raw
-    value is compared with that of the previous vtau row, across any theta
-    rows between them, unless either lies at or beyond r. The check reads
-    whole columns first: when the table's variants come in blocks and the
-    raw values of all its vtau rows are strictly ordered, the walk would
-    find nothing, since it compares only neighbours in that sequence, and
-    the table passes without a step per row. Only otherwise (a violation,
-    a nan, rows at or beyond r out of order) does :func:`_walk_orderings`
-    walk the rows, to raise the first violation.
+    value is compared with that of the previous vtau row of its curve,
+    across any theta rows between them, unless either lies at or beyond r.
+    A vtau row starts a new curve when its ``axis``, ``alpha``, ``r_m``, or
+    one of ``v_mps``, ``tau_s`` and ``pn0_db`` the axis does not sweep,
+    differs from the previous vtau row's, or when its axis value does not
+    rise above its curve's first. The check reads whole columns first:
+    when the table's variants come in runs and the raw values of all its
+    vtau rows are strictly ordered, the walk would find nothing, since it
+    compares only neighbours in that sequence, and the table passes
+    without a step per row. Only otherwise (a violation, a nan, rows at or
+    beyond r out of order, a later curve) does :func:`_walk_orderings` walk
+    the rows, to raise the first violation.
     """
     direction = {"speed": -1, "tau": -1, "power_db": +1, "alpha": 0}[spec.axis]
     if direction == 0:
@@ -471,37 +483,44 @@ def check_sweep_orderings(spec: SweepSpec, rows: Iterable[SweepRow]) -> None:
     if not columns:
         return
     raws, variants = columns[8], columns[10]
-    vtau_raws: list[float] = []  # in table order
-    for start, stop in _blocks(variants):
-        variant = variants[start]
-        if variants[start:stop].count(variant) != stop - start:
-            break  # a block of mixed variants
-        if variant == VARIANT_VTAU:
-            vtau_raws += raws[start:stop]
-    else:
+    runs = _runs(variants, _OTHER_VARIANT)
+    if runs is not None:
+        vtau_raws: list[float] = []  # in table order
+        for start, stop in runs:
+            if variants[start] == VARIANT_VTAU:
+                vtau_raws += raws[start:stop]
         # for floats, a strict comparison has the sign of the walk's difference
         if all(map(gt if direction < 0 else lt, vtau_raws, islice(vtau_raws, 1, None))):
             return
     _walk_orderings(spec.axis, direction, columns)
 
 
+# Per checked axis, the indices of the columns fixed along a curve
+# (axis, alpha, r_m and two of v_mps, tau_s and pn0_db).
+_CURVE_FIXED = {"speed": (0, 4, 6, 5, 7), "tau": (0, 4, 6, 2, 7), "power_db": (0, 4, 6, 2, 5)}
+
+
 def _walk_orderings(axis: str, direction: int, columns: Sequence[Sequence]) -> None:
     """:func:`check_sweep_orderings`' rule, row by row: raises the first violation."""
     _, values, vs, _, _, taus, rs, _, raws, _, variants = columns
-    prev_raw = None  # raw capacity of the previous vtau row, if it lies inside r
-    for value, v, tau, r, raw, variant in zip(values, vs, taus, rs, raws, variants):
+    curves = zip(*(columns[i] for i in _CURVE_FIXED[axis]))
+    fixed_before = first = None  # the previous vtau row's fixed cells, its curve's first value
+    prev_raw = None  # raw capacity of the previous vtau row of the curve, if it lies inside r
+    for value, v, tau, r, raw, variant, fixed in zip(values, vs, taus, rs, raws, variants,
+                                                     curves):
         if variant != VARIANT_VTAU:
             continue
+        if fixed != fixed_before or not value > first:
+            first, prev_raw = value, None  # the row starts a curve
         if v * tau >= r:
-            prev_raw = None
-            continue
-        if prev_raw is not None and direction * (raw - prev_raw) <= 0:
+            raw = None
+        elif prev_raw is not None and direction * (raw - prev_raw) <= 0:
             raise SweepOrderingError(
                 f"{axis} ordering violated between "
                 f"{fmt_num(prev_value)} and {fmt_num(value)}: "
                 f"raw {prev_raw!r} -> {raw!r}"
             )
-        prev_value, prev_raw = value, raw
+        fixed_before, prev_value, prev_raw = fixed, value, raw
 
 
 def rows_to_csv(rows: Iterable[SweepRow]) -> str:
@@ -513,57 +532,31 @@ def rows_to_csv(rows: Iterable[SweepRow]) -> str:
 # halves, and to the joint of the same axis and the other variant.
 _VARIANT_BEFORE = {f"{v}\n{a}": v for v in VARIANTS for a in AXES}
 _AXIS_AFTER = {f"{v}\n{a}": a for v in VARIANTS for a in AXES}
-_OTHER_JOINT = {f"{v}\n{a}": f"{o}\n{a}" for v, o in zip(VARIANTS, VARIANTS[::-1]) for a in AXES}
+_OTHER_JOINT = {f"{v}\n{a}": f"{o}\n{a}" for v, o in _OTHER_VARIANT.items() for a in AXES}
 
 
-def _joint_runs(joints: list[str]) -> list[tuple[str, int]] | None:
-    """``(joint, length)`` of each run of equal joints, or None for the per-joint path.
+def _read_lines(text: str) -> SweepTable:
+    """The table in ``text``, read line by line, or the first bad body line's error.
 
-    A run ends at the next joint of its axis and the other variant, found
-    with ``index``, and one ``count`` over its slice proves it. None when
-    a joint is unknown, a run holds another joint (as when a table mixes
-    axes), or there would be more than one run per 64 joints.
+    The reader's slow path, and the one place its line messages live:
+    :func:`read_sweep_csv` hands it a table whose header and trailing LF it
+    has checked, and that its whole-table path does not read.
     """
-    runs: list[tuple[str, int]] = []
-    start, n = 0, len(joints)
-    while start < n:
-        if len(runs) * 64 > n:
-            return None
-        joint = joints[start]
-        other = _OTHER_JOINT.get(joint)
-        if other is None:
-            return None
-        try:
-            stop = joints.index(other, start)
-        except ValueError:
-            stop = n
-        if joints[start:stop].count(joint) != stop - start:
-            return None
-        runs.append((joint, stop - start))
-        start = stop
-    return runs
-
-
-def _first_bad_line(text: str) -> SweepFormatError | None:
-    """The error of the first body line that breaks the table contract.
-
-    The reader's one per-line walk, and the one place its line messages
-    live. :func:`read_sweep_csv` calls it only after its whole-table check
-    failed, so some line is bad.
-    """
+    rows = []
     for i, line in enumerate(text.split("\n")[1:-1], start=2):
         parts = line.split(",")
         if len(parts) != 11:
-            return SweepFormatError(f"line {i}: expected 11 fields, got {len(parts)}")
+            raise SweepFormatError(f"line {i}: expected 11 fields, got {len(parts)}")
         if parts[0] not in AXES:
-            return SweepFormatError(f"line {i}: unknown axis {parts[0]!r}")
+            raise SweepFormatError(f"line {i}: unknown axis {parts[0]!r}")
         if parts[10] not in VARIANTS:
-            return SweepFormatError(f"line {i}: unknown variant {parts[10]!r}")
+            raise SweepFormatError(f"line {i}: unknown variant {parts[10]!r}")
         try:
-            _parse_cells(parts[1:10])
+            cells = _parse_cells(parts[1:10])
         except ValueError as exc:
-            return SweepFormatError(f"line {i}: {exc}")
-    return None
+            raise SweepFormatError(f"line {i}: {exc}") from None
+        rows.append((parts[0], *cells, parts[10]))
+    return SweepTable(map(list, zip(*rows)))
 
 
 def read_sweep_csv(text: str) -> SweepTable:
@@ -581,6 +574,7 @@ def read_sweep_csv(text: str) -> SweepTable:
     error names the first bad line in file order, counting the header as
     line 1, and within that line the first failing check: the field count,
     the axis, the variant, then the numeric cells from left to right.
+    A table the whole-table path does not read goes to :func:`_read_lines`.
     """
     if not text.startswith(_HEADER_LINE) and text != SWEEP_HEADER:
         header = text.partition("\n")[0]
@@ -597,28 +591,24 @@ def read_sweep_csv(text: str) -> SweepTable:
     # tables with 10 * n + 1 parts whose every tenth part is such a joint.
     parts = body.split(",")
     del body  # each step drops what the next no longer needs, to bound peak memory
-    joints = parts[10:-1:10]
     if not (len(parts) == 10 * n + 1 and parts[0] in AXES and parts[-1] in VARIANTS):
-        raise _first_bad_line(text)
-    runs = _joint_runs(joints)
-    if runs is not None:  # each run's halves are repeated cells
-        axes, variants = [parts[0]], []
-        for joint, length in runs:
-            axes += [_AXIS_AFTER[joint]] * length
-            variants += [_VARIANT_BEFORE[joint]] * length
-        variants.append(parts[-1])
-    elif _AXIS_AFTER.keys() >= set(joints):
-        axes = [parts[0], *map(_AXIS_AFTER.__getitem__, joints)]
-        variants = [*map(_VARIANT_BEFORE.__getitem__, joints), parts[-1]]
-    else:
-        raise _first_bad_line(text)
+        return _read_lines(text)
+    joints = parts[10:-1:10]
+    runs = _runs(joints, _OTHER_JOINT)
+    if runs is None:
+        return _read_lines(text)
+    axes, variants = [parts[0]], []  # each joint run's halves are repeated cells
+    for start, stop in runs:
+        axes += [_AXIS_AFTER[joints[start]]] * (stop - start)
+        variants += [_VARIANT_BEFORE[joints[start]]] * (stop - start)
+    variants.append(parts[-1])
     del joints
     try:  # each block's cells are sliced straight out of parts
         blocks = [cells for _, _, cells, _ in _map_blocks(
             _parse_cells, variants,
             lambda i, j: [parts[10 * i + k:10 * j:10] for k in range(1, 10)])]
     except ValueError:
-        raise _first_bad_line(text) from None
+        return _read_lines(text)
     del parts
     numeric = blocks[0]
     if len(blocks) > 1:

@@ -1,6 +1,7 @@
 import gc
 import math
 import platform
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -800,21 +801,31 @@ class TestBlockCodec:
         checks["damaged reader"] = got == expected
         assert all(checks.values()), checks
 
-    def test_line_joints_are_read_in_runs(self):
+    def test_line_joints_are_read_in_runs(self, monkeypatch):
+        read_lines = []
+
+        def spied(text, read=sweeps._read_lines):
+            read_lines.append(text)
+            return read(text)
+
+        monkeypatch.setattr(sweeps, "_read_lines", spied)
         # the benchmark's curve: its 4,501 joints are two runs, one per block
         table = run_sweep(SweepSpec(axis="speed", start=5.0, stop=50.0, step=0.02, r=1000.0,
                                     alpha=1.4, tau=0.2, pn0_db=70.0, theta=0.01))
-        joints = rows_to_csv(table).split(",")[20:-1:10]
-        assert sweeps._joint_runs(joints) == [("vtau\nspeed", 2251), ("theta\nspeed", 2250)]
+        text = rows_to_csv(table)
+        assert sweeps._runs(text.split(",")[20:-1:10], sweeps._OTHER_JOINT) == [(0, 2251),
+                                                                               (2251, 4501)]
+        assert rows_to_csv(read_sweep_csv(text)) == text and read_lines == []
         # a variant that changes every line, and a table that joins two axes,
-        # are read joint by joint
+        # have no joint runs and are read line by line
         alternating = SweepTable([*table.columns[:10], ["vtau", "theta"] * (len(table) // 2)])
         tau = run_sweep(SweepSpec(axis="tau", start=0.05, stop=1.0, step=0.01, v_mps=30.0))
         two_axes = SweepTable([a + b for a, b in zip(table.columns, tau.columns)])
         for rows in (alternating, two_axes):
             text = rows_to_csv(rows)
-            assert sweeps._joint_runs(text.split(",")[20:-1:10]) is None
+            assert sweeps._runs(text.split(",")[20:-1:10], sweeps._OTHER_JOINT) is None
             assert rows_to_csv(read_sweep_csv(text)) == text
+            assert read_lines.pop() == text and read_lines == []
 
     def test_a_theta_block_maps_only_its_own_capacity(self, monkeypatch):
         counts = {}
@@ -829,12 +840,55 @@ class TestBlockCodec:
                                     alpha=1.4, tau=0.2, pn0_db=70.0, theta=0.01))
         alternating = SweepTable([*table.columns[:10], ["vtau", "theta"] * (len(table) // 2)])
         # 6,758 = axis_value, v_kmh and cs_raw per vtau row, one cell per fixed
-        # column and the theta capacity; alternating, the table is one block of
-        # 4,502 rows, mapped as a whole table: 3 * 4,502 + 4 cells
-        for rows, cells in ((table, 6758), (alternating, 13510)):
+        # column and the theta capacity; alternating, the writer maps the table
+        # as one block, 3 * 4,502 + 4 cells, and the reader reads it line by
+        # line, 9 * 4,502 cells
+        for rows, written, read in ((table, 6758, 6758), (alternating, 13510, 40518)):
             counts.update(_format_cells=0, _parse_cells=0)
             read_sweep_csv(rows_to_csv(rows))
-            assert counts == {"_format_cells": cells, "_parse_cells": cells}
+            assert counts == {"_format_cells": written, "_parse_cells": read}
+
+
+@st.composite
+def _item_runs(draw):
+    """Items over vtau, theta and an unknown x, in runs of 1-3 or 60-140 equal items."""
+    items = []
+    for _ in range(draw(st.integers(0, 6))):
+        items += [draw(st.sampled_from(["vtau", "theta", "x"]))] * draw(_RUN_LENGTHS)
+    return items
+
+
+def _runs_by_groupby(items):
+    """``sweeps._runs(items, sweeps._OTHER_VARIANT)`` from ``itertools.groupby``.
+
+    None when an x is found, whether it starts a run or lies inside one,
+    or when the runs after the first outnumber the 64-item stretches.
+    """
+    runs, start = [], 0
+    for _, group in groupby(items):
+        stop = start + len(list(group))
+        runs.append((start, stop))
+        start = stop
+    if "x" in items or (len(runs) - 1) * 64 > len(items):
+        return None
+    return runs
+
+
+class TestRuns:
+    """The codec's one run finder against itertools.groupby."""
+
+    @given(_item_runs())
+    def test_matches_groupby(self, items):
+        assert sweeps._runs(items, sweeps._OTHER_VARIANT) == _runs_by_groupby(items)
+
+    @pytest.mark.parametrize("items,runs", [
+        (["vtau"] * 32 + ["theta"] * 32, [(0, 32), (32, 64)]),
+        (["vtau"] * 32 + ["theta"] * 31, None),  # two runs in fewer than 64 items
+        (["x"] * 100, None),  # an item that is not a key
+        (["vtau"] * 50 + ["x"] + ["vtau"] * 49 + ["theta"] * 100, None),  # a third item
+    ], ids=["two runs in 64", "two runs in 63", "unknown", "third item"])
+    def test_the_cap_and_the_none_cases(self, items, runs):
+        assert sweeps._runs(items, sweeps._OTHER_VARIANT) == runs
 
 
 def _table_of(rows):
@@ -850,26 +904,40 @@ def _ordering_verdict(axis, rows):
     return None
 
 
+# The fields that stay fixed along a curve of each checked axis, besides
+# axis, alpha and r_m.
+_CURVE_FIELDS = {"speed": ("tau_s", "pn0_db"), "tau": ("v_mps", "pn0_db"),
+                 "power_db": ("v_mps", "tau_s")}
+
+
 def _orderings_by_row(axis, rows):
     """The per-row walk that the column-wise check_sweep_orderings replaced, kept as its oracle.
 
-    Returns the message of the first violation, or None.
+    A vtau row starts a new chain when axis, alpha, r_m or a field the
+    axis does not sweep differs from the previous vtau row's, or when its
+    axis value is not above its curve's first. Returns the message of the
+    first violation, or None.
     """
     direction = {"speed": -1, "tau": -1, "power_db": +1, "alpha": 0}[axis]
     if direction == 0:
         return None
-    prev_raw = None  # raw capacity of the previous vtau row, if it lies inside r
+    fixed_before = first = None  # the previous vtau row's fixed fields, its curve's first value
+    prev_raw = None  # raw capacity of the previous vtau row of the curve, if it lies inside r
     for row in rows:
         if row.variant != "vtau":
             continue
+        fixed = (row.axis, row.alpha, row.r_m, *(getattr(row, f) for f in _CURVE_FIELDS[axis]))
+        if fixed != fixed_before or not row.axis_value > first:
+            first, prev_raw = row.axis_value, None
         if row.v_mps * row.tau_s >= row.r_m:
             prev_raw = None
-            continue
-        if prev_raw is not None and direction * (row.cs_raw - prev_raw) <= 0:
+        elif prev_raw is not None and direction * (row.cs_raw - prev_raw) <= 0:
             return (f"{axis} ordering violated between "
                     f"{fmt_num(prev_value)} and {fmt_num(row.axis_value)}: "
                     f"raw {prev_raw!r} -> {row.cs_raw!r}")
-        prev_value, prev_raw = row.axis_value, row.cs_raw
+        else:
+            prev_raw = row.cs_raw
+        fixed_before, prev_value = fixed, row.axis_value
     return None
 
 
@@ -924,16 +992,71 @@ class TestOrderingOracle:
             spec = SweepSpec(axis=axis, start=start, stop=stop, step=step, v_mps=30.0)
             check_sweep_orderings(spec, run_sweep(spec))
 
-    def test_the_previous_raw_value_carries_across_theta_rows(self):
+    def test_each_joined_curve_is_checked_on_its_own(self):
         # two curves with theta blocks of 91 rows, joined: the second curve's
-        # first vtau row is compared with the first curve's last one
+        # first vtau row starts a new chain, whether its tau differs or its
+        # parameters repeat the first curve's and only its speed falls back
         curves = [run_sweep(SweepSpec(axis="speed", start=5.0, stop=50.0, step=0.5, tau=tau,
                                       theta=0.01)) for tau in (0.2, 0.4)]
-        table = SweepTable([a + b for a, b in zip(curves[0].columns, curves[1].columns)])
-        message = (f"speed ordering violated between 50 and 5: "
-                   f"raw {curves[0][90].cs_raw!r} -> {curves[1][0].cs_raw!r}")
+        for second in curves:
+            table = SweepTable([a + b for a, b in zip(curves[0].columns, second.columns)])
+            assert _orderings_by_row("speed", table) is None
+            assert _ordering_verdict("speed", table) is None
+        # a raw value doctored inside curve 2 is refused with the walk's message
+        columns = [list(c) for c in curves[0].columns]
+        columns = [a + b for a, b in zip(columns, curves[1].columns)]
+        columns[8][192] = columns[8][191]  # speeds 9.5 and 10 of curve 2
+        table = SweepTable(columns)
+        raw = columns[8][191]
+        message = f"speed ordering violated between 9.5 and 10: raw {raw!r} -> {raw!r}"
         assert _orderings_by_row("speed", table) == message
         assert _ordering_verdict("speed", table) == message
+
+    @pytest.mark.parametrize("axis,start,stop,step", [
+        ("speed", 5.0, 50.0, 0.5), ("tau", 0.05, 1.0, 0.05), ("power_db", 40.0, 80.0, 2.0),
+    ])
+    def test_a_multi_curve_sweep_passes(self, axis, start, stop, step):
+        # curves at two values of each fixed parameter, joined as `v2vsec sweep`
+        # joins them; on the tau and power_db axes, pairs of curves repeat
+        curves = [run_sweep(SweepSpec(axis=axis, start=start, stop=stop, step=step, alpha=alpha,
+                                      tau=tau, pn0_db=pn0_db, v_mps=30.0))
+                  for alpha in (1.4, 2.0) for tau in (0.1, 0.2) for pn0_db in (60.0, 70.0)]
+        table = SweepTable([sum(c, []) for c in zip(*(curve.columns for curve in curves))])
+        assert _orderings_by_row(axis, table) is None
+        assert _ordering_verdict(axis, table) is None
+
+    @pytest.mark.parametrize("axis,swept", [("speed", "v_mps"), ("tau", "tau_s"),
+                                            ("power_db", "pn0_db")])
+    @pytest.mark.parametrize("field", ["axis", "v_mps", "alpha", "tau_s", "r_m", "pn0_db"])
+    def test_a_changed_fixed_column_starts_a_curve(self, axis, swept, field):
+        # rows 10-19 of a rising curve get a new cell in one column and row 10
+        # repeats row 9's raw value: only a column the axis does not sweep
+        # starts a new curve there and drops the comparison
+        start, step = _CURVE_GRIDS[axis]
+        spec = SweepSpec(axis=axis, start=start, stop=start + 19.5 * step, step=step, v_mps=30.0)
+        columns = [list(c) for c in run_sweep(spec).columns]
+        i = SweepRow._fields.index(field)
+        new = "alpha" if field == "axis" else columns[i][10] * 1.5
+        columns[i][10:] = [new] * 10
+        columns[8][10] = columns[8][9]
+        table = SweepTable(columns)
+        expected = None if field != swept else (
+            f"{axis} ordering violated between {fmt_num(columns[1][9])} and "
+            f"{fmt_num(columns[1][10])}: raw {columns[8][9]!r} -> {columns[8][9]!r}")
+        assert _orderings_by_row(axis, table) == expected
+        assert _ordering_verdict(axis, table) == expected
+
+    @pytest.mark.parametrize("source", [1, 4], ids=["after", "before"])
+    def test_a_row_beyond_r_is_compared_with_neither_neighbour(self, source):
+        # row 2's speed puts it beyond r, and its raw value is out of order
+        # with row 1's (a copy of it) or with row 3's (a copy of row 4's)
+        spec = SweepSpec(axis="speed", start=5.0, stop=6.0, step=0.02)
+        columns = [list(c) for c in run_sweep(spec).columns]
+        columns[8][2] = columns[8][source]
+        columns[2][2] = 2 * columns[6][2] / columns[5][2]
+        table = SweepTable(columns)
+        assert _orderings_by_row("speed", table) is None
+        assert _ordering_verdict("speed", table) is None
 
     @pytest.mark.parametrize("raw,message", [
         (math.nan, None),  # a nan compares as no violation, and breaks the chain
