@@ -44,10 +44,11 @@ table at once, slices each block's cells out of the split text and
 parses each distinct column once. A line joint, the text between one
 line's last comma and the next line's first, holds a variant, the line
 break and an axis. The reader takes the joints in runs of equal ones,
-checks each run once and expands it into repeated axis and variant
-cells. A table whose joints change more than once per 64 lines, or mix
-axes, or that breaks the contract, is read line by line instead, which
-raises the first bad line's error.
+checks each run once and expands it into repeated variant cells, each
+run being a block. A table whose joints change more than once per 64
+lines, or mix axes, has its joints checked one by one. A table that
+breaks the contract is read line by line instead, which raises the first
+bad line's error.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def _runs(items: Sequence, other: dict) -> list[tuple[int, int]] | None:
     return runs
 
 
-def _map_blocks(each, variants: Sequence[str],
+def _map_blocks(each, blocks: Iterable[tuple[int, int]],
                 block_columns) -> Iterator[tuple[int, int, list, list[bool]]]:
     """``(start, stop, cells, constant)`` per block: its nine numeric columns mapped by ``each``.
 
@@ -249,7 +250,7 @@ def _map_blocks(each, variants: Sequence[str],
     only the rest.
     """
     seed: tuple = ()
-    for start, stop in _runs(variants, _OTHER_VARIANT) or [(0, len(variants))]:
+    for start, stop in blocks:
         columns = block_columns(start, stop)
         cells, constant = _map_columns(each, columns, seed)
         seed = tuple(zip(columns, cells, constant))
@@ -296,7 +297,8 @@ def _csv_lines(columns: Sequence[Sequence]) -> list[str]:
     if not columns or not columns[0]:
         return []
     lines: list[str] = []
-    for start, stop, cells, constant in _map_blocks(_format_cells, columns[10],
+    blocks = _runs(columns[10], _OTHER_VARIANT) or [(0, len(columns[0]))]
+    for start, stop, cells, constant in _map_blocks(_format_cells, blocks,
                                                     lambda i, j: _cut(columns[1:10], i, j)):
         axes, variants = _cut((columns[0], columns[10]), start, stop)
         n = stop - start
@@ -574,7 +576,8 @@ def read_sweep_csv(text: str) -> SweepTable:
     error names the first bad line in file order, counting the header as
     line 1, and within that line the first failing check: the field count,
     the axis, the variant, then the numeric cells from left to right.
-    A table the whole-table path does not read goes to :func:`_read_lines`.
+    Such a table is read again by :func:`_read_lines`, after the split
+    text is dropped.
     """
     if not text.startswith(_HEADER_LINE) and text != SWEEP_HEADER:
         header = text.partition("\n")[0]
@@ -591,32 +594,39 @@ def read_sweep_csv(text: str) -> SweepTable:
     # tables with 10 * n + 1 parts whose every tenth part is such a joint.
     parts = body.split(",")
     del body  # each step drops what the next no longer needs, to bound peak memory
-    if not (len(parts) == 10 * n + 1 and parts[0] in AXES and parts[-1] in VARIANTS):
-        return _read_lines(text)
-    joints = parts[10:-1:10]
-    runs = _runs(joints, _OTHER_JOINT)
-    if runs is None:
-        return _read_lines(text)
-    axes, variants = [parts[0]], []  # each joint run's halves are repeated cells
-    for start, stop in runs:
-        axes += [_AXIS_AFTER[joints[start]]] * (stop - start)
-        variants += [_VARIANT_BEFORE[joints[start]]] * (stop - start)
-    variants.append(parts[-1])
-    del joints
-    try:  # each block's cells are sliced straight out of parts
-        blocks = [cells for _, _, cells, _ in _map_blocks(
-            _parse_cells, variants,
-            lambda i, j: [parts[10 * i + k:10 * j:10] for k in range(1, 10)])]
-    except ValueError:
-        return _read_lines(text)
-    del parts
-    numeric = blocks[0]
-    if len(blocks) > 1:
-        numeric = [[] for _ in numeric]
-        for cells in blocks:
-            for column, part in zip(numeric, cells):
-                column += part
-    return SweepTable([axes, *numeric, variants])
+    if len(parts) == 10 * n + 1 and parts[0] in AXES and parts[-1] in VARIANTS:
+        # one joint per line: its variant and the next line's axis, or the
+        # first line's for the last line, which in a one-axis table is the same
+        joints = parts[10:-1:10]
+        joints.append(f"{parts[-1]}\n{parts[0]}")
+        try:
+            blocks = _runs(joints, _OTHER_JOINT)
+            if blocks is not None:  # one axis, and one variant per run
+                axes, variants = [parts[0]] * n, []
+                for start, stop in blocks:
+                    variants += [_VARIANT_BEFORE[joints[start]]] * (stop - start)
+            else:  # joint by joint; a joint that is not a key raises KeyError
+                axes = [parts[0], *map(_AXIS_AFTER.__getitem__, joints[:-1])]
+                variants = list(map(_VARIANT_BEFORE.__getitem__, joints))
+                blocks = _runs(variants, _OTHER_VARIANT) or [(0, n)]
+            del joints
+            # each block's cells are sliced straight out of parts
+            mapped = [cells for _, _, cells, _ in _map_blocks(
+                _parse_cells, blocks,
+                lambda i, j: [parts[10 * i + k:10 * j:10] for k in range(1, 10)])]
+        except (KeyError, ValueError):
+            pass
+        else:
+            del parts
+            numeric = mapped[0]
+            if len(mapped) > 1:
+                numeric = [[] for _ in numeric]
+                for cells in mapped:
+                    for column, part in zip(numeric, cells):
+                        column += part
+            return SweepTable([axes, *numeric, variants])
+    parts = joints = None  # dropped before the text is read again
+    return _read_lines(text)
 
 
 def run_relay_compare(

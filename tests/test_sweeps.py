@@ -802,30 +802,47 @@ class TestBlockCodec:
         assert all(checks.values()), checks
 
     def test_line_joints_are_read_in_runs(self, monkeypatch):
-        read_lines = []
+        calls = {"_read_lines": [], "_map_blocks": []}
+        for name in calls:
+            def spied(text_or_each, *args, read=getattr(sweeps, name), name=name):
+                calls[name].append(text_or_each if name == "_read_lines" else list(args[0]))
+                return read(text_or_each, *args)
 
-        def spied(text, read=sweeps._read_lines):
-            read_lines.append(text)
-            return read(text)
+            monkeypatch.setattr(sweeps, name, spied)
 
-        monkeypatch.setattr(sweeps, "_read_lines", spied)
-        # the benchmark's curve: its 4,501 joints are two runs, one per block
+        def blocks_read(rows):
+            text = rows_to_csv(rows)
+            calls["_map_blocks"].clear()
+            read = read_sweep_csv(text)
+            blocks = calls["_map_blocks"][:]
+            assert rows_to_csv(read) == text and calls["_read_lines"] == []
+            return blocks
+
+        # the benchmark's curve: its joints are two runs, the reader's two blocks
         table = run_sweep(SweepSpec(axis="speed", start=5.0, stop=50.0, step=0.02, r=1000.0,
                                     alpha=1.4, tau=0.2, pn0_db=70.0, theta=0.01))
-        text = rows_to_csv(table)
-        assert sweeps._runs(text.split(",")[20:-1:10], sweeps._OTHER_JOINT) == [(0, 2251),
-                                                                               (2251, 4501)]
-        assert rows_to_csv(read_sweep_csv(text)) == text and read_lines == []
-        # a variant that changes every line, and a table that joins two axes,
-        # have no joint runs and are read line by line
+        assert blocks_read(table) == [[(0, 2251), (2251, 4502)]]
+        # tables whose joints change more than once per 64 lines, such as
+        # `v2vsec sweep --from 5 --to 10 --step 1 --theta 0.01` (12 lines) or
+        # four such curves of 46 points (368 lines), and a table that joins
+        # two axes, are read joint by joint, as one block or by variant runs
+        short = run_sweep(SweepSpec(axis="speed", start=5.0, stop=10.0, step=1.0, theta=0.01))
+        assert blocks_read(short) == [[(0, 12)]]
+        curves = [run_sweep(SweepSpec(axis="speed", start=5.0, stop=50.0, step=1.0, alpha=alpha,
+                                      tau=tau, theta=0.01))
+                  for alpha in (1.4, 2.0) for tau in (0.1, 0.2)]
+        assert blocks_read(SweepTable([sum(c, []) for c in zip(*(t.columns for t in curves))])
+                           ) == [[(0, 368)]]
         alternating = SweepTable([*table.columns[:10], ["vtau", "theta"] * (len(table) // 2)])
+        assert blocks_read(alternating) == [[(0, 4502)]]
         tau = run_sweep(SweepSpec(axis="tau", start=0.05, stop=1.0, step=0.01, v_mps=30.0))
         two_axes = SweepTable([a + b for a, b in zip(table.columns, tau.columns)])
-        for rows in (alternating, two_axes):
-            text = rows_to_csv(rows)
-            assert sweeps._runs(text.split(",")[20:-1:10], sweeps._OTHER_JOINT) is None
-            assert rows_to_csv(read_sweep_csv(text)) == text
-            assert read_lines.pop() == text and read_lines == []
+        assert blocks_read(two_axes) == [[(0, 2251), (2251, 4502), (4502, 4598)]]
+        # a table that breaks the contract is read line by line
+        text = rows_to_csv(table).replace("\nspeed,5,", "\nspeed,x,", 1)
+        with pytest.raises(SweepFormatError, match="^line 2: could not convert"):
+            read_sweep_csv(text)
+        assert calls["_read_lines"] == [text]
 
     def test_a_theta_block_maps_only_its_own_capacity(self, monkeypatch):
         counts = {}
@@ -840,10 +857,9 @@ class TestBlockCodec:
                                     alpha=1.4, tau=0.2, pn0_db=70.0, theta=0.01))
         alternating = SweepTable([*table.columns[:10], ["vtau", "theta"] * (len(table) // 2)])
         # 6,758 = axis_value, v_kmh and cs_raw per vtau row, one cell per fixed
-        # column and the theta capacity; alternating, the writer maps the table
-        # as one block, 3 * 4,502 + 4 cells, and the reader reads it line by
-        # line, 9 * 4,502 cells
-        for rows, written, read in ((table, 6758, 6758), (alternating, 13510, 40518)):
+        # column and the theta capacity; alternating, both map the table as
+        # one block, 3 * 4,502 + 4 cells
+        for rows, written, read in ((table, 6758, 6758), (alternating, 13510, 13510)):
             counts.update(_format_cells=0, _parse_cells=0)
             read_sweep_csv(rows_to_csv(rows))
             assert counts == {"_format_cells": written, "_parse_cells": read}
