@@ -44,11 +44,10 @@ table at once, slices each block's cells out of the split text and
 parses each distinct column once. A line joint, the text between one
 line's last comma and the next line's first, holds a variant, the line
 break and an axis. The reader takes the joints in runs of equal ones,
-checks each run once and expands it into repeated variant cells, each
-run being a block. A table whose joints change more than once per 64
-lines, or mix axes, has its joints checked one by one. A table that
-breaks the contract is read line by line instead, which raises the first
-bad line's error.
+checks each run once and expands it into repeated cells; each run is a
+block. Joints that change more than once per 64 lines, or mix axes, are
+checked one by one. A table that breaks the contract is read line by
+line instead, which raises the first bad line's error.
 """
 
 from __future__ import annotations
@@ -541,8 +540,9 @@ def _read_lines(text: str) -> SweepTable:
     """The table in ``text``, read line by line, or the first bad body line's error.
 
     The reader's slow path, and the one place its line messages live:
-    :func:`read_sweep_csv` hands it a table whose header and trailing LF it
-    has checked, and that its whole-table path does not read.
+    :func:`read_sweep_csv` checks the header and trailing LF, and hands it
+    only a table that breaks the contract, the one kind its whole-table
+    path refuses.
     """
     rows = []
     for i, line in enumerate(text.split("\n")[1:-1], start=2):
@@ -576,8 +576,7 @@ def read_sweep_csv(text: str) -> SweepTable:
     error names the first bad line in file order, counting the header as
     line 1, and within that line the first failing check: the field count,
     the axis, the variant, then the numeric cells from left to right.
-    Such a table is read again by :func:`_read_lines`, after the split
-    text is dropped.
+    Such a table is read again, line by line, by :func:`_read_lines`.
     """
     if not text.startswith(_HEADER_LINE) and text != SWEEP_HEADER:
         header = text.partition("\n")[0]

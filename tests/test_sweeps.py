@@ -816,6 +816,8 @@ class TestBlockCodec:
             read = read_sweep_csv(text)
             blocks = calls["_map_blocks"][:]
             assert rows_to_csv(read) == text and calls["_read_lines"] == []
+            assert sweeps._read_lines(text) == read
+            calls["_read_lines"].clear()
             return blocks
 
         # the benchmark's curve: its joints are two runs, the reader's two blocks
