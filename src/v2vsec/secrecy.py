@@ -242,8 +242,9 @@ class LinkGeometry(NamedTuple):
     between the legitimate pair.
 
     Exactly one of ``theta`` and ``d`` may be omitted; ``_check`` derives
-    the other. When both are given they must satisfy d = r*theta. All
-    three are stored as floats.
+    the other and holds it to the rule of a given one, after the given
+    fields. When both are given they must satisfy d = r*theta. All three
+    are stored as floats.
     """
 
     r: float
@@ -258,10 +259,10 @@ class LinkGeometry(NamedTuple):
         if theta is not None:
             theta = real("theta", theta, "positive and finite")
         if d is None:
-            return r, theta, r * theta
+            return r, theta, real("d", r * theta, "positive and finite")
         d = real("d", d, "positive and finite")
         if theta is None:
-            return r, d / r, d
+            return r, real("theta", d / r, "positive and finite"), d
         expect = r * theta
         if abs(d - expect) > 1e-9 * max(abs(d), abs(expect)):
             raise ValueError(f"inconsistent geometry: d={d!r} but r*theta={expect!r}")

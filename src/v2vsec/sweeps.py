@@ -39,6 +39,14 @@ curve's vtau line joins 8 cells and its theta line 5, not 11, and a
 relay-compare line 8, not 15. One run finder, ``_runs``, finds the runs
 for the writer, the reader and the ordering check.
 
+Across tables the writer keeps one slot, ``_last_grid``, in the idiom of
+``protocol._last_plan``: ``run_sweep`` puts own copies of its axis points
+and, on the speed axis, its ``v_kmh`` there, and the first table written
+that holds them adds their cells. Each block of a later table is seeded
+with them too, so a curve family on one grid formats those two columns
+once, not once per curve. Only ``run_sweep`` on another grid replaces
+the slot; writing any other table only reads it.
+
 The reader works by block too: it checks the structure of the whole
 table at once, slices each block's cells out of the split text and
 parses each distinct column once. A line joint, the text between one
@@ -238,22 +246,23 @@ def _runs(items: Sequence, other: dict) -> list[tuple[int, int]] | None:
     return runs
 
 
-def _map_blocks(each, blocks: Iterable[tuple[int, int]],
-                block_columns) -> Iterator[tuple[int, int, list, list[bool]]]:
-    """``(start, stop, cells, constant)`` per block: its nine numeric columns mapped by ``each``.
+def _map_blocks(each, blocks: Iterable[tuple[int, int]], block_columns,
+                fixed: Sequence[tuple[Sequence, list, bool]] = ()
+                ) -> Iterator[tuple[int, int, Sequence[Sequence], list, list[bool]]]:
+    """``(start, stop, columns, cells, constant)`` per block: its nine numeric columns mapped.
 
     A block is a run of one variant, or the whole table when the variants
     have no runs. ``block_columns(start, stop)`` gives a block's columns, and each block
-    goes through :func:`_map_columns` seeded with the previous block's
-    columns, cells and constant flags, so a block that repeats them maps
-    only the rest.
+    goes through :func:`_map_columns` seeded with ``fixed``'s triples and
+    the previous block's columns, cells and constant flags, so a block that
+    repeats them maps only the rest.
     """
-    seed: tuple = ()
+    seed = tuple(fixed)
     for start, stop in blocks:
         columns = block_columns(start, stop)
         cells, constant = _map_columns(each, columns, seed)
-        seed = tuple(zip(columns, cells, constant))
-        yield start, stop, cells, constant
+        seed = (*fixed, *zip(columns, cells, constant))
+        yield start, stop, columns, cells, constant
 
 
 def _format_cells(column: Sequence[float]) -> list[str]:
@@ -291,14 +300,40 @@ def _join_lines(columns: Sequence[Sequence[str]], constant: Sequence[bool]) -> l
     return list(map(",".join, zip(*merged)))
 
 
+# The grid run_sweep evaluated last, in the idiom of protocol._last_plan
+# (none yet): the curve's (axis, start, stop, step), and for its axis points
+# and, on the speed axis, its v_kmh, a [column, cells, constant] list that
+# holds an own copy of the column, with cells None until a table holding
+# that column is written.
+_last_grid: tuple[tuple, list[list]] = ((), [])
+
+
+def _keep_grid_cells(grid: list[list], columns: Sequence[Sequence], cells: Sequence[list],
+                     constant: Sequence[bool]) -> None:
+    """Give each grid column without cells the cells of an equal one of ``columns``."""
+    for entry in grid:
+        if entry[1] is None:
+            for column, result, same in zip(columns, cells, constant):
+                if column == entry[0]:
+                    entry[1:] = result, same
+                    break
+
+
 def _csv_lines(columns: Sequence[Sequence]) -> list[str]:
-    """Sweep-table lines from the 11 columns, without the header, block by block."""
+    """Sweep-table lines from the 11 columns, without the header, block by block.
+
+    Each block is seeded with the last grid's columns that have cells, so a
+    block column equal to one of them reuses its cells.
+    """
     if not columns or not columns[0]:
         return []
     lines: list[str] = []
     blocks = _runs(columns[10], _OTHER_VARIANT) or [(0, len(columns[0]))]
-    for start, stop, cells, constant in _map_blocks(_format_cells, blocks,
-                                                    lambda i, j: _cut(columns[1:10], i, j)):
+    grid = _last_grid[1]
+    known = [tuple(entry) for entry in grid if entry[1] is not None]
+    for start, stop, block, cells, constant in _map_blocks(
+            _format_cells, blocks, lambda i, j: _cut(columns[1:10], i, j), known):
+        _keep_grid_cells(grid, block, cells, constant)
         axes, variants = _cut((columns[0], columns[10]), start, stop)
         n = stop - start
         lines += _join_lines([axes, *cells, variants], [axes.count(axes[0]) == n, *constant,
@@ -439,9 +474,17 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     in which the separation is fixed by the angle instead of d = v*tau;
     the ``variant`` column tells the blocks apart. That capacity does not
     depend on speed, so it is evaluated once per curve.
+
+    A curve on another grid than the last one's replaces ``_last_grid``
+    with copies of its axis points and, on the speed axis, its v_kmh.
     """
+    global _last_grid
     points = axis_points(spec.start, spec.stop, spec.step)
     columns = _vtau_columns(spec, points)
+    key = (spec.axis, spec.start, spec.stop, spec.step)
+    if _last_grid[0] != key:
+        grid = columns[1:4:2] if spec.axis == "speed" else columns[1:2]
+        _last_grid = key, [[list(column), None, False] for column in grid]
     if spec.theta is not None:
         try:
             geometry = LinkGeometry(r=spec.r, theta=spec.theta)
@@ -610,7 +653,7 @@ def read_sweep_csv(text: str) -> SweepTable:
                 blocks = _runs(variants, _OTHER_VARIANT) or [(0, n)]
             del joints
             # each block's cells are sliced straight out of parts
-            mapped = [cells for _, _, cells, _ in _map_blocks(
+            mapped = [cells for _, _, _, cells, _ in _map_blocks(
                 _parse_cells, blocks,
                 lambda i, j: [parts[10 * i + k:10 * j:10] for k in range(1, 10)])]
         except (KeyError, ValueError):

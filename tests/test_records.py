@@ -92,6 +92,11 @@ INVALID = [
      "d must be positive and finite, got nan"),
     (LinkGeometry(r=100.0, theta=0.5), {"d": 60.0},
      "inconsistent geometry: d=60.0 but r*theta=50.0"),
+    # a derived field is held to the rule of a given one
+    (LinkGeometry(r=100.0, theta=0.5), {"r": 1e300, "theta": 1e10, "d": None},
+     "d must be positive and finite, got inf"),
+    (LinkGeometry(r=100.0, theta=0.5), {"r": 1e308, "d": 5e-324, "theta": None},
+     "theta must be positive and finite, got 0.0"),
     (RELAY, {"p_a": 0.0}, "p_a must be positive and finite, got 0.0"),
     (RELAY, {"p_r": -1.0}, "p_r must be >= 0, got -1.0"),
     (RELAY, {"h_ab": -1.0}, "h_ab must be >= 0, got -1.0"),

@@ -197,11 +197,17 @@ def _raw_or_error(fn, *args):
 
 
 def _velocity_chain_raw(p, n0, v, tau, r, alpha):
-    """The velocity rule as the public functions compose it: v and tau checked,
-    then the geometric formula at d = v*tau."""
-    real("v", v, "positive and finite")
-    real("tau", tau, "positive and finite")
-    return geometric_secrecy(p, n0, LinkGeometry(r=r, d=v * tau), alpha).raw
+    """The velocity rule as the public functions compose it: v, tau, r and
+    d = v*tau checked, then the geometric formula at d.
+
+    The geometry is built without its own check: the velocity rule does not
+    hold the angle d/r, which ``LinkGeometry`` refuses where it underflows
+    to 0 or overflows to inf.
+    """
+    d = v * tau
+    for name, value in (("v", v), ("tau", tau), ("r", r), ("d", d)):
+        real(name, value, "positive and finite")
+    return geometric_secrecy(p, n0, tuple.__new__(LinkGeometry, (r, d / r, d)), alpha).raw
 
 
 class TestVelocityRaw:

@@ -847,6 +847,7 @@ class TestBlockCodec:
         assert calls["_read_lines"] == [text]
 
     def test_a_theta_block_maps_only_its_own_capacity(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "_last_grid", ((), []))  # no grid's cells yet
         counts = {}
         for name in ("_format_cells", "_parse_cells"):
             def counted(column, each=getattr(sweeps, name), name=name):
@@ -865,6 +866,109 @@ class TestBlockCodec:
             counts.update(_format_cells=0, _parse_cells=0)
             read_sweep_csv(rows_to_csv(rows))
             assert counts == {"_format_cells": written, "_parse_cells": read}
+
+
+def _benchmark_curve(alpha=1.4, tau=0.2):
+    """The benchmark's curve shape: 2,251 speeds, a vtau and a theta block."""
+    return run_sweep(SweepSpec(axis="speed", start=5.0, stop=50.0, step=0.02, r=1000.0,
+                               alpha=alpha, tau=tau, pn0_db=70.0, theta=0.01))
+
+
+def _cold_csv(monkeypatch, rows):
+    """rows_to_csv(rows) with no grid's cells to reuse."""
+    with monkeypatch.context() as patched:
+        patched.setattr(sweeps, "_last_grid", ((), []))
+        return rows_to_csv(rows)
+
+
+class TestGridSlot:
+    """The cells of the last grid run_sweep evaluated are reused by later tables."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_slot(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "_last_grid", ((), []))
+
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        """The number of cells _format_cells has formatted since the last reset."""
+        count = [0]
+
+        def counted(column, each=sweeps._format_cells):
+            count[0] += len(column)
+            return each(column)
+
+        monkeypatch.setattr(sweeps, "_format_cells", counted)
+        return count
+
+    def test_a_curve_on_the_same_grid_formats_only_its_own_columns(self, formatted):
+        for alpha, tau, cells in ((1.4, 0.2, 6758), (2.0, 0.1, 2256), (4.0, 0.4, 2256)):
+            table = _benchmark_curve(alpha, tau)
+            formatted[0] = 0
+            rows_to_csv(table)
+            # after the first curve, 2,256 = cs_raw per vtau row, one cell per
+            # fixed column and the theta capacity
+            assert formatted[0] == cells
+        # another grid replaces the slot, and is formatted whole again
+        table = run_sweep(SweepSpec(axis="speed", start=5.0, stop=50.0, step=0.04, theta=0.01))
+        formatted[0] = 0
+        rows_to_csv(table)
+        assert formatted[0] == 3 * 1126 + 5
+
+    def test_warm_writes_give_the_bytes_of_cold_ones(self, monkeypatch):
+        power = SweepSpec(axis="power_db", start=-2.0, stop=2.0, step=0.5)
+        curves = [run_sweep(power._replace(tau=tau)) for tau in (0.1, 0.2, 0.4)]
+        # the power grid runs through 0.0, and a table's axis column holds -0.0 there
+        negative = SweepTable([[-0.0 if x == 0.0 else x for x in column]
+                               for column in curves[1].columns])
+        assert math.copysign(1.0, negative.columns[1][4]) == -1.0
+        # a speed grid from a point whose cell changes one ulp up, and a table
+        # one ulp off that grid there
+        up = 1.000005
+        start = math.nextafter(up, -math.inf)
+        assert "%.6g" % start != "%.6g" % up
+        speed = SweepSpec(axis="speed", start=start, stop=start + 4.0, step=0.5, theta=0.01)
+        speeds = [run_sweep(speed._replace(alpha=alpha)) for alpha in (1.4, 2.0)]
+        off = SweepTable([list(column) for column in speeds[0].columns])
+        off.columns[1][0] = off.columns[2][0] = up
+        assert _cold_csv(monkeypatch, off) != _cold_csv(monkeypatch, speeds[0])
+        # each family written after its grid's run_sweep, the slot's cells
+        # taken from its first table
+        for spec, family in ((power, [*curves, negative]), (power, [negative, *curves]),
+                             (speed, [*speeds, off, speeds[0][:9]]),
+                             (speed, [off, *speeds])):
+            monkeypatch.setattr(sweeps, "_last_grid", ((), []))
+            run_sweep(spec)
+            cold = [_cold_csv(monkeypatch, table) for table in family]
+            assert [rows_to_csv(table) for table in family] == cold
+
+    def test_writing_a_read_back_table_leaves_the_slot_as_it_was(self, formatted):
+        text = rows_to_csv(_benchmark_curve())
+        key, grid = sweeps._last_grid
+        before = [[id(x) for x in entry[:2]] + entry[2:] for entry in grid]
+        back = read_sweep_csv(text)
+        for table in (back, back[10:4000], SweepTable([list(c) for c in back.columns])):
+            rows_to_csv(table)
+        assert sweeps._last_grid[0] == key and sweeps._last_grid[1] is grid
+        assert [[id(x) for x in entry[:2]] + entry[2:] for entry in grid] == before
+        table = _benchmark_curve(alpha=2.0)
+        formatted[0] = 0
+        rows_to_csv(table)
+        assert formatted[0] == 2256
+
+    @pytest.mark.parametrize("theta", [None, 0.01])
+    def test_a_changed_column_does_not_leak_into_a_later_write(self, monkeypatch, theta):
+        spec = SweepSpec(axis="speed", start=5.0, stop=50.0, step=0.02, theta=theta)
+        table = run_sweep(spec)
+        text = rows_to_csv(table)
+        # speeds and v_kmh changed after the write, and before any write
+        table.columns[1][0] = table.columns[3][1] = 99.0
+        unwritten = run_sweep(spec._replace(alpha=2.0))
+        unwritten.columns[3][0] = 1.5
+        for changed in (table, unwritten):
+            assert rows_to_csv(changed) == _cold_csv(monkeypatch, changed)
+        later = run_sweep(spec._replace(alpha=4.0))
+        assert rows_to_csv(later) == _cold_csv(monkeypatch, later)
+        assert rows_to_csv(run_sweep(spec)) == text
 
 
 @st.composite
